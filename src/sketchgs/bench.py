@@ -233,7 +233,8 @@ def _qr_single(W, variant, config, policy, cond_w, w_frob2, with_omega):
                          breakdown_factor=0.0)
         obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
     else:
-        state = _ClassicalStreaming(n, variant, policy, capacity=m)
+        state = ClassicalGsState(n, variant, policy, capacity=m,
+                                 breakdown_factor=0.0)
     qtrace = _GramTrace(n, m)
     otrace = _OmegaTrace(theta, m) if (is_rgs and with_omega) else None
     err2 = 0.0
@@ -259,26 +260,6 @@ def _qr_single(W, variant, config, policy, cond_w, w_frob2, with_omega):
                 row["omega"] = otrace.omega()
         report.add_row(i + 1, **row)
     return report
-
-
-class _ClassicalStreaming:
-    """Thin adapter exposing the streaming classical factorizer with the same
-    Q/R view interface as RgsState."""
-
-    def __init__(self, n, variant, policy, capacity=16):
-        self._state = ClassicalGsState(n, variant, policy, capacity=capacity,
-                                       breakdown_factor=0.0)
-
-    def push(self, w):
-        return self._state.push(w)
-
-    @property
-    def Q(self):
-        return self._state.Q
-
-    @property
-    def R(self):
-        return self._state.R
 
 
 def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:

@@ -122,72 +122,79 @@ class StabilityCertificate:
 class _IncrementalHouseholderQR:
     """QR of a tall matrix grown one column at a time.
 
-    Reflectors are stored and applied in the given dtype, so running this in
-    float32 emulates a unified low-precision solve. Appending column i costs
-    O(k*i); solving applies the stored reflectors and back-substitutes.
+    The reflectors I - tau_j v_j v_j^T are kept in compact WY form, their
+    product being I - V T V^T with T upper triangular, so Q^T z costs two
+    gemvs and a small triangular product. Everything is stored in the given
+    dtype, so running this in float32 emulates a unified low-precision solve.
+    Appending column i costs O(k*i). The arrays double from a fixed initial
+    width, so results do not depend on how many columns the caller expects.
     """
 
     def __init__(self, k: int, dtype):
         self.k = k
         self.dtype = np.dtype(dtype)
-        self.vs: list[np.ndarray] = []   # Householder vectors, v[0] adjusted
-        self.vnorm2: list[float] = []
-        self.Rcols: list[np.ndarray] = []
+        self.ncols = 0
+        cap = min(16, k)
+        self._V = np.zeros((k, cap), dtype=self.dtype, order="F")
+        self._T = np.zeros((cap, cap), dtype=self.dtype, order="F")
+        self._R = np.zeros((cap, cap), dtype=self.dtype, order="F")
 
-    @property
-    def ncols(self) -> int:
-        return len(self.vs)
-
-    def _apply_reflectors(self, z: np.ndarray) -> np.ndarray:
-        for v, vn2 in zip(self.vs, self.vnorm2):
-            i0 = self.k - v.shape[0]
-            tail = z[i0:]
-            tail -= (self.dtype.type(2.0) * (v @ tail) / vn2) * v
-        return z
+    def _wy(self, z: np.ndarray) -> np.ndarray:
+        """T^T V^T z, so that Q^T z = z - V (T^T V^T z)."""
+        i = self.ncols
+        return self._T[:i, :i].T @ (self._V[:, :i].T @ z)
 
     def append(self, col) -> None:
-        z = np.asarray(col, dtype=self.dtype).copy()
+        z = np.asarray(col, dtype=self.dtype)
         if z.shape != (self.k,):
             raise ValueError("column length mismatch")
         i = self.ncols
         if i >= self.k:
             raise ValueError("cannot append more columns than rows")
-        z = self._apply_reflectors(z)
-        x = z[i:].copy()
-        normx = np.linalg.norm(x)
-        alpha = -np.copysign(normx, x[0]) if x[0] != 0 else -normx
-        v = x
+        if i == self._V.shape[1]:
+            cap = min(2 * i, self.k)
+            self._V = _widened(self._V, (self.k, cap), "F")
+            self._T = _widened(self._T, (cap, cap), "F")
+            self._R = _widened(self._R, (cap, cap), "F")
+        z = z - self._V[:, :i] @ self._wy(z)
+        v = z[i:].copy()
+        normx = np.linalg.norm(v)
+        alpha = -np.copysign(normx, v[0]) if v[0] != 0 else -normx
         v[0] -= alpha
-        vn2 = float(v @ v)
+        vn2 = v @ v
         if vn2 == 0.0:  # exactly zero tail: column already in span
-            v = np.zeros_like(x)
-            v[0] = 1.0
-            vn2 = 1.0
-        rcol = np.empty(i + 1, dtype=self.dtype)
-        rcol[:i] = z[:i]
-        rcol[i] = alpha
-        self.vs.append(v)
-        self.vnorm2.append(vn2)
-        self.Rcols.append(rcol)
+            v[:] = 0.0
+            v[0] = vn2 = 1.0
+        tau = 2.0 / vn2
+        self._V[i:, i] = v
+        self._T[:i, i] = -tau * (self._T[:i, :i] @ (self._V[i:, :i].T @ v))
+        self._T[i, i] = tau
+        self._R[:i, i] = z[:i]
+        self._R[i, i] = alpha
+        self.ncols = i + 1
 
     def triangular(self) -> np.ndarray:
-        i = self.ncols
-        R = np.zeros((i, i), dtype=self.dtype)
-        for j, c in enumerate(self.Rcols):
-            R[:j + 1, j] = c
-        return R
+        return self._R[:self.ncols, :self.ncols]
 
     def solve(self, p) -> np.ndarray:
         """Least-squares solution against the appended columns."""
         i = self.ncols
         if i == 0:
             return np.zeros(0, dtype=self.dtype)
-        z = self._apply_reflectors(np.asarray(p, dtype=self.dtype).copy())
+        p = np.asarray(p, dtype=self.dtype)
+        z = p[:i] - self._V[:i, :i] @ self._wy(p)  # leading i rows of Q^T p
         R = self.triangular()
         diag = np.abs(np.diag(R))
         if np.min(diag) < 1e-8 * max(np.max(diag), 1.0):
             raise np.linalg.LinAlgError("sketched basis numerically rank deficient")
-        return scipy.linalg.solve_triangular(R, z[:i], lower=False)
+        return scipy.linalg.solve_triangular(R, z, lower=False)
+
+
+def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:
+    """Zeros of the given shape and order, with `a` in the leading block."""
+    out = np.zeros(shape, dtype=a.dtype, order=order)
+    out[tuple(map(slice, a.shape))] = a
+    return out
 
 
 def sketched_lsq(S_prev, p, solver: LsqSolver = HOUSEHOLDER_QR) -> np.ndarray:
@@ -229,8 +236,9 @@ class RgsState:
     """Streaming state of the randomized factorizer; one column per `push`.
 
     Exposed so a Krylov iteration can generate w_{i+1} = A q_i between steps.
-    Arrays grow in place; `factors()` returns views trimmed to the current
-    column count.
+    Arrays hold `capacity` columns and double when full; `factors()` returns
+    copies trimmed to the current column count. Q is column-major, so the
+    update Q r sees leading dimension n whatever `capacity` is.
     """
 
     def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
@@ -247,7 +255,9 @@ class RgsState:
             raise ValueError("certification sketch has mismatched ambient dimension")
         n, k = theta.n, theta.k
         self.m = 0
-        self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype)
+        # column-contiguous: the update Q r is a unit-stride gemv, a new
+        # column is one contiguous write, and unused columns are never touched
+        self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype, order="F")
         self._R = np.zeros((capacity, capacity))
         self._S = np.zeros((k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((k, capacity), dtype=policy.fine_dtype)
@@ -278,17 +288,12 @@ class RgsState:
         cap = self._Q.shape[1]
         if self.m < cap:
             return
-        new = 2 * cap
-        self._Q = np.concatenate(
-            [self._Q, np.zeros((self._Q.shape[0], cap), dtype=self._Q.dtype)], axis=1)
-        R = np.zeros((new, new))
-        R[:cap, :cap] = self._R
-        self._R = R
+        self._Q = _widened(self._Q, (self._Q.shape[0], 2 * cap), "F")
+        self._R = _widened(self._R, (2 * cap, 2 * cap))
         for name in ("_S", "_P", "_S_phi", "_P_phi"):
             arr = getattr(self, name, None)
             if arr is not None:
-                setattr(self, name, np.concatenate(
-                    [arr, np.zeros((arr.shape[0], cap), dtype=arr.dtype)], axis=1))
+                setattr(self, name, _widened(arr, (arr.shape[0], 2 * cap)))
 
     def push(self, w) -> float:
         """Run one iteration on the next column; returns the diagonal r_ii."""
@@ -306,7 +311,7 @@ class RgsState:
 
         if i == 0:
             r_col = np.zeros(0, dtype=fine)
-            qp = w64.astype(policy.coarse_dtype)
+            qp = w64.astype(policy.coarse_dtype).astype(np.float64)
             sp = p.copy()
         else:
             if self._qr is not None:                          # Step 2 (u_fine)
@@ -314,10 +319,12 @@ class RgsState:
             else:
                 r_col = sketched_lsq(self._S[:, :i], p, self.solver)
             # Step 3 (u_crs): q' = w - Q_{i-1} r, native arithmetic in the
-            # coarse format (hardware binary32 BLAS under the mixed policy)
+            # coarse format (hardware binary32 BLAS under the mixed policy),
+            # then widened exactly to binary64 for the sketches
             crs = policy.coarse_dtype
-            qp = w64.astype(crs) - self._Q[:, :i] @ r_col.astype(crs)
-            sp = self.theta.apply(qp.astype(np.float64)).astype(fine)  # Step 4
+            qp = (w64.astype(crs) - self._Q[:, :i] @ r_col.astype(crs)
+                  ).astype(np.float64)
+            sp = self.theta.apply(qp).astype(fine)            # Step 4
 
         r_ii = float(np.sqrt(np.sum(sp.astype(fine) * sp)))   # Step 5 (u_fine)
         p_norm = float(np.linalg.norm(p))
@@ -326,20 +333,19 @@ class RgsState:
             raise BreakdownError(i + 1, r_ii, tol)
 
         self._S[:, i] = sp / fine.type(r_ii)                  # Step 6 (u_fine)
-        self._Q[:, i] = (qp.astype(np.float64) / r_ii).astype(policy.coarse_dtype)
+        self._Q[:, i] = qp / r_ii  # rounded to the coarse format on store
         self._P[:, i] = p
         self._R[:i, i] = r_col.astype(np.float64)
         self._R[i, i] = r_ii
         if self.phi is not None:
-            self._S_phi[:, i] = (self.phi.apply(qp.astype(np.float64)) / r_ii
-                                 ).astype(fine)
+            self._S_phi[:, i] = (self.phi.apply(qp) / r_ii).astype(fine)
         if self._qr is not None:
             self._qr.append(self._S[:, i])
         self.m += 1
         return r_ii
 
     def factors(self) -> QrFactors:
-        f = QrFactors(Q=self.Q.copy(), R=self.R.copy(),
+        f = QrFactors(Q=self.Q.copy(order="F"), R=self.R.copy(),
                       S=self.S.copy(), P=self.P.copy())
         if self.phi is not None:
             f.S_phi = self._S_phi[:, :self.m].copy()
@@ -364,9 +370,11 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
             raise ValueError(f"need k >= m and n >= m >= 1, got "
                              f"k={theta.k}, n={n}, m={m}")
         columns = (W[:, j] for j in range(m))
+        capacity = m
     else:
         columns = iter(W)
-    state = RgsState(theta, policy, solver, phi=phi,
+        capacity = 16
+    state = RgsState(theta, policy, solver, phi=phi, capacity=capacity,
                      breakdown_factor=breakdown_factor)
     for w in columns:
         state.push(w)

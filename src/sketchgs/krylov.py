@@ -153,11 +153,11 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
 
 def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
                    theta: SketchOperator | None, solver: LsqSolver,
-                   phi: SketchOperator | None):
+                   phi: SketchOperator | None, ncols: int):
     if variant is GsVariant.RGS:
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
-        return RgsState(theta, policy, solver, phi=phi)
+        return RgsState(theta, policy, solver, phi=phi, capacity=ncols)
     return ClassicalGsState(n, variant, policy)
 
 
@@ -183,7 +183,7 @@ def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     Returns fewer columns on a lucky breakdown (exhausted Krylov subspace).
     """
     b = np.asarray(b, dtype=np.float64)
-    state = _make_gs_state(A.n, variant, policy, theta, solver, phi)
+    state = _make_gs_state(A.n, variant, policy, theta, solver, phi, m + 1)
     breakdown = False
     state.push(b)
     for i in range(m):
@@ -258,7 +258,7 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if alpha == 0.0:
         raise np.linalg.LinAlgError("operator norm estimate is zero")
 
-    state = _make_gs_state(A.n, variant, policy, theta, solver, phi)
+    state = _make_gs_state(A.n, variant, policy, theta, solver, phi, m + 1)
     state.push(b / b_norm)
     beta = float(state.R[0, 0])  # ~1 in the sketched norm
 

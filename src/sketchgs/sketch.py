@@ -13,6 +13,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,26 +88,46 @@ def vector_certificate_dim(eps_star: float, delta_star: float) -> int:
                      * math.log(2.0 / delta_star))
 
 
+@functools.cache
+def _hadamard(bits: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only Sylvester Hadamard matrix of order 2**bits."""
+    H = np.ones((1, 1), dtype=dtype)
+    for _ in range(bits):
+        H = np.block([[H, H], [H, -H]])
+    H.flags.writeable = False
+    return H
+
+
 def fwht(v):
     """Unnormalized fast Walsh-Hadamard transform along axis 0.
 
-    Sylvester (natural) ordering, radix-2 butterfly, O(s log s). The leading
-    dimension must be a power of two. Input dtype is preserved.
+    Sylvester (natural) ordering, O(s log s). The leading dimension s must be
+    a power of two. Input dtype is preserved. H_s is applied as the Kronecker
+    product of Hadamard factors of order at most 2**6, each one BLAS matmul
+    on the vector reshaped to a matrix (Andoni et al., arXiv:1509.02897).
+    Columns of a matrix input are transformed one at a time, so each equals
+    the transform of that column alone, bit for bit.
     """
-    a = np.array(v, copy=True)
+    a = np.asarray(v)
     s = a.shape[0]
     if s < 1 or (s & (s - 1)) != 0:
         raise ValueError(f"leading dimension {s} is not a power of two")
-    shape = a.shape
-    a = a.reshape(s, -1)
-    h = 1
-    while h < s:
-        a = a.reshape(s // (2 * h), 2, h, -1)
-        top = a[:, 0] + a[:, 1]
-        bot = a[:, 0] - a[:, 1]
-        a = np.stack((top, bot), axis=1).reshape(s, -1)
-        h *= 2
-    return a.reshape(shape)
+    bits = s.bit_length() - 1
+    factors = [_hadamard(min(6, bits - b), a.dtype) for b in range(0, bits, 6)]
+    cols = a.reshape(s, -1)
+    out = np.empty(cols.shape, dtype=a.dtype)
+    for j in range(cols.shape[1]):
+        x = np.ascontiguousarray(cols[:, j])  # BLAS path whatever the stride
+        lead = 1
+        for H in factors:
+            # H acts on the middle axis of x viewed as (lead, d, trail)
+            d = H.shape[0]
+            trail = s // (lead * d)
+            x = (x.reshape(lead, d) @ H if trail == 1
+                 else np.matmul(H, x.reshape(lead, d, trail)))
+            lead *= d
+        out[:, j] = x.reshape(s)
+    return out.reshape(a.shape)
 
 
 def _next_pow2(n: int) -> int:

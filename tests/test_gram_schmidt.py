@@ -66,6 +66,22 @@ def test_rgs_streaming_matches_batch(rng):
     assert np.array_equal(batch.S, f.S)
 
 
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64])
+def test_rgs_capacity_growth_bit_identical(rng, policy):
+    # the default capacity 16 makes every backing array grow twice, while
+    # rgs_factorize preallocates all 40 columns; the bits must not change
+    W = _problem(rng, n=3000, m=40, cond=1e6)
+    theta = make_sketch(SketchKind.PSRHT, 100, 3000, seed=4)
+    batch, _ = rgs_factorize(W, theta, policy, with_certificate=False)
+    state = RgsState(theta, policy)
+    for j in range(40):
+        state.push(W[:, j])
+    assert state._Q.shape[1] == 64
+    f = state.factors()
+    for name in ("Q", "R", "S", "P"):
+        assert np.array_equal(getattr(batch, name), getattr(f, name)), name
+
+
 def test_rgs_breakdown_on_dependent_columns(rng):
     W = _problem(rng, n=200, m=4)
     W = np.concatenate([W, W[:, :1]], axis=1)  # exact repeat of column 1
@@ -105,6 +121,17 @@ def test_sketched_lsq_solvers_agree(rng):
                          (SKETCHED_MGS, 1e-2)):
         y = sketched_lsq(S, p, solver)
         assert np.allclose(y, oracle, atol=atol), solver.method
+
+
+def test_householder_lsq_binary32(rng):
+    # the unified binary32 policy solves its sketched least squares in binary32
+    S = np.linalg.qr(rng.standard_normal((60, 8)))[0]
+    p = rng.standard_normal(60)
+    oracle = np.linalg.lstsq(S, p, rcond=None)[0]
+    y = sketched_lsq(S.astype(np.float32), p.astype(np.float32), HOUSEHOLDER_QR)
+    assert y.dtype == np.float32
+    assert np.allclose(y, oracle, rtol=0, atol=1e-5)
+    assert not np.allclose(y, oracle, rtol=0, atol=1e-9)
 
 
 def test_sketched_lsq_rank_deficient(rng):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sketchgs import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
                       fwht, make_sketch, required_sketch_dim,
@@ -52,6 +55,64 @@ def test_embedding_params_validation():
         EmbeddingParams(epsilon=0.5, delta=1.5, d=10)
     with pytest.raises(ValueError):
         EmbeddingParams(epsilon=0.5, delta=0.01, d=0)
+
+
+def _fwht_radix2(v):
+    """Reference transform: the radix-2 Sylvester butterfly, O(s log s)."""
+    a = np.array(v, copy=True)
+    s = a.shape[0]
+    shape = a.shape
+    a = a.reshape(s, -1)
+    h = 1
+    while h < s:
+        a = a.reshape(s // (2 * h), 2, h, -1)
+        top = a[:, 0] + a[:, 1]
+        bot = a[:, 0] - a[:, 1]
+        a = np.stack((top, bot), axis=1).reshape(s, -1)
+        h *= 2
+    return a.reshape(shape)
+
+
+@pytest.mark.parametrize("bits", range(18))
+def test_fwht_matches_radix2_oracle(bits):
+    # every remainder of log2(s) mod 6, i.e. every shape of the last
+    # Kronecker factor; both orders of summation are backward stable, so
+    # they agree to a few ulps per stage relative to the largest output
+    x = np.random.default_rng(bits).standard_normal(1 << bits)
+    ref = _fwht_radix2(x)
+    tol = 4 * (bits + 1) * np.finfo(np.float64).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(fwht(x) - ref)) <= tol
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 13).flatmap(
+    lambda b: arrays(np.float64, 1 << b, elements=st.integers(-1000, 1000))))
+def test_fwht_exact_on_integers(x):
+    # integer data far below 2**53 makes every order of summation exact
+    s = x.shape[0]
+    y = fwht(x)
+    assert np.array_equal(y, _fwht_radix2(x))
+    assert np.array_equal(fwht(y), s * x)
+
+
+@pytest.mark.parametrize("bits", [7, 11, 13, 17])
+def test_fwht_involution_partial_factor(bits, rng):
+    # sizes whose log2 is not a multiple of 6 end on a smaller factor
+    s = 1 << bits
+    x = rng.standard_normal(s)
+    assert np.allclose(fwht(fwht(x)) / s, x, rtol=0,
+                       atol=8 * bits * np.finfo(np.float64).eps)
+
+
+def test_fwht_preserves_float32(rng):
+    x = rng.standard_normal(1 << 13).astype(np.float32)
+    y = fwht(x)
+    assert y.dtype == np.float32
+    ref = _fwht_radix2(x.astype(np.float64))
+    # binary32 arithmetic throughout, not binary64 rounded once at the end
+    assert not np.array_equal(y, ref.astype(np.float32))
+    tol = 4 * 14 * np.finfo(np.float32).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(y - ref)) <= tol
 
 
 def test_fwht_small():
