@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "SketchKind", "EmbeddingParams", "SketchOperator",
@@ -91,9 +92,7 @@ def vector_certificate_dim(eps_star: float, delta_star: float) -> int:
 @functools.cache
 def _hadamard(bits: int, dtype: np.dtype) -> np.ndarray:
     """Read-only Sylvester Hadamard matrix of order 2**bits."""
-    H = np.ones((1, 1), dtype=dtype)
-    for _ in range(bits):
-        H = np.block([[H, H], [H, -H]])
+    H = scipy.linalg.hadamard(1 << bits, dtype=dtype)
     H.flags.writeable = False
     return H
 
