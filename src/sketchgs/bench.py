@@ -9,14 +9,14 @@ large-matrix SVDs, so the default benchmark scales run in minutes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .certification import CertificationParams, make_certification_sketch
 from .gram_schmidt import (ClassicalGsState, GsVariant, HOUSEHOLDER_QR,
-                           LsqSolver, RgsState, classical_factorize)
+                           LsqSolver, RgsState)
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
 from .krylov import SparseMatrix, gmres, ilu0
@@ -49,6 +49,10 @@ class RunConfig:
 
     def policy_obj(self) -> PrecisionPolicy:
         return policy_from_name(self.policy)
+
+    def phi_dim(self) -> int:
+        """Rows of the certification sketch Phi: k_phi, or k when unset."""
+        return self.k_phi or self.k
 
 
 def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
@@ -84,34 +88,32 @@ class _GramTrace:
         self.cols[:, i] = v
         self.i = i + 1
 
+    def gram(self) -> np.ndarray:
+        return self.G[:self.i, :self.i]
+
     def cond(self) -> float:
-        lam = scipy.linalg.eigvalsh(self.G[:self.i, :self.i])
+        lam = scipy.linalg.eigvalsh(self.gram())
         lo = max(lam[0], 0.0)
-        if lo == 0.0:
-            return np.inf
-        return float(np.sqrt(lam[-1] / lo))
+        return np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo))
 
     def orthogonality_loss(self) -> float:
-        i = self.i
-        return float(np.linalg.norm(np.eye(i) - self.G[:i, :i]))
+        return float(np.linalg.norm(np.eye(self.i) - self.gram()))
 
 
 class _OmegaTrace:
     """Exact embedding error of theta on the span of a growing column set.
 
     Maintains a binary64 orthonormal basis U of the span (CGS2 updates) and
-    the Gram matrix of theta @ U; omega_i comes from its extreme eigenvalues.
+    the Gram trace of theta @ U; omega_i comes from its extreme eigenvalues.
     """
 
     def __init__(self, theta: SketchOperator, capacity: int):
         self.theta = theta
         self.U = np.zeros((theta.n, capacity))
-        self.SU = np.zeros((theta.k, capacity))
-        self.G = np.zeros((capacity, capacity))
-        self.i = 0
+        self.SU = _GramTrace(theta.k, capacity)
 
     def push(self, v) -> None:
-        i = self.i
+        i = self.SU.i
         u = np.asarray(v, dtype=np.float64).copy()
         for _ in range(2):
             u -= self.U[:, :i] @ (self.U[:, :i].T @ u)
@@ -120,17 +122,11 @@ class _OmegaTrace:
             # numerically dependent column: the span (and omega) are unchanged
             return
         u /= nu
-        su = self.theta.apply(u)
-        prods = self.SU[:, :i].T @ su
-        self.G[:i, i] = prods
-        self.G[i, :i] = prods
-        self.G[i, i] = su @ su
+        self.SU.push(self.theta.apply(u))
         self.U[:, i] = u
-        self.SU[:, i] = su
-        self.i = i + 1
 
     def omega(self) -> float:
-        lam = scipy.linalg.eigvalsh(self.G[:self.i, :self.i])
+        lam = scipy.linalg.eigvalsh(self.SU.gram())
         return float(max(1.0 - lam[0], lam[-1] - 1.0))
 
 
@@ -139,32 +135,21 @@ class _OmegaBarTrace:
 
     With G_theta = S^T S and G_phi = S_phi^T S_phi, the singular values of
     V_phi X (X the orthonormalizer of S) are the generalized eigenvalues of
-    the pencil (G_phi, G_theta).
+    the pencil (G_phi, G_theta); `certification.omega_bar` computes the same
+    bound from a QR of S, and the tests check that the two agree.
     """
 
     def __init__(self, k: int, k_phi: int, eps_star: float, capacity: int):
-        self.S = np.zeros((k, capacity))
-        self.Sp = np.zeros((k_phi, capacity))
-        self.Gt = np.zeros((capacity, capacity))
-        self.Gp = np.zeros((capacity, capacity))
+        self.S = _GramTrace(k, capacity)
+        self.S_phi = _GramTrace(k_phi, capacity)
         self.eps_star = eps_star
-        self.i = 0
 
     def push(self, s, sp) -> None:
-        i = self.i
-        s = np.asarray(s, dtype=np.float64)
-        sp = np.asarray(sp, dtype=np.float64)
-        pt = self.S[:, :i].T @ s
-        pp = self.Sp[:, :i].T @ sp
-        self.Gt[:i, i] = pt; self.Gt[i, :i] = pt; self.Gt[i, i] = s @ s
-        self.Gp[:i, i] = pp; self.Gp[i, :i] = pp; self.Gp[i, i] = sp @ sp
-        self.S[:, i] = s
-        self.Sp[:, i] = sp
-        self.i = i + 1
+        self.S.push(s)
+        self.S_phi.push(sp)
 
     def omega_bar(self) -> float:
-        i = self.i
-        lam = scipy.linalg.eigh(self.Gp[:i, :i], self.Gt[:i, :i],
+        lam = scipy.linalg.eigh(self.S_phi.gram(), self.S.gram(),
                                 eigvals_only=True)
         return float(max(1.0 - (1.0 - self.eps_star) * lam[0],
                          (1.0 + self.eps_star) * lam[-1] - 1.0))
@@ -183,8 +168,7 @@ def _bench_columns(config: RunConfig) -> np.ndarray:
     A = load_matrix_source(config.matrix, config.seed)
     if config.m > A.n:
         raise ValueError("more columns requested than the matrix has")
-    W = np.asarray(A.to_scipy()[:, :config.m].todense())
-    return W
+    return np.asarray(A.to_scipy()[:, :config.m].todense())
 
 
 def run_qr_bench(config: RunConfig, with_omega: bool = True) -> dict:
@@ -204,7 +188,7 @@ def run_qr_bench(config: RunConfig, with_omega: bool = True) -> dict:
     for i in range(m):
         wtrace.push(W[:, i])
         cond_w[i] = wtrace.cond()
-        w_frob2[i] = np.sum(np.diag(wtrace.G[:i + 1, :i + 1]))
+        w_frob2[i] = np.sum(np.diag(wtrace.gram()))
     reports = {}
     for variant in config.variants:
         t0 = time.perf_counter()
@@ -216,48 +200,62 @@ def run_qr_bench(config: RunConfig, with_omega: bool = True) -> dict:
     return reports
 
 
+def _rgs_steps(W, config: RunConfig, policy: PrecisionPolicy,
+               with_omega: bool = True):
+    """Randomized factorization of the columns of W, one column per step.
+
+    Yields the state after each push with its certification row: omega_bar
+    and cond(S_i), plus omega (exact, from a binary64 oracle basis) when
+    `with_omega` is set.
+    """
+    n, m = W.shape
+    theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
+    cert = CertificationParams(config.eps_star, config.delta_star,
+                               config.phi_seed, config.phi_dim())
+    phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
+    # benchmark protocol: run straight through numerically singular
+    # columns (breakdown guard off), like the experiments being traced
+    state = RgsState(theta, policy, config.ls_solver, phi=phi,
+                     breakdown_factor=0.0)
+    obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
+    otrace = _OmegaTrace(theta, m) if with_omega else None
+    for i in range(m):
+        state.push(W[:, i])
+        obar.push(state.S[:, i], state._S_phi[:, i])
+        row = {"omega_bar": obar.omega_bar(), "cond_S": obar.S.cond()}
+        if otrace is not None:
+            otrace.push(state.Q[:, i].astype(np.float64))
+            row["omega"] = otrace.omega()
+        yield state, row
+
+
+def _classical_steps(W, variant: GsVariant, policy: PrecisionPolicy):
+    """Classical factorization of the columns of W, one column per step."""
+    n, m = W.shape
+    state = ClassicalGsState(n, variant, policy, capacity=m,
+                             breakdown_factor=0.0)
+    for i in range(m):
+        state.push(W[:, i])
+        yield state, {}
+
+
 def _qr_single(W, variant, config, policy, cond_w, w_frob2, with_omega):
     n, m = W.shape
     report = ExperimentReport()
-    theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
-    phi = None
-    is_rgs = variant is GsVariant.RGS
-    if is_rgs:
-        cert = CertificationParams(config.eps_star, config.delta_star,
-                                   config.phi_seed,
-                                   config.k_phi if config.k_phi else config.k)
-        phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
-        # benchmark protocol: run straight through numerically singular
-        # columns (breakdown guard off), like the experiments being traced
-        state = RgsState(theta, policy, config.ls_solver, phi=phi,
-                         breakdown_factor=0.0)
-        obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
+    if variant is GsVariant.RGS:
+        steps = _rgs_steps(W, config, policy, with_omega)
     else:
-        state = ClassicalGsState(n, variant, policy, capacity=m,
-                                 breakdown_factor=0.0)
+        steps = _classical_steps(W, variant, policy)
     qtrace = _GramTrace(n, m)
-    otrace = _OmegaTrace(theta, m) if (is_rgs and with_omega) else None
     err2 = 0.0
-    for i in range(m):
-        state.push(W[:, i])
-        q = state.Q[:, i].astype(np.float64)
-        qtrace.push(q)
+    for i, (state, row) in enumerate(steps):
+        qtrace.push(state.Q[:, i].astype(np.float64))
         # qtrace.cols already holds Q in binary64; reuse it for the residual.
         resid = W[:, i] - qtrace.cols[:, :i + 1] @ state.R[:i + 1, i]
         err2 += float(resid @ resid)
-        row = {"cond_Q": qtrace.cond(),
-               "cond_W": cond_w[i],
-               "loss_of_orthogonality": qtrace.orthogonality_loss(),
-               "factorization_error": np.sqrt(err2 / w_frob2[i])}
-        if is_rgs:
-            obar.push(state.S[:, i], state._S_phi[:, i])
-            row["omega_bar"] = obar.omega_bar()
-            lam = scipy.linalg.eigvalsh(obar.Gt[:i + 1, :i + 1])
-            lo = max(lam[0], 0.0)
-            row["cond_S"] = np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo))
-            if otrace is not None:
-                otrace.push(q)
-                row["omega"] = otrace.omega()
+        row.update(cond_Q=qtrace.cond(), cond_W=cond_w[i],
+                   loss_of_orthogonality=qtrace.orthogonality_loss(),
+                   factorization_error=np.sqrt(err2 / w_frob2[i]))
         report.add_row(i + 1, **row)
     return report
 
@@ -280,7 +278,7 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
     out = {}
     for variant in config.variants:
         t0 = time.perf_counter()
-        theta = phi = None
+        theta = None
         if variant is GsVariant.RGS:
             theta = SketchOperator(config.sketch_kind, config.k, A.n, config.seed)
         result = gmres(A, b, m, variant=variant, theta=theta, policy=policy,
@@ -308,36 +306,18 @@ def run_certify(config: RunConfig) -> ExperimentReport:
     """Randomized factorization with full certification traces.
 
     Runs the randomized variant only and records per-iteration omega (exact,
-    from a binary64 oracle basis), omega_bar, the rounding margin
-    u_crs * cond(S_phi), and cond(S_i).
+    from a binary64 oracle basis), omega_bar and cond(S_i).
     """
     policy = config.policy_obj()
     W = _bench_columns(config)
-    n, m = W.shape
-    theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
-    cert = CertificationParams(config.eps_star, config.delta_star,
-                               config.phi_seed,
-                               config.k_phi if config.k_phi else config.k)
-    phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
-    state = RgsState(theta, policy, config.ls_solver, phi=phi,
-                     breakdown_factor=0.0)
-    obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
-    otrace = _OmegaTrace(theta, m)
     report = ExperimentReport()
     t0 = time.perf_counter()
-    for i in range(m):
-        state.push(W[:, i])
-        obar.push(state.S[:, i], state._S_phi[:, i])
-        otrace.push(state.Q[:, i].astype(np.float64))
-        lam = scipy.linalg.eigvalsh(obar.Gt[:i + 1, :i + 1])
-        lo = max(lam[0], 0.0)
-        report.add_row(i + 1,
-                       omega=otrace.omega(),
-                       omega_bar=obar.omega_bar(),
-                       cond_S=np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo)))
+    for state, row in _rgs_steps(W, config, policy):
+        report.add_row(state.m, **row)
     report.metadata.update(_qr_metadata(config, GsVariant.RGS,
                                         time.perf_counter() - t0))
     report.metadata.update({"eps_star": config.eps_star,
                             "delta_star": config.delta_star,
-                            "k_phi": phi.k, "phi_seed": config.phi_seed})
+                            "k_phi": config.phi_dim(),
+                            "phi_seed": config.phi_seed})
     return report

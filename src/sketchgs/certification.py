@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .gram_schmidt import QrFactors
+from .gram_schmidt import QrFactors, _cond
 from .sketch import SketchKind, SketchOperator, vector_certificate_dim
 
 __all__ = [
@@ -142,8 +142,3 @@ def certify_factorization(factors: QrFactors, eps_star: float,
         omega_bar_q_halved=0.5 * ob_q,
         omega_bar_w_halved=0.5 * ob_w,
     )
-
-
-def _cond(M) -> float:
-    sv = np.linalg.svd(np.asarray(M, dtype=np.float64), compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -98,15 +98,6 @@ class StabilityCertificate:
     delta_m: float
     delta_tilde_m: float
     cond_S: float
-    omega: float | None = None
-    omega_bar: float | None = None
-    omega_bar_w: float | None = None
-    omega_bar_margin: float | None = None
-    omega_bar_w_margin: float | None = None
-    margin_precondition_ok: bool | None = None
-    # Practical advisory value (observed ~2x overestimation); never applied
-    # silently.
-    omega_bar_halved: float | None = None
 
     def passes_gate(self) -> bool:
         """The Delta_m, Delta~_m <= 0.1 hypothesis of the stability theorem."""
@@ -301,7 +292,8 @@ class RgsState:
         i = self.m  # zero-based index of the new column
         policy = self.policy
         fine = policy.fine_dtype
-        w64 = np.asarray(w, dtype=np.float64)
+        # one contiguous copy, so a strided column of W is read only once
+        w64 = np.ascontiguousarray(w, dtype=np.float64)
         if w64.shape != (self.theta.n,):
             raise ValueError("column length mismatch")
 
@@ -445,11 +437,8 @@ class ClassicalGsState:
         cap = self._Q.shape[1]
         if self.m < cap:
             return
-        self._Q = np.concatenate(
-            [self._Q, np.zeros((self.n, cap), dtype=self._Q.dtype)], axis=1)
-        R = np.zeros((2 * cap, 2 * cap))
-        R[:cap, :cap] = self._R
-        self._R = R
+        self._Q = _widened(self._Q, (self.n, 2 * cap))
+        self._R = _widened(self._R, (2 * cap, 2 * cap))
 
     def push(self, w) -> float:
         self._grow()
@@ -501,10 +490,14 @@ def certificates(factors: QrFactors) -> StabilityCertificate:
     m = S.shape[1]
     delta_m = float(np.linalg.norm(np.eye(m) - S.T @ S))
     delta_tilde = float(np.linalg.norm(P - S @ R) / np.linalg.norm(P))
-    sv = np.linalg.svd(S, compute_uv=False)
-    cond_s = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     return StabilityCertificate(delta_m=delta_m, delta_tilde_m=delta_tilde,
-                                cond_S=cond_s)
+                                cond_S=_cond(S))
+
+
+def _cond(M) -> float:
+    """2-norm condition number of M from a binary64 SVD; inf if singular."""
+    sv = np.linalg.svd(np.asarray(M, dtype=np.float64), compute_uv=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
 
 def loss_of_orthogonality(Q) -> float:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +199,7 @@ def read_report(path) -> ExperimentReport:
         elif line:
             body.append(line)
     if not body:
-        raise MatrixMarketError("report has no header row")
+        raise ValueError("report has no header row")
     header = body[0].split(",")
     for line in body[1:]:
         cells = line.split(",")

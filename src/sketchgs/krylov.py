@@ -8,7 +8,7 @@ configured precision policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -27,17 +27,19 @@ __all__ = [
 
 @dataclass
 class SparseMatrix:
-    """Square CSR matrix with explicit index arrays.
+    """Square matrix held as one scipy CSR matrix with binary64 values and
+    duplicate entries summed.
 
     `symmetric_expansion_applied` records that the off-diagonal mirror of a
     symmetric input was materialized at construction.
     """
 
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
+    csr: scipy.sparse.csr_matrix
     symmetric_expansion_applied: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals, symmetric: bool = False) -> "SparseMatrix":
@@ -61,26 +63,21 @@ class SparseMatrix:
             vals = np.concatenate([vals, vals[off]])
         m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         m.sum_duplicates()
-        return cls(n=n, row_ptr=m.indptr.copy(), col_idx=m.indices.copy(),
-                   values=m.data.astype(np.float64),
-                   symmetric_expansion_applied=symmetric)
+        return cls(csr=m, symmetric_expansion_applied=symmetric)
 
     @classmethod
     def from_scipy(cls, m) -> "SparseMatrix":
-        m = scipy.sparse.csr_matrix(m)
+        m = scipy.sparse.csr_matrix(m, dtype=np.float64, copy=True)
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         m.sum_duplicates()
-        return cls(n=m.shape[0], row_ptr=m.indptr.copy(),
-                   col_idx=m.indices.copy(), values=m.data.astype(np.float64))
+        return cls(csr=m)
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
+        return self.csr
 
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self.to_scipy() @ x
+        return self.csr @ np.asarray(x, dtype=np.float64)
 
 
 @dataclass
@@ -108,9 +105,9 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
     pivot.
     """
     n = A.n
-    indptr = A.row_ptr
-    indices = A.col_idx
-    data = A.values.copy()
+    indptr = A.csr.indptr
+    indices = A.csr.indices
+    data = A.csr.data.copy()
     # Column -> position maps per row, and the diagonal position per row.
     diag_pos = np.full(n, -1, dtype=np.int64)
     colmaps = []

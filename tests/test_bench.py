@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sketchgs import (GsVariant, SketchKind, epsilon_of, make_sketch,
-                      read_matrix_market, synthetic_matrix,
-                      write_matrix_market)
-from sketchgs.bench import (RunConfig, load_matrix_source, run_certify,
-                            run_gmres_bench, run_qr_bench)
+from sketchgs import (GsVariant, SketchKind, UNIFIED64, epsilon_of,
+                      make_sketch, read_matrix_market, rgs_factorize,
+                      synthetic_matrix, write_matrix_market)
+from sketchgs.bench import (RunConfig, _OmegaBarTrace, load_matrix_source,
+                            run_certify, run_gmres_bench, run_qr_bench)
+from sketchgs.certification import omega_bar
 
 
 def _small_config(**kw):
@@ -41,9 +42,6 @@ def test_run_qr_bench_traces_match_oracles():
         assert rep.column("cond_W")[-1] == pytest.approx(sv[0] / sv[-1],
                                                          rel=1e-6)
     rgs = reports["rgs"]
-    # omega trace against the exact definition at the last iteration
-    theta = make_sketch(SketchKind.PSRHT, 128, 600, seed=0)
-    # recover Q by re-running cheaply: cond_Q should be modest and omega < 1
     assert np.all(rgs.column("omega") <= rgs.column("omega_bar") + 1e-9)
     assert rgs.column("cond_Q")[-1] < 5.0
     assert np.all(np.isfinite(rgs.column("cond_S")))
@@ -109,3 +107,30 @@ def test_run_certify():
     W = synthetic_matrix(600, 20)
     theta = make_sketch(SketchKind.PSRHT, 128, 600, seed=0)
     assert om[-1] == pytest.approx(epsilon_of(theta, W), abs=1e-5)
+
+
+def test_run_certify_matches_run_qr_bench():
+    # both runners step the same randomized factorization, so the
+    # certification columns they report agree bit for bit
+    config = _small_config(variants=(GsVariant.RGS,), eps_star=0.25)
+    qr = run_qr_bench(config)["rgs"]
+    cert = run_certify(config)
+    for colname in ("omega", "omega_bar", "cond_S"):
+        assert np.array_equal(qr.column(colname), cert.column(colname))
+
+
+def test_omega_bar_trace_matches_one_shot_oracle():
+    # The trace computes omega_bar from the pencil of two Gram matrices, the
+    # one-shot `certification.omega_bar` from a QR and a triangular solve;
+    # both formulas are kept (O(i^3) per step for the trace, robustness for
+    # an ill-conditioned sketch), so they must agree at every column.
+    n, m, eps_star = 1024, 20, 0.25
+    W = np.random.default_rng(3).standard_normal((n, m))
+    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=1)
+    phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=2)
+    f, _ = rgs_factorize(W, theta, UNIFIED64, phi=phi)
+    trace = _OmegaBarTrace(theta.k, phi.k, eps_star, m)
+    for i in range(m):
+        trace.push(f.S[:, i], f.S_phi[:, i])
+        assert trace.omega_bar() == pytest.approx(
+            omega_bar(f.S[:, :i + 1], f.S_phi[:, :i + 1], eps_star), rel=1e-10)

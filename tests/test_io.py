@@ -164,3 +164,12 @@ def test_report_17_digit_roundtrip(tmp_path):
     p = tmp_path / "d.csv"
     write_report(rep, p)
     assert read_report(p).column("cond_Q")[0] == v
+
+
+def test_read_report_without_header_raises_value_error(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("# variant = rgs\n")
+    with pytest.raises(ValueError) as info:
+        read_report(p)
+    # a report is not a Matrix Market file; its error must not claim to be
+    assert not isinstance(info.value, MatrixMarketError)
