@@ -215,7 +215,7 @@ def _rgs_steps(W, config: RunConfig, policy: PrecisionPolicy,
     phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
     # benchmark protocol: run straight through numerically singular
     # columns (breakdown guard off), like the experiments being traced
-    state = RgsState(theta, policy, config.ls_solver, phi=phi,
+    state = RgsState(theta, policy, config.ls_solver, phi=phi, capacity=m,
                      breakdown_factor=0.0)
     obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
     otrace = _OmegaTrace(theta, m) if with_omega else None

@@ -49,8 +49,8 @@ class CertificationParams:
 
 def make_certification_sketch(params: CertificationParams, n: int,
                               kind: SketchKind = SketchKind.RADEMACHER) -> SketchOperator:
-    """Build Phi. Any oblivious single-vector embedding works; pass
-    kind=PSRHT at large n where a streamed Rademacher apply is too slow."""
+    """Build Phi. Any oblivious single-vector embedding works; at large n,
+    kind=PSRHT spares regenerating Rademacher sign blocks on every apply."""
     return SketchOperator(kind, params.dimension(), n, params.phi_seed)
 
 

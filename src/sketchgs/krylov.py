@@ -155,7 +155,7 @@ def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
         return RgsState(theta, policy, solver, phi=phi, capacity=ncols)
-    return ClassicalGsState(n, variant, policy)
+    return ClassicalGsState(n, variant, policy, capacity=ncols)
 
 
 @dataclass
@@ -202,7 +202,7 @@ class GmresResult:
     residual_history: np.ndarray  # estimated residual norms, entry per iteration
     final_residual: float         # true ||b - A x|| / ||b||
     iterations: int
-    converged: bool
+    converged: bool               # final_residual <= tol; breakdown alone is not
     breakdown: bool
     factors: QrFactors | None = None
 
@@ -307,12 +307,11 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
         x_tilde = (b_norm / alpha) * z
         x = preconditioner.solve(x_tilde) if preconditioner is not None else x_tilde
     true_res = float(np.linalg.norm(b - A.matvec(x)) / b_norm)
-    target = tol if tol is not None else np.inf
-    converged = true_res <= max(target, 0.0) if tol is not None else False
+    converged = tol is not None and true_res <= max(tol, 0.0)
     factors = state.factors() if isinstance(state, RgsState) else None
     return GmresResult(x=x, residual_history=np.asarray(history),
                        final_residual=true_res, iterations=k,
-                       converged=converged or breakdown,
+                       converged=converged,
                        breakdown=breakdown, factors=factors)
 
 

@@ -51,48 +51,3 @@ def policy_from_name(name: str) -> PrecisionPolicy:
         raise ValueError(f"unknown precision policy {name!r}; "
                          f"expected one of {sorted(_POLICIES)}") from None
 
-
-def round_coarse(x):
-    """Round a finite value (or array) to nearest-even binary32.
-
-    The result is returned in float64 so it can flow back into the working
-    format unchanged. Overflow to binary32 infinity raises.
-    """
-    with np.errstate(over="ignore"):
-        out = np.float32(x)
-    if not np.all(np.isfinite(out)) and np.all(np.isfinite(np.float64(x))):
-        raise OverflowError("value overflows binary32")
-    return np.float64(out)
-
-
-def gemv_rounded(A, x, y=None, alpha=1.0, beta=0.0, dtype=np.float32):
-    """Compute beta*y + alpha*A@x with every elementary op rounded to `dtype`.
-
-    Operands are cast to `dtype` first, each multiply and add rounds, and the
-    accumulation runs left to right over the columns of A, so the result is
-    bit-identical to a scalar loop in the same order.
-    """
-    dtype = np.dtype(dtype)
-    A = np.asarray(A)
-    x = np.asarray(x)
-    if A.ndim != 2 or A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x is {x.shape}")
-    A_c = A.astype(dtype, copy=False)
-    x_c = x.astype(dtype, copy=False)
-    alpha_c = dtype.type(alpha)
-    beta_c = dtype.type(beta)
-    if y is None:
-        acc = np.zeros(A.shape[0], dtype=dtype)
-    else:
-        acc = beta_c * np.asarray(y).astype(dtype, copy=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(A.shape[1]):
-            acc = acc + (alpha_c * A_c[:, j]) * x_c[j]
-    if not np.all(np.isfinite(acc)):
-        raise OverflowError(f"overflow in {dtype} gemv accumulation")
-    return acc
-
-
-def gemv_coarse(A, x, y=None, alpha=1.0, beta=0.0):
-    """binary32 variant of `gemv_rounded` (the u_crs projection kernel)."""
-    return gemv_rounded(A, x, y=y, alpha=alpha, beta=beta, dtype=np.float32)

@@ -1,10 +1,11 @@
 """Oblivious l2-subspace embeddings applied matrix-free.
 
 Two sketch families are provided: rescaled Rademacher matrices (i.i.d.
-+-1/sqrt(k) entries, regenerated column-by-column from a counter-based
-generator) and the partial subsampled randomized Hadamard transform (P-SRHT:
-sign flip, fast Walsh-Hadamard transform on the padded power-of-two
-dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
++-1/sqrt(k) entries, drawn in blocks of columns, one counter-based Philox
+stream per block, and kept or regenerated per apply by size) and the partial
+subsampled randomized Hadamard transform (P-SRHT: sign flip, fast
+Walsh-Hadamard transform on the padded power-of-two dimension, uniform row
+sampling without replacement, 1/sqrt(k) scaling).
 
 All randomness is a pure function of (kind, k, n, seed); equal parameters
 produce bit-identical operators. Sketch-dimension bounds use natural
@@ -28,10 +29,13 @@ __all__ = [
     "fwht", "epsilon_of", "rounding_sketch_trial",
 ]
 
-# Internal column-block width used when a Rademacher operator is too large to
-# cache densely. A fixed constant so streamed application is reproducible.
+# Width of the Rademacher column blocks. Block b holds columns
+# [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK) and is drawn from Philox stream b,
+# so the block width is part of each operator's definition: changing it
+# changes every Rademacher matrix.
 _COLUMN_BLOCK = 4096
-# Cache the dense +-1 matrix when it fits in ~128 MB.
+# Keep the +-1 blocks when k*n entries fit in ~128 MB; regenerate them on
+# every apply otherwise. Both give the same bits.
 _MATERIALIZE_LIMIT = 1 << 24
 
 _PSRHT_SIGN_STREAM = 0x5149
@@ -150,7 +154,7 @@ class SketchOperator:
         self.k = int(k)
         self.n = int(n)
         self.seed = int(seed)
-        self._dense = None
+        self._blocks = []  # kept Rademacher column blocks, in order
         if kind is SketchKind.PSRHT:
             s = _next_pow2(n)
             if s >= 1 << 62:
@@ -168,20 +172,22 @@ class SketchOperator:
         return (f"SketchOperator({self.kind.value}, k={self.k}, n={self.n}, "
                 f"seed={self.seed})")
 
-    # -- Rademacher column streams -------------------------------------------
+    # -- Rademacher column blocks ---------------------------------------------
 
-    def _sign_block(self, j0: int, j1: int) -> np.ndarray:
-        """Regenerate columns [j0, j1) of the unscaled +-1 matrix."""
-        block = np.empty((self.k, j1 - j0))
-        for j in range(j0, j1):
-            bits = _philox(self.seed, j).integers(0, 2, size=self.k)
-            block[:, j - j0] = 2.0 * bits - 1.0
+    def _sign_block(self, b: int) -> np.ndarray:
+        """Column block b of the unscaled +-1 matrix, drawn from Philox stream
+        b; kept after its first draw when k*n <= _MATERIALIZE_LIMIT."""
+        if b < len(self._blocks):
+            return self._blocks[b]
+        width = min(_COLUMN_BLOCK, self.n - b * _COLUMN_BLOCK)
+        bits = _philox(self.seed, b).integers(0, 2, size=(self.k, width),
+                                              dtype=np.int8)
+        block = bits.astype(np.float64)  # the one binary64 array; then in place
+        block *= 2.0
+        block -= 1.0
+        if self.k * self.n <= _MATERIALIZE_LIMIT:
+            self._blocks.append(block)
         return block
-
-    def _dense_signs(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._sign_block(0, self.n)
-        return self._dense
 
     # -- application ----------------------------------------------------------
 
@@ -192,26 +198,21 @@ class SketchOperator:
             raise ValueError(f"expected vector of length {self.n}, got {x.shape}")
         scale = 1.0 / math.sqrt(self.k)
         if self.kind is SketchKind.RADEMACHER:
-            if self.k * self.n <= _MATERIALIZE_LIMIT:
-                return scale * (self._dense_signs() @ x)
             acc = np.zeros(self.k)
-            for j0 in range(0, self.n, _COLUMN_BLOCK):
-                j1 = min(j0 + _COLUMN_BLOCK, self.n)
-                acc += self._sign_block(j0, j1) @ x[j0:j1]
+            for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
+                acc += self._sign_block(b) @ x[j0:j0 + _COLUMN_BLOCK]
             return scale * acc
         padded = np.zeros(self.s)
         padded[:self.n] = self.signs * x
         return scale * fwht(padded)[self.sample_indices]
 
-    def apply_block(self, X, col_range: slice | None = None) -> np.ndarray:
+    def apply_block(self, X) -> np.ndarray:
         """Columnwise Theta @ X; bit-identical to per-column `apply`."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[:, None]
         if X.shape[0] != self.n:
             raise ValueError(f"expected {self.n} rows, got {X.shape[0]}")
-        if col_range is not None:
-            X = X[:, col_range]
         out = np.empty((self.k, X.shape[1]))
         for j in range(X.shape[1]):
             out[:, j] = self.apply(X[:, j])
@@ -219,7 +220,9 @@ class SketchOperator:
 
     def materialize(self) -> np.ndarray:
         """Dense k x n matrix; intended for small-n diagnostics and tests."""
-        return self.apply_block(np.eye(self.n))
+        # column j is apply(e_j), one unit vector at a time: no n x n identity
+        return np.column_stack([self.apply(np.eye(1, self.n, j)[0])
+                                for j in range(self.n)])
 
     def frobenius_norm(self) -> float:
         # Every entry of either construction is +-1/sqrt(k).

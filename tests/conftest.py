@@ -6,6 +6,7 @@ reproducibility or compare against values measured single-threaded.
 """
 
 import os
+import tempfile
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
@@ -13,6 +14,20 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+# Property tests draw their examples from a fixed seed and keep no example
+# database, so every run checks the same cases.
+settings.register_profile("sketchgs", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("sketchgs")
+
+# hypothesis also caches the literals it finds in the source, while tests are
+# collected; keep that cache in a temporary directory removed at exit, not in
+# a .hypothesis/ of the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

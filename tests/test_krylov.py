@@ -148,6 +148,26 @@ def test_gmres_preconditioned_converges_faster(rng):
     assert pre.final_residual < plain.final_residual
 
 
+@pytest.mark.parametrize("variant,policy", [(GsVariant.RGS, UNIFIED64),
+                                            (GsVariant.RGS, MIXED32_64),
+                                            (GsVariant.CGS2, UNIFIED64)],
+                         ids=["rgs-f64", "rgs-mixed", "cgs2-f64"])
+def test_gmres_breakdown_is_not_convergence(variant, policy):
+    # A has three distinct eigenvalues, so the Krylov space is exhausted after
+    # three columns; the breaking column is dropped, the residual stays large,
+    # and the solve must not report convergence
+    n = 4096
+    A = SparseMatrix.from_scipy(scipy.sparse.diags(np.arange(n) % 3 + 1.0))
+    b = np.random.default_rng(0).standard_normal(n)
+    theta = make_sketch(SketchKind.PSRHT, 200, n, seed=0)
+    tol = 1e-10
+    res = gmres(A, b, m=10, variant=variant, theta=theta, policy=policy,
+                tol=tol)
+    assert res.breakdown
+    assert res.final_residual > tol
+    assert res.converged == (res.final_residual <= tol)
+
+
 def test_gmres_zero_rhs():
     A = generate_laplacian_2d(5)
     res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)

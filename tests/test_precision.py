@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sketchgs import (MIXED32_64, U_BINARY32, U_BINARY64, UNIFIED32,
-                      UNIFIED64, gemv_coarse, gemv_rounded, policy_from_name,
-                      round_coarse)
+                      UNIFIED64, policy_from_name)
 
 
 def test_unit_roundoffs():
@@ -30,66 +29,3 @@ def test_policy_from_name():
     assert policy_from_name("mixed") is MIXED32_64
     with pytest.raises(ValueError):
         policy_from_name("f16")
-
-
-def test_round_coarse_values():
-    # 0.1 in binary32 is exactly 13421773 * 2^-27
-    assert round_coarse(0.1) == 13421773.0 * 2.0**-27
-    assert round_coarse(1.0) == 1.0
-    x = np.array([0.1, 1.0, -2.5])
-    out = round_coarse(x)
-    assert out.dtype == np.float64
-    assert np.array_equal(out, np.float64(np.float32(x)))
-
-
-def test_round_coarse_overflow():
-    with pytest.raises(OverflowError):
-        round_coarse(1e39)
-
-
-def test_gemv_rounded_matches_scalar_loop(rng):
-    A = rng.standard_normal((7, 5))
-    x = rng.standard_normal(5)
-    y = rng.standard_normal(7)
-    got = gemv_rounded(A, x, y=y, alpha=1.5, beta=-0.5, dtype=np.float32)
-    # oracle: explicit scalar loop with per-operation float32 rounding
-    f = np.float32
-    ref = np.empty(7, dtype=np.float32)
-    for i in range(7):
-        acc = f(-0.5) * f(y[i])
-        for j in range(5):
-            acc = f(acc + f(f(f(1.5) * f(A[i, j])) * f(x[j])))
-        ref[i] = acc
-    assert np.array_equal(got, ref)
-
-
-def test_gemv_rounded_differs_from_float64(rng):
-    # the coarse accumulation must actually lose precision
-    A = rng.standard_normal((50, 200))
-    x = rng.standard_normal(200)
-    exact = A @ x
-    coarse = gemv_coarse(A, x)
-    rel = np.linalg.norm(coarse - exact) / np.linalg.norm(exact)
-    assert 0.0 < rel < 1e-4
-
-
-def test_gemv_rounded_float64_is_exact_loop(rng):
-    A = rng.standard_normal((4, 3))
-    x = rng.standard_normal(3)
-    got = gemv_rounded(A, x, dtype=np.float64)
-    ref = np.zeros(4)
-    for j in range(3):
-        ref = ref + A[:, j] * x[j]
-    assert np.array_equal(got, ref)
-
-
-def test_gemv_rounded_shape_check(rng):
-    with pytest.raises(ValueError):
-        gemv_rounded(rng.standard_normal((3, 4)), rng.standard_normal(3))
-
-
-def test_gemv_rounded_overflow():
-    A = np.full((2, 2), 1e30)
-    x = np.full(2, 1e30)
-    with pytest.raises(OverflowError):
-        gemv_coarse(A, x)

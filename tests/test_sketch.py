@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sketchgs.sketch as sk
 from sketchgs import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
                       fwht, make_sketch, required_sketch_dim,
                       rounding_sketch_trial, vector_certificate_dim)
@@ -84,7 +85,7 @@ def test_fwht_matches_radix2_oracle(bits):
     assert np.max(np.abs(fwht(x) - ref)) <= tol
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 13).flatmap(
     lambda b: arrays(np.float64, 1 << b, elements=st.integers(-1000, 1000))))
 def test_fwht_exact_on_integers(x):
@@ -177,19 +178,39 @@ def test_apply_block_matches_apply(kind, rng):
         assert np.array_equal(blk[:, j], th.apply(X[:, j]))
 
 
-def test_rademacher_streamed_matches_dense(rng):
-    # force the streamed path with a tiny materialization limit
-    import sketchgs.sketch as sk
-    th = make_sketch(SketchKind.RADEMACHER, 8, 6000, seed=2)
-    x = rng.standard_normal(6000)
-    dense = th.apply(x)
+def test_rademacher_streamed_matches_dense(rng, monkeypatch):
+    # n = 9000 spans three column blocks, the last one partial; a zero
+    # materialization limit makes the second operator regenerate its blocks
+    x = rng.standard_normal(9000)
+    dense = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
+    monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
+    streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
+    assert np.array_equal(dense, streamed)
+
+
+@pytest.mark.filterwarnings("ignore:sketch dimension")
+@settings(max_examples=25)
+@given(st.integers(1, 64), st.integers(1, 9000), st.integers(0, 2**32 - 1))
+# block edges: one full block, one column past two, three with a partial last
+@example(3, 4096, 1)
+@example(5, 8193, 2)
+@example(64, 9000, 0)
+def test_rademacher_blocks_property(k, n, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    kept = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+    y = kept.apply(x)
     old = sk._MATERIALIZE_LIMIT
     sk._MATERIALIZE_LIMIT = 0
     try:
-        streamed = make_sketch(SketchKind.RADEMACHER, 8, 6000, seed=2).apply(x)
+        regenerated = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+        assert np.array_equal(regenerated.apply(x), y)
     finally:
         sk._MATERIALIZE_LIMIT = old
-    assert np.allclose(dense, streamed, rtol=0, atol=1e-9)
+    M = kept.materialize()
+    assert np.array_equal(np.abs(M), np.full((k, n), 1.0 / math.sqrt(k)))
+    # both sum n terms of size |x_j|/sqrt(k), in different orders
+    tol = 2 * n * np.finfo(np.float64).eps * np.sum(np.abs(x)) / math.sqrt(k)
+    assert np.max(np.abs(M @ x - y)) <= tol
 
 
 def test_psrht_consistent_with_definition(rng):
@@ -225,7 +246,7 @@ def test_epsilon_of_orthonormal_identity_sketch(rng):
     class _Eye:
         k, n = 64, 64
 
-        def apply_block(self, X, col_range=None):
+        def apply_block(self, X):
             return np.asarray(X, dtype=np.float64)
 
     assert epsilon_of(_Eye(), V) < 1e-12
