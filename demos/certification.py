@@ -1,9 +1,10 @@
 """A-posteriori certification of embedding quality.
 
 Computes the exact embedding error omega of a sketch on the range of a
-computed basis (feasible here because the demo is small) and the certified
-upper bound omega_bar obtained from a second, independent sketch without ever
-touching the full-dimensional basis.
+computed basis (feasible here because the demo is small: it needs an exact
+orthonormal basis) and the certified upper bound omega_bar, which needs only
+the two sketches of the basis: S = Theta Q from the factorization and
+Phi Q from a second, independent sketch.
 
 Usage: python3 demos/certification.py
 """
@@ -31,8 +32,9 @@ def main():
         theta = make_sketch(SketchKind.PSRHT, k, N, seed=0)
         params = CertificationParams(eps_star=0.25, delta_star=1e-3)
         phi = make_certification_sketch(params, N)
-        f, _ = rgs_factorize(W, theta, UNIFIED64, phi=phi)
-        res = certify_factorization(f, params.eps_star, UNIFIED64.u_crs)
+        f, _ = rgs_factorize(W, theta, UNIFIED64)
+        res = certify_factorization(f, W, phi, params.eps_star,
+                                    UNIFIED64.u_crs)
         omega = epsilon_of(theta, f.Q)  # exact, needs the full basis
         print(f"k={k:4d}: exact omega={omega:.4f}  certified "
               f"omega_bar={res.omega_bar_q:.4f}  "

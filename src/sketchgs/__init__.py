@@ -8,8 +8,8 @@ from .sketch import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
                      fwht, make_sketch, required_sketch_dim,
                      rounding_sketch_trial, vector_certificate_dim)
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
-                           HOUSEHOLDER_QR, LsqSolver, QrFactors, RgsState,
-                           SKETCHED_MGS,
+                           HOUSEHOLDER_QR, LsqSolver, NonFiniteError,
+                           QrFactors, RgsState, SKETCHED_MGS,
                            StabilityCertificate, certificates,
                            classical_factorize, loss_of_orthogonality,
                            rgs_factorize, richardson, sketched_lsq)

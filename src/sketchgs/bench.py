@@ -1,9 +1,10 @@
 """Experiment runners: QR stability benchmarks, GMRES benchmarks, and
 embedding certification sweeps, all emitting `ExperimentReport`s.
 
-Per-iteration condition numbers are obtained from incrementally updated Gram
-matrices followed by small symmetric eigensolves, never from repeated
-large-matrix SVDs, so the default benchmark scales run in minutes.
+Each runner factorizes first and then reads every per-iteration trace
+(condition numbers, loss of orthogonality, omega, omega_bar) from the
+leading blocks of Gram matrices of the finished factors, with one small
+symmetric eigensolve per iteration and never a large-matrix SVD.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .certification import CertificationParams, make_certification_sketch
-from .gram_schmidt import (ClassicalGsState, GsVariant, HOUSEHOLDER_QR,
-                           LsqSolver, RgsState)
+from .gram_schmidt import (GsVariant, HOUSEHOLDER_QR, LsqSolver,
+                           classical_factorize, rgs_factorize)
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
 from .krylov import SparseMatrix, gmres, ilu0
@@ -69,90 +70,65 @@ def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
     raise ValueError(f"unrecognized matrix source {spec!r}")
 
 
-class _GramTrace:
-    """cond and orthogonality traces of a growing column set via its Gram
-    matrix, updated in O(n i) per new column."""
+def _leading_eigs(G, B=None) -> list:
+    """Eigenvalues of each leading i x i block of G, or of the pencil of the
+    leading blocks of G and B, for i = 1 .. m."""
+    return [scipy.linalg.eigh(G[:i, :i], None if B is None else B[:i, :i],
+                              eigvals_only=True) for i in range(1, len(G) + 1)]
 
-    def __init__(self, n: int, capacity: int):
-        self.cols = np.zeros((n, capacity))
-        self.G = np.zeros((capacity, capacity))
-        self.i = 0
 
-    def push(self, v) -> None:
-        i = self.i
-        v = np.asarray(v, dtype=np.float64)
-        prods = self.cols[:, :i].T @ v
-        self.G[:i, i] = prods
-        self.G[i, :i] = prods
-        self.G[i, i] = v @ v
-        self.cols[:, i] = v
-        self.i = i + 1
-
-    def gram(self) -> np.ndarray:
-        return self.G[:self.i, :self.i]
-
-    def cond(self) -> float:
-        lam = scipy.linalg.eigvalsh(self.gram())
+def _cond_trace(G) -> np.ndarray:
+    out = []
+    for lam in _leading_eigs(G):
         lo = max(lam[0], 0.0)
-        return np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo))
-
-    def orthogonality_loss(self) -> float:
-        return float(np.linalg.norm(np.eye(self.i) - self.gram()))
+        out.append(np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo)))
+    return np.array(out)
 
 
-class _OmegaTrace:
-    """Exact embedding error of theta on the span of a growing column set.
+def _traces(Q, S=None, theta: SketchOperator | None = None,
+            phi: SketchOperator | None = None, eps_star: float = 0.0) -> dict:
+    """Per-iteration traces of a finished factorization, as report columns.
 
-    Maintains a binary64 orthonormal basis U of the span (CGS2 updates) and
-    the Gram trace of theta @ U; omega_i comes from its extreme eigenvalues.
+    A column of Q or S never changes once written, so row i of each trace
+    depends only on the leading i columns and is read from the leading
+    i x i block of one Gram matrix:
+
+    - cond_Q and loss_of_orthogonality from Q^T Q (always);
+    - cond_S from S^T S (with S);
+    - omega_bar from the pencil of (Phi Q)^T (Phi Q) and S^T S (with S, phi);
+    - the exact omega from (Theta U)^T (Theta U) (with theta), where
+      Theta U = (Theta Q) R^-1 and R comes from one binary64 Householder QR
+      of Q, whose leading i columns of U span Q_i. U is never formed.
     """
-
-    def __init__(self, theta: SketchOperator, capacity: int):
-        self.theta = theta
-        self.U = np.zeros((theta.n, capacity))
-        self.SU = _GramTrace(theta.k, capacity)
-
-    def push(self, v) -> None:
-        i = self.SU.i
-        u = np.asarray(v, dtype=np.float64).copy()
-        for _ in range(2):
-            u -= self.U[:, :i] @ (self.U[:, :i].T @ u)
-        nu = np.linalg.norm(u)
-        if nu < 1e-12 * np.linalg.norm(v):
-            # numerically dependent column: the span (and omega) are unchanged
-            return
-        u /= nu
-        self.SU.push(self.theta.apply(u))
-        self.U[:, i] = u
-
-    def omega(self) -> float:
-        lam = scipy.linalg.eigvalsh(self.SU.gram())
-        return float(max(1.0 - lam[0], lam[-1] - 1.0))
-
-
-class _OmegaBarTrace:
-    """Certified bound trace from the two sketches of the same columns.
-
-    With G_theta = S^T S and G_phi = S_phi^T S_phi, the singular values of
-    V_phi X (X the orthonormalizer of S) are the generalized eigenvalues of
-    the pencil (G_phi, G_theta); `certification.omega_bar` computes the same
-    bound from a QR of S, and the tests check that the two agree.
-    """
-
-    def __init__(self, k: int, k_phi: int, eps_star: float, capacity: int):
-        self.S = _GramTrace(k, capacity)
-        self.S_phi = _GramTrace(k_phi, capacity)
-        self.eps_star = eps_star
-
-    def push(self, s, sp) -> None:
-        self.S.push(s)
-        self.S_phi.push(sp)
-
-    def omega_bar(self) -> float:
-        lam = scipy.linalg.eigh(self.S_phi.gram(), self.S.gram(),
-                                eigvals_only=True)
-        return float(max(1.0 - (1.0 - self.eps_star) * lam[0],
-                         (1.0 + self.eps_star) * lam[-1] - 1.0))
+    Q64 = np.array(Q, dtype=np.float64, order="F")  # the one binary64 copy
+    G = Q64.T @ Q64
+    out = {"cond_Q": _cond_trace(G),
+           "loss_of_orthogonality": np.array(
+               [np.linalg.norm(np.eye(i) - G[:i, :i])
+                for i in range(1, len(G) + 1)])}
+    if S is not None:
+        S64 = np.asarray(S, dtype=np.float64)
+        G_S = S64.T @ S64
+        out["cond_S"] = _cond_trace(G_S)
+        if phi is not None:
+            phi_q = phi.apply_block(Q64)
+            out["omega_bar"] = np.array(
+                [max(1.0 - (1.0 - eps_star) * lam[0],
+                     (1.0 + eps_star) * lam[-1] - 1.0)
+                 for lam in _leading_eigs(phi_q.T @ phi_q, G_S)])
+    if theta is not None:
+        SQ = theta.apply_block(Q64)
+        # Q64 is overwritten by its factorization; only R is read back
+        R = scipy.linalg.qr(Q64, overwrite_a=True, mode="raw")[1]
+        dependent = np.abs(np.diag(R)) < 1e-12 * np.sqrt(np.diag(G))
+        if dependent.any():
+            raise np.linalg.LinAlgError(
+                f"column {np.argmax(dependent) + 1} of Q is numerically "
+                "dependent on the columns before it")
+        SU = scipy.linalg.solve_triangular(R, SQ.T, trans="T").T
+        out["omega"] = np.array([max(1.0 - lam[0], lam[-1] - 1.0)
+                                 for lam in _leading_eigs(SU.T @ SU)])
+    return out
 
 
 def _qr_metadata(config: RunConfig, variant: GsVariant, wall: float) -> dict:
@@ -171,7 +147,7 @@ def _bench_columns(config: RunConfig) -> np.ndarray:
     return np.asarray(A.to_scipy()[:, :config.m].todense())
 
 
-def run_qr_bench(config: RunConfig, with_omega: bool = True) -> dict:
+def run_qr_bench(config: RunConfig) -> dict:
     """Factorize the same W under every requested variant.
 
     Returns {variant name: ExperimentReport} with per-iteration cond(Q_i),
@@ -180,84 +156,47 @@ def run_qr_bench(config: RunConfig, with_omega: bool = True) -> dict:
     """
     policy = config.policy_obj()
     W = _bench_columns(config)
-    n, m = W.shape
-    # cond(W_i) trace is variant independent; compute once.
-    wtrace = _GramTrace(n, m)
-    cond_w = np.empty(m)
-    w_frob2 = np.empty(m)
-    for i in range(m):
-        wtrace.push(W[:, i])
-        cond_w[i] = wtrace.cond()
-        w_frob2[i] = np.sum(np.diag(wtrace.gram()))
-    reports = {}
+    w_frob2 = np.cumsum(np.einsum("ij,ij->j", W, W))
+    runs = []
     for variant in config.variants:
         t0 = time.perf_counter()
-        report = _qr_single(W, variant, config, policy, cond_w, w_frob2,
-                            with_omega)
-        report.metadata.update(_qr_metadata(config, variant,
-                                            time.perf_counter() - t0))
+        if variant is GsVariant.RGS:
+            f, cols = _rgs_traces(W, config, policy)
+        else:
+            # guard off, as for the randomized run
+            f = classical_factorize(W, variant, policy, breakdown_factor=0.0)
+            cols = _traces(f.Q)
+        E = f.Q.astype(np.float64) @ f.R
+        E -= W
+        cols["factorization_error"] = np.sqrt(
+            np.cumsum(np.einsum("ij,ij->j", E, E)) / w_frob2)
+        runs.append((variant, cols, time.perf_counter() - t0))
+    # cond(W_i) is variant independent: the cond_Q trace of W itself, read
+    # once the factorizations have rejected a non-finite W
+    cond_w = _traces(W)["cond_Q"]
+    reports = {}
+    for variant, cols, wall in runs:
+        report = ExperimentReport()
+        for i in range(W.shape[1]):
+            report.add_row(i + 1, cond_W=cond_w[i],
+                           **{c: v[i] for c, v in cols.items()})
+        report.metadata.update(_qr_metadata(config, variant, wall))
         reports[variant.value] = report
     return reports
 
 
-def _rgs_steps(W, config: RunConfig, policy: PrecisionPolicy,
-               with_omega: bool = True):
-    """Randomized factorization of the columns of W, one column per step.
-
-    Yields the state after each push with its certification row: omega_bar
-    and cond(S_i), plus omega (exact, from a binary64 oracle basis) when
-    `with_omega` is set.
-    """
-    n, m = W.shape
+def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy):
+    """Randomized factorization of W and its traces, certification included."""
+    n = W.shape[0]
     theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
     cert = CertificationParams(config.eps_star, config.delta_star,
                                config.phi_seed, config.phi_dim())
     phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
     # benchmark protocol: run straight through numerically singular
     # columns (breakdown guard off), like the experiments being traced
-    state = RgsState(theta, policy, config.ls_solver, phi=phi, capacity=m,
-                     breakdown_factor=0.0)
-    obar = _OmegaBarTrace(theta.k, phi.k, config.eps_star, m)
-    otrace = _OmegaTrace(theta, m) if with_omega else None
-    for i in range(m):
-        state.push(W[:, i])
-        obar.push(state.S[:, i], state._S_phi[:, i])
-        row = {"omega_bar": obar.omega_bar(), "cond_S": obar.S.cond()}
-        if otrace is not None:
-            otrace.push(state.Q[:, i].astype(np.float64))
-            row["omega"] = otrace.omega()
-        yield state, row
-
-
-def _classical_steps(W, variant: GsVariant, policy: PrecisionPolicy):
-    """Classical factorization of the columns of W, one column per step."""
-    n, m = W.shape
-    state = ClassicalGsState(n, variant, policy, capacity=m,
-                             breakdown_factor=0.0)
-    for i in range(m):
-        state.push(W[:, i])
-        yield state, {}
-
-
-def _qr_single(W, variant, config, policy, cond_w, w_frob2, with_omega):
-    n, m = W.shape
-    report = ExperimentReport()
-    if variant is GsVariant.RGS:
-        steps = _rgs_steps(W, config, policy, with_omega)
-    else:
-        steps = _classical_steps(W, variant, policy)
-    qtrace = _GramTrace(n, m)
-    err2 = 0.0
-    for i, (state, row) in enumerate(steps):
-        qtrace.push(state.Q[:, i].astype(np.float64))
-        # qtrace.cols already holds Q in binary64; reuse it for the residual.
-        resid = W[:, i] - qtrace.cols[:, :i + 1] @ state.R[:i + 1, i]
-        err2 += float(resid @ resid)
-        row.update(cond_Q=qtrace.cond(), cond_W=cond_w[i],
-                   loss_of_orthogonality=qtrace.orthogonality_loss(),
-                   factorization_error=np.sqrt(err2 / w_frob2[i]))
-        report.add_row(i + 1, **row)
-    return report
+    f, _ = rgs_factorize(W, theta, policy, config.ls_solver,
+                         with_certificate=False, breakdown_factor=0.0)
+    return f, _traces(f.Q, f.S, theta, phi, config.eps_star)
 
 
 def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
@@ -285,13 +224,13 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
                        solver=config.ls_solver, preconditioner=precond,
                        tol=config.tol)
         report = ExperimentReport()
-        qtrace = _GramTrace(A.n, result.iterations + 1)
-        Q = (result.factors.Q if result.factors is not None else None)
-        for i, est in enumerate(result.residual_history):
+        history = result.residual_history
+        cond_q = (_traces(result.factors.Q[:, :len(history)])["cond_Q"]
+                  if result.factors is not None else None)
+        for i, est in enumerate(history):
             row = {"residual_norm": float(est)}
-            if Q is not None:
-                qtrace.push(Q[:, i].astype(np.float64))
-                row["cond_Q"] = qtrace.cond()
+            if cond_q is not None:
+                row["cond_Q"] = cond_q[i]
             report.add_row(i + 1, **row)
         report.metadata.update(_qr_metadata(config, variant,
                                             time.perf_counter() - t0))
@@ -310,10 +249,12 @@ def run_certify(config: RunConfig) -> ExperimentReport:
     """
     policy = config.policy_obj()
     W = _bench_columns(config)
-    report = ExperimentReport()
     t0 = time.perf_counter()
-    for state, row in _rgs_steps(W, config, policy):
-        report.add_row(state.m, **row)
+    _, cols = _rgs_traces(W, config, policy)
+    report = ExperimentReport()
+    for i in range(W.shape[1]):
+        report.add_row(i + 1, **{c: cols[c][i]
+                                 for c in ("omega", "omega_bar", "cond_S")})
     report.metadata.update(_qr_metadata(config, GsVariant.RGS,
                                         time.perf_counter() - t0))
     report.metadata.update({"eps_star": config.eps_star,

@@ -117,22 +117,27 @@ class CertificationResult:
     omega_bar_w_halved: float
 
 
-def certify_factorization(factors: QrFactors, eps_star: float,
-                          u_crs: float) -> CertificationResult:
+def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
+                          eps_star: float, u_crs: float) -> CertificationResult:
     """Certify the embedding of Theta on range(Q) and range(W).
 
-    Needs the auxiliary sketches S_phi, P_phi collected during the
-    factorization. The rounding-margin check requires u_crs * cond(V_phi)
-    to be small relative to the certified quantity; `margin_ok_*` is False
-    when the finite-precision slack could dominate the bound.
+    `factors` come from the randomized process (they hold S = Theta Q and
+    P = Theta W); Phi is applied here to the stored Q and to W. The
+    rounding-margin check requires u_crs * cond(V_phi) to be small relative
+    to the certified quantity; `margin_ok_*` is False when the
+    finite-precision slack could dominate the bound.
     """
-    if factors.S_phi is None or factors.P_phi is None:
-        raise ValueError("factors lack the certification sketches "
-                         "(factorize with a phi operator)")
-    ob_q = omega_bar(factors.S, factors.S_phi, eps_star)
-    ob_w = omega_bar(factors.P, factors.P_phi, eps_star)
-    margin_q = u_crs * _cond(factors.S_phi)
-    margin_w = u_crs * _cond(factors.P_phi)
+    if factors.S is None or factors.P is None:
+        raise ValueError("certification needs the sketches S and P "
+                         "(randomized factors)")
+    if phi.n != factors.Q.shape[0]:
+        raise ValueError("certification sketch has mismatched ambient dimension")
+    phi_q = phi.apply_block(factors.Q)
+    phi_w = phi.apply_block(W)
+    ob_q = omega_bar(factors.S, phi_q, eps_star)
+    ob_w = omega_bar(factors.P, phi_w, eps_star)
+    margin_q = u_crs * _cond(phi_q)
+    margin_w = u_crs * _cond(phi_w)
     return CertificationResult(
         eps_star=eps_star,
         omega_bar_q=ob_q, omega_bar_w=ob_w,

@@ -4,8 +4,8 @@ Subcommands: qr-bench, gmres-bench, certify, sketch-info. Thread counts of
 the BLAS backends are pinned before numpy loads (default 1, override with
 SKETCHGS_THREADS) so repeated runs are reproducible.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical breakdown,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical breakdown
+(including non-finite input or binary32 overflow), 4 I/O failure.
 """
 
 import os
@@ -175,10 +175,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    from .gram_schmidt import BreakdownError
+    from .gram_schmidt import BreakdownError, NonFiniteError
     try:
         return _run(args)
-    except BreakdownError as exc:
+    except (BreakdownError, NonFiniteError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (ValueError, TypeError) as exc:

@@ -22,6 +22,7 @@ from .sketch import SketchOperator
 __all__ = [
     "GsVariant", "LsqSolver", "HOUSEHOLDER_QR", "SKETCHED_MGS",
     "richardson", "QrFactors", "StabilityCertificate", "BreakdownError",
+    "NonFiniteError",
     "RgsState", "ClassicalGsState", "rgs_factorize", "sketched_lsq",
     "classical_factorize",
     "certificates", "loss_of_orthogonality",
@@ -41,6 +42,20 @@ class BreakdownError(RuntimeError):
         self.column = column
         self.r_ii = r_ii
         self.tol = tol
+
+
+class NonFiniteError(ArithmeticError):
+    """A NaN or infinity in an input column, or in a column of Q once it is
+    stored in the coarse format (binary32 overflow), at a (1-based) index."""
+
+    def __init__(self, column: int, where: str):
+        super().__init__(f"non-finite {where} at column {column}")
+        self.column = column
+
+
+def _require_finite(x, column: int, where: str) -> None:
+    if not np.isfinite(x).all():
+        raise NonFiniteError(column, where)
 
 
 class GsVariant(Enum):
@@ -80,15 +95,12 @@ def richardson(iterations: int = 4) -> LsqSolver:
 @dataclass
 class QrFactors:
     """Q (n x m), upper-triangular R (m x m); for the randomized process also
-    the sketches S = Theta@Q and P = Theta@W, and optionally the certification
-    sketches Phi@Q and Phi@W."""
+    the sketches S = Theta@Q and P = Theta@W."""
 
     Q: np.ndarray
     R: np.ndarray
     S: np.ndarray | None = None
     P: np.ndarray | None = None
-    S_phi: np.ndarray | None = None
-    P_phi: np.ndarray | None = None
 
 
 @dataclass
@@ -233,17 +245,14 @@ class RgsState:
     """
 
     def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
-                 solver: LsqSolver = HOUSEHOLDER_QR, phi: SketchOperator | None = None,
-                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
+                 solver: LsqSolver = HOUSEHOLDER_QR, capacity: int = 16,
+                 breakdown_factor: float = BREAKDOWN_FACTOR):
         self.theta = theta
         self.policy = policy
         self.solver = solver
-        self.phi = phi
         # breakdown_factor = 0 disables the guard: benchmark protocols push
         # through numerically singular columns the way the solver would.
         self.breakdown_factor = breakdown_factor
-        if phi is not None and (phi.n != theta.n):
-            raise ValueError("certification sketch has mismatched ambient dimension")
         n, k = theta.n, theta.k
         self.m = 0
         # column-contiguous: the update Q r is a unit-stride gemv, a new
@@ -252,9 +261,6 @@ class RgsState:
         self._R = np.zeros((capacity, capacity))
         self._S = np.zeros((k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((k, capacity), dtype=policy.fine_dtype)
-        if phi is not None:
-            self._S_phi = np.zeros((phi.k, capacity), dtype=policy.fine_dtype)
-            self._P_phi = np.zeros((phi.k, capacity), dtype=policy.fine_dtype)
         self._qr = (_IncrementalHouseholderQR(k, policy.fine_dtype)
                     if solver.method == "householder" else None)
 
@@ -281,10 +287,8 @@ class RgsState:
             return
         self._Q = _widened(self._Q, (self._Q.shape[0], 2 * cap), "F")
         self._R = _widened(self._R, (2 * cap, 2 * cap))
-        for name in ("_S", "_P", "_S_phi", "_P_phi"):
-            arr = getattr(self, name, None)
-            if arr is not None:
-                setattr(self, name, _widened(arr, (arr.shape[0], 2 * cap)))
+        self._S = _widened(self._S, (self._S.shape[0], 2 * cap))
+        self._P = _widened(self._P, (self._P.shape[0], 2 * cap))
 
     def push(self, w) -> float:
         """Run one iteration on the next column; returns the diagonal r_ii."""
@@ -296,10 +300,9 @@ class RgsState:
         w64 = np.ascontiguousarray(w, dtype=np.float64)
         if w64.shape != (self.theta.n,):
             raise ValueError("column length mismatch")
+        _require_finite(w64, i + 1, "input")
 
         p = self.theta.apply(w64).astype(fine)               # Step 1 (u_fine)
-        if self.phi is not None:
-            self._P_phi[:, i] = self.phi.apply(w64).astype(fine)
 
         if i == 0:
             r_col = np.zeros(0, dtype=fine)
@@ -324,30 +327,24 @@ class RgsState:
         if r_ii <= tol:
             raise BreakdownError(i + 1, r_ii, tol)
 
-        self._S[:, i] = sp / fine.type(r_ii)                  # Step 6 (u_fine)
         self._Q[:, i] = qp / r_ii  # rounded to the coarse format on store
+        _require_finite(self._Q[:, i], i + 1, "stored column of Q")
+        self._S[:, i] = sp / fine.type(r_ii)                  # Step 6 (u_fine)
         self._P[:, i] = p
         self._R[:i, i] = r_col.astype(np.float64)
         self._R[i, i] = r_ii
-        if self.phi is not None:
-            self._S_phi[:, i] = (self.phi.apply(qp) / r_ii).astype(fine)
         if self._qr is not None:
             self._qr.append(self._S[:, i])
         self.m += 1
         return r_ii
 
     def factors(self) -> QrFactors:
-        f = QrFactors(Q=self.Q.copy(order="F"), R=self.R.copy(),
-                      S=self.S.copy(), P=self.P.copy())
-        if self.phi is not None:
-            f.S_phi = self._S_phi[:, :self.m].copy()
-            f.P_phi = self._P_phi[:, :self.m].copy()
-        return f
+        return QrFactors(Q=self.Q.copy(order="F"), R=self.R.copy(),
+                         S=self.S.copy(), P=self.P.copy())
 
 
 def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
                   solver: LsqSolver = HOUSEHOLDER_QR, with_certificate: bool = True,
-                  phi: SketchOperator | None = None,
                   breakdown_factor: float = BREAKDOWN_FACTOR):
     """Randomized Gram-Schmidt QR of the columns of W.
 
@@ -366,7 +363,7 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
     else:
         columns = iter(W)
         capacity = 16
-    state = RgsState(theta, policy, solver, phi=phi, capacity=capacity,
+    state = RgsState(theta, policy, solver, capacity=capacity,
                      breakdown_factor=breakdown_factor)
     for w in columns:
         state.push(w)
@@ -444,9 +441,11 @@ class ClassicalGsState:
         self._grow()
         i = self.m
         dtype = self.policy.coarse_dtype
-        w = np.asarray(w).astype(dtype)
+        w = np.asarray(w)
         if w.shape != (self.n,):
             raise ValueError("column length mismatch")
+        _require_finite(w, i + 1, "input")
+        w = w.astype(dtype)
         Q = self._Q[:, :i]
         if i == 0:
             qp = w.copy()
@@ -473,6 +472,7 @@ class ClassicalGsState:
         if r_ii <= tol:
             raise BreakdownError(i + 1, r_ii, tol)
         self._Q[:, i] = qp / dtype.type(r_ii)
+        _require_finite(self._Q[:, i], i + 1, "stored column of Q")
         if i:
             self._R[:i, i] = np.asarray(r_col, dtype=np.float64)
         self._R[i, i] = r_ii

@@ -149,12 +149,11 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
 
 
 def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
-                   theta: SketchOperator | None, solver: LsqSolver,
-                   phi: SketchOperator | None, ncols: int):
+                   theta: SketchOperator | None, solver: LsqSolver, ncols: int):
     if variant is GsVariant.RGS:
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
-        return RgsState(theta, policy, solver, phi=phi, capacity=ncols)
+        return RgsState(theta, policy, solver, capacity=ncols)
     return ClassicalGsState(n, variant, policy, capacity=ncols)
 
 
@@ -173,14 +172,13 @@ class ArnoldiDecomposition:
 def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
             theta: SketchOperator | None = None,
             policy: PrecisionPolicy = MIXED32_64,
-            solver: LsqSolver = HOUSEHOLDER_QR,
-            phi: SketchOperator | None = None) -> ArnoldiDecomposition:
+            solver: LsqSolver = HOUSEHOLDER_QR) -> ArnoldiDecomposition:
     """m-step Arnoldi: orthogonalize [b, A q_1, ..., A q_m] column by column.
 
     Returns fewer columns on a lucky breakdown (exhausted Krylov subspace).
     """
     b = np.asarray(b, dtype=np.float64)
-    state = _make_gs_state(A.n, variant, policy, theta, solver, phi, m + 1)
+    state = _make_gs_state(A.n, variant, policy, theta, solver, m + 1)
     breakdown = False
     state.push(b)
     for i in range(m):
@@ -228,13 +226,14 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
           policy: PrecisionPolicy = MIXED32_64,
           solver: LsqSolver = HOUSEHOLDER_QR,
           preconditioner: Ilu0Preconditioner | None = None,
-          tol: float | None = None,
-          phi: SketchOperator | None = None) -> GmresResult:
+          tol: float | None = None) -> GmresResult:
     """Single-cycle GMRES(m) with progressive Givens rotations.
 
     The system is normalized internally so the effective operator and right
     hand side both have unit scale, and right preconditioning keeps the true
-    residual of the original system observable. No restarting.
+    residual of the original system observable. No restarting. The sketched
+    residual estimate can read below `tol` while the true residual is still
+    above it, so the iteration stops only once the true residual is <= tol.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n,):
@@ -255,7 +254,7 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if alpha == 0.0:
         raise np.linalg.LinAlgError("operator norm estimate is zero")
 
-    state = _make_gs_state(A.n, variant, policy, theta, solver, phi, m + 1)
+    state = _make_gs_state(A.n, variant, policy, theta, solver, m + 1)
     state.push(b / b_norm)
     beta = float(state.R[0, 0])  # ~1 in the sketched norm
 
@@ -269,6 +268,21 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     history = []
     breakdown = False
     iters = 0
+
+    def solution(k):
+        """x from the first k Arnoldi steps, and its true relative residual."""
+        if k == 0:
+            x = np.zeros(A.n)
+        else:
+            y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
+            # z solves the normalized system; undo preconditioning and scaling.
+            z = state.Q[:, :k].astype(np.float64) @ y
+            x_tilde = (b_norm / alpha) * z
+            x = (preconditioner.solve(x_tilde) if preconditioner is not None
+                 else x_tilde)
+        return x, float(np.linalg.norm(b - A.matvec(x)) / b_norm)
+
+    solved_at = None
     for i in range(m):
         w = eff_matvec(state.Q[:, i].astype(np.float64)) / alpha
         try:
@@ -295,22 +309,17 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
         est = abs(g[i + 1]) / beta
         history.append(est)
         if tol is not None and est <= tol:
-            break
+            x, true_res = solution(iters)
+            solved_at = iters
+            if true_res <= tol:
+                break
 
-    k = iters
-    if k == 0:
-        x = np.zeros(A.n)
-    else:
-        y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
-        # z solves the normalized system; undo preconditioning and scaling.
-        z = state.Q[:, :k].astype(np.float64) @ y
-        x_tilde = (b_norm / alpha) * z
-        x = preconditioner.solve(x_tilde) if preconditioner is not None else x_tilde
-    true_res = float(np.linalg.norm(b - A.matvec(x)) / b_norm)
+    if solved_at != iters:
+        x, true_res = solution(iters)
     converged = tol is not None and true_res <= max(tol, 0.0)
     factors = state.factors() if isinstance(state, RgsState) else None
     return GmresResult(x=x, residual_history=np.asarray(history),
-                       final_residual=true_res, iterations=k,
+                       final_residual=true_res, iterations=iters,
                        converged=converged,
                        breakdown=breakdown, factors=factors)
 

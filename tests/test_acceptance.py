@@ -25,7 +25,7 @@ from sketchgs import (EmbeddingParams, GsVariant, MIXED32_64, SketchKind,
                       required_sketch_dim, rgs_factorize,
                       rounding_sketch_trial, synthetic_matrix,
                       vector_certificate_dim)
-from sketchgs.bench import RunConfig, _OmegaBarTrace, _OmegaTrace, run_qr_bench
+from sketchgs.bench import RunConfig, _traces, run_qr_bench
 from sketchgs.io import write_report
 
 N, M, K = 100_000, 300, 5000
@@ -41,15 +41,9 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _omega_trace_max(Q, theta, from_iter=None):
-    trace = _OmegaTrace(theta, Q.shape[1])
-    omax, otail = 0.0, 0.0
-    for i in range(Q.shape[1]):
-        trace.push(Q[:, i].astype(np.float64))
-        o = trace.omega()
-        omax = max(omax, o)
-        if from_iter is not None and i + 1 >= from_iter:
-            otail = max(otail, o)
-    return omax, otail
+    omega = _traces(Q, theta=theta)["omega"]
+    otail = omega[from_iter - 1:].max() if from_iter is not None else 0.0
+    return float(omega.max()), float(otail)
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +78,10 @@ def test_criterion_1_conditioning(big_run):
     cond = {name: float(np.linalg.cond(big_run[name].Q.astype(np.float64)))
             for name in ("rgs", "cgs", "mgs", "rgs32")}
     # onset of the classical instability: first iteration with cond >= 1e3,
-    # from the same incremental Gram trace the benchmarks use
-    from sketchgs.bench import _GramTrace
-    g = _GramTrace(N, M)
-    onset = None
-    for i in range(M):
-        g.push(big_run["cgs"].Q[:, i].astype(np.float64))
-        if onset is None and g.cond() >= 1e3:
-            onset = i + 1
+    # from the same Gram trace the benchmarks use
+    cond_cgs = _traces(big_run["cgs"].Q)["cond_Q"]
+    above = np.flatnonzero(cond_cgs >= 1e3)
+    onset = int(above[0]) + 1 if above.size else None
     ok = (cond["rgs"] <= 2.0
           and 10.0 <= cond["mgs"] <= 1e4
           and 10.0 <= cond["rgs32"] <= 1e4
@@ -158,16 +148,11 @@ def test_criterion_4_certification_bound():
         W = rng.standard_normal((n, m))
         theta = make_sketch(SketchKind.PSRHT, k, n, seed=trial)
         phi = make_sketch(SketchKind.RADEMACHER, k_phi, n, seed=5000 + trial)
-        f, _ = rgs_factorize(W, theta, UNIFIED64, phi=phi)
-        otrace = _OmegaTrace(theta, m)
-        obar = _OmegaBarTrace(theta.k, phi.k, eps_star, m)
-        for i in range(m):
-            otrace.push(f.Q[:, i])
-            obar.push(f.S[:, i], f.S_phi[:, i])
-            om, ob = otrace.omega(), obar.omega_bar()
-            if ob < om:
-                violations += 1
-            ratios.append(ob / om)
+        f, _ = rgs_factorize(W, theta, UNIFIED64)
+        rows = _traces(f.Q, f.S, theta, phi, eps_star)
+        om, ob = rows["omega"], rows["omega_bar"]
+        violations += int(np.count_nonzero(ob < om))
+        ratios.extend(ob / om)
     med = float(np.median(ratios))
     ok = violations == 0 and 1.3 <= med <= 3.5
     _report("criterion 4 (a-posteriori certification)", ok,

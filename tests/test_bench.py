@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sketchgs import (GsVariant, SketchKind, UNIFIED64, epsilon_of,
-                      make_sketch, read_matrix_market, rgs_factorize,
-                      synthetic_matrix, write_matrix_market)
-from sketchgs.bench import (RunConfig, _OmegaBarTrace, load_matrix_source,
+from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
+                      epsilon_of, make_sketch, rgs_factorize, synthetic_matrix,
+                      write_matrix_market)
+from sketchgs.bench import (RunConfig, _traces, load_matrix_source,
                             run_certify, run_gmres_bench, run_qr_bench)
 from sketchgs.certification import omega_bar
 
@@ -66,8 +66,8 @@ def test_run_qr_bench_classical_matches_batch_factorize():
 
 def test_run_qr_bench_deterministic():
     config = _small_config(variants=(GsVariant.RGS,))
-    a = run_qr_bench(config, with_omega=False)["rgs"]
-    b = run_qr_bench(config, with_omega=False)["rgs"]
+    a = run_qr_bench(config)["rgs"]
+    b = run_qr_bench(config)["rgs"]
     for colname in ("cond_Q", "factorization_error", "omega_bar"):
         assert np.array_equal(a.column(colname), b.column(colname))
 
@@ -122,15 +122,52 @@ def test_run_certify_matches_run_qr_bench():
 def test_omega_bar_trace_matches_one_shot_oracle():
     # The trace computes omega_bar from the pencil of two Gram matrices, the
     # one-shot `certification.omega_bar` from a QR and a triangular solve;
-    # both formulas are kept (O(i^3) per step for the trace, robustness for
-    # an ill-conditioned sketch), so they must agree at every column.
+    # both formulas are kept (one small eigensolve per row for the trace,
+    # robustness for an ill-conditioned sketch), so they must agree at
+    # every column.
     n, m, eps_star = 1024, 20, 0.25
     W = np.random.default_rng(3).standard_normal((n, m))
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=1)
     phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=2)
-    f, _ = rgs_factorize(W, theta, UNIFIED64, phi=phi)
-    trace = _OmegaBarTrace(theta.k, phi.k, eps_star, m)
+    f, _ = rgs_factorize(W, theta, UNIFIED64)
+    trace = _traces(f.Q, f.S, phi=phi, eps_star=eps_star)["omega_bar"]
+    S_phi = phi.apply_block(f.Q)
     for i in range(m):
-        trace.push(f.S[:, i], f.S_phi[:, i])
-        assert trace.omega_bar() == pytest.approx(
-            omega_bar(f.S[:, :i + 1], f.S_phi[:, :i + 1], eps_star), rel=1e-10)
+        assert trace[i] == pytest.approx(
+            omega_bar(f.S[:, :i + 1], S_phi[:, :i + 1], eps_star), rel=1e-10)
+
+
+@pytest.mark.parametrize("policy", [UNIFIED64, MIXED32_64],
+                         ids=["f64", "mixed"])
+def test_traces_match_one_shot_oracles(policy):
+    # every row of every trace against a one-shot computation on the
+    # leading columns, at the omega_bar oracle's tolerance
+    n, m, eps_star = 1024, 16, 0.25
+    W = np.random.default_rng(4).standard_normal((n, m))
+    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=5)
+    phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=6)
+    f, _ = rgs_factorize(W, theta, policy)
+    rows = _traces(f.Q, f.S, theta, phi, eps_star)
+    cond_w = _traces(W)["cond_Q"]
+    Q = f.Q.astype(np.float64)
+    for i in range(1, m + 1):
+        assert rows["cond_Q"][i - 1] == pytest.approx(
+            np.linalg.cond(Q[:, :i]), rel=1e-10)
+        assert cond_w[i - 1] == pytest.approx(np.linalg.cond(W[:, :i]),
+                                              rel=1e-10)
+        assert rows["cond_S"][i - 1] == pytest.approx(
+            np.linalg.cond(f.S[:, :i]), rel=1e-10)
+        assert rows["omega"][i - 1] == pytest.approx(
+            epsilon_of(theta, Q[:, :i]), rel=1e-10)
+        assert rows["omega_bar"][i - 1] == pytest.approx(
+            omega_bar(f.S[:, :i], phi.apply_block(Q[:, :i]), eps_star),
+            rel=1e-10)
+
+
+def test_traces_reject_dependent_column():
+    n = 512
+    W = np.random.default_rng(7).standard_normal((n, 3))
+    Q = np.column_stack([W[:, 0], W[:, 1], W[:, 0]])  # repeated column
+    theta = make_sketch(SketchKind.PSRHT, 64, n, seed=8)
+    with pytest.raises(np.linalg.LinAlgError, match="column 3"):
+        _traces(Q, theta=theta)

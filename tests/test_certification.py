@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sketchgs import (CertificationParams, SketchKind, UNIFIED64,
-                      certify_factorization, eps_star_for_dim, epsilon_of,
-                      make_certification_sketch, make_sketch, omega_bar,
-                      omega_bar_sharpness, rgs_factorize,
-                      vector_certificate_dim)
+from sketchgs import (CertificationParams, GsVariant, SketchKind, UNIFIED64,
+                      certify_factorization, classical_factorize,
+                      eps_star_for_dim, epsilon_of, make_certification_sketch,
+                      make_sketch, omega_bar, omega_bar_sharpness,
+                      rgs_factorize, vector_certificate_dim)
 
 
 def test_params_dimension():
@@ -100,8 +100,8 @@ def test_certify_factorization(rng):
     W = rng.standard_normal((n, m))
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
     phi = make_certification_sketch(CertificationParams(eps_star=0.25), n)
-    f, _ = rgs_factorize(W, theta, UNIFIED64, phi=phi)
-    res = certify_factorization(f, eps_star=0.25, u_crs=UNIFIED64.u_crs)
+    f, _ = rgs_factorize(W, theta, UNIFIED64)
+    res = certify_factorization(f, W, phi, eps_star=0.25, u_crs=UNIFIED64.u_crs)
     om_q = epsilon_of(theta, f.Q)
     om_w = epsilon_of(theta, W)
     assert res.omega_bar_q >= om_q
@@ -110,9 +110,17 @@ def test_certify_factorization(rng):
     assert res.omega_bar_q_halved == pytest.approx(0.5 * res.omega_bar_q)
 
 
-def test_certify_requires_phi(rng):
+def test_certify_rejects_invalid_inputs(rng):
     W = rng.standard_normal((256, 5))
     theta = make_sketch(SketchKind.PSRHT, 64, 256, seed=0)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
-    with pytest.raises(ValueError):
-        certify_factorization(f, eps_star=0.25, u_crs=UNIFIED64.u_crs)
+    phi_short = make_sketch(SketchKind.RADEMACHER, 32, 255, seed=1)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        certify_factorization(f, W, phi_short, eps_star=0.25,
+                              u_crs=UNIFIED64.u_crs)
+    # classical factors carry no sketches S and P to certify against
+    phi = make_sketch(SketchKind.RADEMACHER, 32, 256, seed=1)
+    classical = classical_factorize(W, GsVariant.MGS)
+    with pytest.raises(ValueError, match="sketches S and P"):
+        certify_factorization(classical, W, phi, eps_star=0.25,
+                              u_crs=UNIFIED64.u_crs)

@@ -115,6 +115,27 @@ def test_exit_code_breakdown(tmp_path, capsys):
     assert "breakdown" in capsys.readouterr().err
 
 
+def test_exit_code_nonfinite(tmp_path, capsys):
+    # the entry 1e40 overflows binary32 when column 2 is stored under mixed
+    mtx = tmp_path / "overflow.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "5 5 4\n"
+                   "1 1 1.0\n2 1 2.0\n2 2 1e40\n4 2 1.0\n")
+    with np.errstate(all="ignore"):
+        rc = main(["qr-bench", "--m", "2", "--k", "5", "--policy", "mixed",
+                   "--variants", "rgs", "--matrix", str(mtx),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_BREAKDOWN
+    assert "non-finite stored column of Q at column 2" in capsys.readouterr().err
+
+
+def test_exit_code_zero_columns(tmp_path, capsys):
+    rc = main(["qr-bench", "--m", "0", "--k", "16", "--matrix", "laplacian:5",
+               "--variants", "rgs,cgs", "--out", str(tmp_path / "z.csv")])
+    assert rc == EXIT_CONFIG
+    assert "n >= m >= 1" in capsys.readouterr().err
+
+
 def test_cli_runs_are_bit_identical(tmp_path):
     args = ["qr-bench", "--n", "400", "--m", "12", "--k", "64",
             "--k-phi", "48", "--policy", "f64", "--variants", "rgs"]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
-                      HOUSEHOLDER_QR, MIXED32_64, SKETCHED_MGS, SketchKind,
+                      HOUSEHOLDER_QR, MIXED32_64, NonFiniteError,
+                      SKETCHED_MGS, SketchKind,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       loss_of_orthogonality, make_sketch, richardson,
                       rgs_factorize, sketched_lsq)
@@ -184,6 +185,26 @@ def test_classical_mgs_binary32_independent_of_capacity(rng):
     assert st._Q.shape[1] == 64
     assert np.array_equal(f.Q, st.Q)
     assert np.array_equal(f.R, st.R)
+
+
+@pytest.mark.parametrize("variant", [GsVariant.RGS, GsVariant.CGS,
+                                     GsVariant.MGS], ids=lambda v: v.value)
+@pytest.mark.parametrize("fault", ["nan", "overflow"])
+def test_nonfinite_column_raises(rng, variant, fault):
+    # a NaN in the input, or a column that overflows binary32 when Q is
+    # stored, is reported at that column instead of a non-finite Q
+    W = _problem(rng, n=200, m=5)
+    if fault == "nan":
+        W[17, 2] = np.nan
+    else:
+        W[:, 2] *= 1e40
+    with pytest.raises(NonFiniteError) as exc, np.errstate(all="ignore"):
+        if variant is GsVariant.RGS:
+            theta = make_sketch(SketchKind.PSRHT, 64, 200, seed=5)
+            rgs_factorize(W, theta, MIXED32_64)
+        else:
+            classical_factorize(W, variant, policy=MIXED32_64)
+    assert exc.value.column == 3
 
 
 def test_classical_rejects_rgs_variant():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchgs import (ExperimentReport, REPORT_COLUMNS, SparseMatrix,
                       generate_laplacian_2d, generate_random_sparse,
@@ -75,13 +77,31 @@ def test_read_matrix_market_bounds(tmp_path):
         read_matrix_market(q)
 
 
-def test_matrix_market_roundtrip(tmp_path):
-    A = generate_random_sparse(30, 3, seed=9)
-    p = tmp_path / "rt.mtx"
+_SPARSE_ENTRIES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=n * n)))
+
+
+@settings(max_examples=100)
+@given(_SPARSE_ENTRIES)
+@example((3, {(0, 0): 5e-324, (0, 2): -0.0, (1, 1): 1.7976931348623157e308,
+              (2, 0): -2.2250738585072014e-308, (2, 2): 0.1}))
+@example((2, {}))
+def test_matrix_market_roundtrip(tmp_path_factory, case):
+    # any finite binary64 value, subnormals, signed zeros and the largest
+    # exponents included, comes back bit for bit in the same CSR layout
+    n, entries = case
+    A = SparseMatrix.from_coo(n, [i for i, _ in entries],
+                              [j for _, j in entries], list(entries.values()))
+    p = tmp_path_factory.mktemp("mm") / "rt.mtx"
     write_matrix_market(A, p)
-    B = read_matrix_market(p)
-    # 17 significant digits round-trip binary64 exactly
-    assert np.array_equal(A.to_scipy().toarray(), B.to_scipy().toarray())
+    a, b = A.to_scipy(), read_matrix_market(p).to_scipy()
+    assert b.shape == a.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
 
 
 def test_synthetic_matrix_values():

@@ -168,6 +168,20 @@ def test_gmres_breakdown_is_not_convergence(variant, policy):
     assert res.converged == (res.final_residual <= tol)
 
 
+def test_gmres_stops_on_true_residual():
+    # the sketched estimate reaches tol one iteration before the true
+    # residual does; stopping on the estimate left the solve unconverged
+    A = generate_laplacian_2d(30)
+    b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
+    theta = make_sketch(SketchKind.PSRHT, 100, A.n, seed=0)
+    tol = 1e-10
+    res = gmres(A, b, m=80, theta=theta, policy=UNIFIED64,
+                preconditioner=ilu0(A), tol=tol)
+    assert res.residual_history[-1] <= tol
+    assert res.final_residual <= tol
+    assert res.converged
+
+
 def test_gmres_zero_rhs():
     A = generate_laplacian_2d(5)
     res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)
