@@ -8,11 +8,10 @@ from .sketch import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
                      fwht, make_sketch, required_sketch_dim,
                      rounding_sketch_trial, vector_certificate_dim)
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
-                           HOUSEHOLDER_QR, LsqSolver, NonFiniteError,
-                           QrFactors, RgsState, SKETCHED_MGS,
+                           NonFiniteError, QrFactors, RgsState,
                            StabilityCertificate, certificates,
                            classical_factorize, loss_of_orthogonality,
-                           rgs_factorize, richardson, sketched_lsq)
+                           rgs_factorize)
 from .certification import (CertificationParams, CertificationResult,
                             certify_factorization, eps_star_for_dim,
                             make_certification_sketch, omega_bar,

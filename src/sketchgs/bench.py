@@ -16,8 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .certification import CertificationParams, make_certification_sketch
-from .gram_schmidt import (GsVariant, HOUSEHOLDER_QR, LsqSolver,
-                           classical_factorize, rgs_factorize)
+from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
 from .krylov import SparseMatrix, gmres, ilu0
@@ -44,7 +43,6 @@ class RunConfig:
     delta_star: float = 1e-3
     k_phi: int | None = None
     phi_seed: int = 0x0F1A
-    ls_solver: LsqSolver = HOUSEHOLDER_QR
     precond: bool = False
     tol: float | None = None
 
@@ -194,8 +192,8 @@ def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy):
     phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
     # benchmark protocol: run straight through numerically singular
     # columns (breakdown guard off), like the experiments being traced
-    f, _ = rgs_factorize(W, theta, policy, config.ls_solver,
-                         with_certificate=False, breakdown_factor=0.0)
+    f, _ = rgs_factorize(W, theta, policy, with_certificate=False,
+                         breakdown_factor=0.0)
     return f, _traces(f.Q, f.S, theta, phi, config.eps_star)
 
 
@@ -221,8 +219,7 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
         if variant is GsVariant.RGS:
             theta = SketchOperator(config.sketch_kind, config.k, A.n, config.seed)
         result = gmres(A, b, m, variant=variant, theta=theta, policy=policy,
-                       solver=config.ls_solver, preconditioner=precond,
-                       tol=config.tol)
+                       preconditioner=precond, tol=config.tol)
         report = ExperimentReport()
         history = result.residual_history
         cond_q = (_traces(result.factors.Q[:, :len(history)])["cond_Q"]

@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "several variants run)")
         sp.add_argument("--k-phi", type=int, default=None)
         sp.add_argument("--phi-seed", type=int, default=0x0F1A)
-        sp.add_argument("--ls-solver", default="householder",
-                        help="householder | richardson:N | smgs")
         sp.add_argument("--precond", action="store_true")
         sp.add_argument("--tol", type=float, default=None)
 
@@ -68,18 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("--eps-star", type=float, default=0.05)
     si.add_argument("--delta-star", type=float, default=1e-3)
     return p
-
-
-def _parse_solver(text: str):
-    from .gram_schmidt import LsqSolver, richardson
-    if text == "householder":
-        return LsqSolver("householder")
-    if text == "smgs":
-        return LsqSolver("smgs")
-    if text.startswith("richardson"):
-        _, _, iters = text.partition(":")
-        return richardson(int(iters) if iters else 4)
-    raise ValueError(f"unknown least-squares solver {text!r}")
 
 
 def _parse_variants(text: str):
@@ -109,7 +95,6 @@ def _config_from_args(args):
         matrix=args.matrix,
         eps_star=args.eps_star, delta_star=args.delta_star,
         k_phi=args.k_phi, phi_seed=args.phi_seed,
-        ls_solver=_parse_solver(args.ls_solver),
         precond=args.precond, tol=args.tol)
 
 

@@ -1,11 +1,14 @@
 """Gram-Schmidt factorizers: the sketched (randomized) process and the
-classical CGS/MGS/CGS2 baselines, plus sketched least-squares solvers and
-the computable stability certificates.
+classical CGS/MGS/CGS2 baselines, plus the computable stability
+certificates.
 
 The randomized process orthonormalizes with respect to the sketched inner
 product <Theta., Theta.>: projection coefficients come from a small k x i
-least-squares problem on sketches, the expensive n-dimensional projection
-update runs at the coarse roundoff, and everything else runs fine.
+least-squares problem on sketches, solved by Householder QR of the sketched
+basis kept in compact WY form and grown one column per step (backward
+stable in the fine precision, as the stability analysis assumes); the
+expensive n-dimensional projection update runs at the coarse roundoff, and
+everything else runs fine.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from .precision import MIXED32_64, UNIFIED64, PrecisionPolicy
 from .sketch import SketchOperator
 
 __all__ = [
-    "GsVariant", "LsqSolver", "HOUSEHOLDER_QR", "SKETCHED_MGS",
-    "richardson", "QrFactors", "StabilityCertificate", "BreakdownError",
-    "NonFiniteError",
-    "RgsState", "ClassicalGsState", "rgs_factorize", "sketched_lsq",
+    "GsVariant", "QrFactors", "StabilityCertificate", "BreakdownError",
+    "NonFiniteError", "RgsState", "ClassicalGsState", "rgs_factorize",
     "classical_factorize",
     "certificates", "loss_of_orthogonality",
 ]
@@ -63,33 +64,6 @@ class GsVariant(Enum):
     MGS = "mgs"
     CGS2 = "cgs2"
     RGS = "rgs"
-
-
-@dataclass(frozen=True)
-class LsqSolver:
-    """Solver used for the sketched projection coefficients.
-
-    method: "householder" (incrementally updated Householder QR),
-    "richardson" (normal-equation iteration exploiting near-orthonormality),
-    or "smgs" (modified Gram-Schmidt on the sketched vectors).
-    """
-
-    method: str = "householder"
-    iterations: int = 4
-
-    def __post_init__(self):
-        if self.method not in ("householder", "richardson", "smgs"):
-            raise ValueError(f"unknown least-squares method {self.method!r}")
-        if self.method == "richardson" and self.iterations < 1:
-            raise ValueError("richardson needs at least one iteration")
-
-
-HOUSEHOLDER_QR = LsqSolver("householder")
-SKETCHED_MGS = LsqSolver("smgs")
-
-
-def richardson(iterations: int = 4) -> LsqSolver:
-    return LsqSolver("richardson", iterations)
 
 
 @dataclass
@@ -182,8 +156,6 @@ class _IncrementalHouseholderQR:
     def solve(self, p) -> np.ndarray:
         """Least-squares solution against the appended columns."""
         i = self.ncols
-        if i == 0:
-            return np.zeros(0, dtype=self.dtype)
         p = np.asarray(p, dtype=self.dtype)
         z = p[:i] - self._V[:i, :i] @ self._wy(p)  # leading i rows of Q^T p
         R = self.triangular()
@@ -200,41 +172,6 @@ def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:
     return out
 
 
-def sketched_lsq(S_prev, p, solver: LsqSolver = HOUSEHOLDER_QR) -> np.ndarray:
-    """Solve min_y ||S_prev y - p|| with the configured small solver."""
-    S_prev = np.asarray(S_prev)
-    p = np.asarray(p, dtype=S_prev.dtype if S_prev.size else np.float64)
-    k, i = S_prev.shape if S_prev.ndim == 2 else (S_prev.shape[0], 1)
-    S_prev = S_prev.reshape(k, i)
-    if i == 0:
-        return np.zeros(0, dtype=p.dtype)
-    if solver.method == "householder":
-        qr = _IncrementalHouseholderQR(k, S_prev.dtype)
-        for j in range(i):
-            qr.append(S_prev[:, j])
-        return qr.solve(p)
-    _check_lsq_rank(S_prev)
-    if solver.method == "richardson":
-        y = np.zeros(i, dtype=p.dtype)
-        for _ in range(solver.iterations):
-            y = y + S_prev.T @ (p - S_prev @ y)
-        return y
-    # smgs: one sweep of modified Gram-Schmidt of p against the columns
-    work = p.copy()
-    y = np.empty(i, dtype=p.dtype)
-    for j in range(i):
-        s = S_prev[:, j]
-        y[j] = (s @ work) / (s @ s)
-        work = work - y[j] * s
-    return y
-
-
-def _check_lsq_rank(S_prev) -> None:
-    sv = np.linalg.svd(np.asarray(S_prev, dtype=np.float64), compute_uv=False)
-    if sv[-1] < 1e-8:
-        raise np.linalg.LinAlgError("sketched basis numerically rank deficient")
-
-
 class RgsState:
     """Streaming state of the randomized factorizer; one column per `push`.
 
@@ -245,11 +182,9 @@ class RgsState:
     """
 
     def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
-                 solver: LsqSolver = HOUSEHOLDER_QR, capacity: int = 16,
-                 breakdown_factor: float = BREAKDOWN_FACTOR):
+                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
         self.theta = theta
         self.policy = policy
-        self.solver = solver
         # breakdown_factor = 0 disables the guard: benchmark protocols push
         # through numerically singular columns the way the solver would.
         self.breakdown_factor = breakdown_factor
@@ -261,8 +196,7 @@ class RgsState:
         self._R = np.zeros((capacity, capacity))
         self._S = np.zeros((k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((k, capacity), dtype=policy.fine_dtype)
-        self._qr = (_IncrementalHouseholderQR(k, policy.fine_dtype)
-                    if solver.method == "householder" else None)
+        self._qr = _IncrementalHouseholderQR(k, policy.fine_dtype)
 
     # trimmed views --------------------------------------------------------
     @property
@@ -309,10 +243,7 @@ class RgsState:
             qp = w64.astype(policy.coarse_dtype).astype(np.float64)
             sp = p.copy()
         else:
-            if self._qr is not None:                          # Step 2 (u_fine)
-                r_col = self._qr.solve(p)
-            else:
-                r_col = sketched_lsq(self._S[:, :i], p, self.solver)
+            r_col = self._qr.solve(p)                         # Step 2 (u_fine)
             # Step 3 (u_crs): q' = w - Q_{i-1} r, native arithmetic in the
             # coarse format (hardware binary32 BLAS under the mixed policy),
             # then widened exactly to binary64 for the sketches
@@ -333,8 +264,7 @@ class RgsState:
         self._P[:, i] = p
         self._R[:i, i] = r_col.astype(np.float64)
         self._R[i, i] = r_ii
-        if self._qr is not None:
-            self._qr.append(self._S[:, i])
+        self._qr.append(self._S[:, i])
         self.m += 1
         return r_ii
 
@@ -344,7 +274,7 @@ class RgsState:
 
 
 def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
-                  solver: LsqSolver = HOUSEHOLDER_QR, with_certificate: bool = True,
+                  with_certificate: bool = True,
                   breakdown_factor: float = BREAKDOWN_FACTOR):
     """Randomized Gram-Schmidt QR of the columns of W.
 
@@ -363,7 +293,7 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
     else:
         columns = iter(W)
         capacity = 16
-    state = RgsState(theta, policy, solver, capacity=capacity,
+    state = RgsState(theta, policy, capacity=capacity,
                      breakdown_factor=breakdown_factor)
     for w in columns:
         state.push(w)

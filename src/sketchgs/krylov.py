@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
-                           HOUSEHOLDER_QR, LsqSolver, QrFactors, RgsState)
+                           QrFactors, RgsState)
 from .precision import MIXED32_64, PrecisionPolicy
 from .sketch import SketchOperator
 
@@ -149,11 +149,14 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
 
 
 def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
-                   theta: SketchOperator | None, solver: LsqSolver, ncols: int):
+                   theta: SketchOperator | None, ncols: int):
     if variant is GsVariant.RGS:
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
-        return RgsState(theta, policy, solver, capacity=ncols)
+        if theta.k < ncols:  # the sketched QR needs a row per basis vector
+            raise ValueError(f"need k >= m + 1 sketch rows, got "
+                             f"k={theta.k}, m={ncols - 1}")
+        return RgsState(theta, policy, capacity=ncols)
     return ClassicalGsState(n, variant, policy, capacity=ncols)
 
 
@@ -171,14 +174,13 @@ class ArnoldiDecomposition:
 
 def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
             theta: SketchOperator | None = None,
-            policy: PrecisionPolicy = MIXED32_64,
-            solver: LsqSolver = HOUSEHOLDER_QR) -> ArnoldiDecomposition:
+            policy: PrecisionPolicy = MIXED32_64) -> ArnoldiDecomposition:
     """m-step Arnoldi: orthogonalize [b, A q_1, ..., A q_m] column by column.
 
     Returns fewer columns on a lucky breakdown (exhausted Krylov subspace).
     """
     b = np.asarray(b, dtype=np.float64)
-    state = _make_gs_state(A.n, variant, policy, theta, solver, m + 1)
+    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
     breakdown = False
     state.push(b)
     for i in range(m):
@@ -224,7 +226,6 @@ def _operator_norm_estimate(matvec, n: int, iters: int = 20) -> float:
 def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
           theta: SketchOperator | None = None,
           policy: PrecisionPolicy = MIXED32_64,
-          solver: LsqSolver = HOUSEHOLDER_QR,
           preconditioner: Ilu0Preconditioner | None = None,
           tol: float | None = None) -> GmresResult:
     """Single-cycle GMRES(m) with progressive Givens rotations.
@@ -243,6 +244,7 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
         return GmresResult(x=np.zeros(A.n), residual_history=np.zeros(0),
                            final_residual=0.0, iterations=0, converged=True,
                            breakdown=False)
+    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
 
     if preconditioner is None:
         eff_matvec = A.matvec
@@ -254,7 +256,6 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if alpha == 0.0:
         raise np.linalg.LinAlgError("operator norm estimate is zero")
 
-    state = _make_gs_state(A.n, variant, policy, theta, solver, m + 1)
     state.push(b / b_norm)
     beta = float(state.R[0, 0])  # ~1 in the sketched norm
 

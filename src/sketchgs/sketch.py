@@ -159,6 +159,9 @@ class SketchOperator:
             s = _next_pow2(n)
             if s >= 1 << 62:
                 raise OverflowError("padded Hadamard size overflows")
+            if k > s:
+                raise ValueError(f"P-SRHT samples k distinct rows of the "
+                                 f"padded size s={s}; got k={k}")
             self.s = s
             signs = _philox(seed, _PSRHT_SIGN_STREAM).integers(0, 2, size=n)
             self.signs = (2.0 * signs - 1.0)

@@ -5,17 +5,7 @@ import pytest
 
 from sketchgs import read_report
 from sketchgs.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          _out_path, _parse_solver, _parse_variants, main)
-
-
-def test_parse_solver():
-    assert _parse_solver("householder").method == "householder"
-    assert _parse_solver("smgs").method == "smgs"
-    r = _parse_solver("richardson:7")
-    assert r.method == "richardson" and r.iterations == 7
-    assert _parse_solver("richardson").iterations == 4
-    with pytest.raises(ValueError):
-        _parse_solver("conjugate-gradient")
+                          _out_path, _parse_variants, main)
 
 
 def test_parse_variants():
@@ -93,6 +83,18 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     rc = main(["not-a-subcommand"])
     assert rc == EXIT_CONFIG
+
+
+def test_removed_solver_flag_is_rejected(tmp_path, capsys):
+    # the sketched least squares has one solver; a script that still passes
+    # the old flag fails loudly instead of running something else
+    out = tmp_path / "x.csv"
+    rc = main(["qr-bench", "--n", "400", "--m", "4", "--k", "64",
+               "--variants", "rgs", "--ls-solver", "householder",
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "--ls-solver" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_io_error(capsys):

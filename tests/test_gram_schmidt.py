@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
-                      HOUSEHOLDER_QR, MIXED32_64, NonFiniteError,
-                      SKETCHED_MGS, SketchKind,
+                      MIXED32_64, NonFiniteError, SketchKind,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
-                      loss_of_orthogonality, make_sketch, richardson,
-                      rgs_factorize, sketched_lsq)
-from sketchgs.gram_schmidt import RgsState
+                      loss_of_orthogonality, make_sketch, rgs_factorize)
+from sketchgs.gram_schmidt import RgsState, _IncrementalHouseholderQR
 
 
 def _problem(rng, n=400, m=12, cond=1e4):
@@ -18,11 +20,10 @@ def _problem(rng, n=400, m=12, cond=1e4):
     return (U * sv) @ V.T
 
 
-@pytest.mark.parametrize("solver", [HOUSEHOLDER_QR, SKETCHED_MGS, richardson(8)])
-def test_rgs_reconstruction_f64(rng, solver):
+def test_rgs_reconstruction_f64(rng):
     W = _problem(rng, cond=100.0)
     theta = make_sketch(SketchKind.RADEMACHER, 128, 400, seed=1)
-    f, cert = rgs_factorize(W, theta, UNIFIED64, solver=solver)
+    f, cert = rgs_factorize(W, theta, UNIFIED64)
     # exact relation W = Q R holds to fine roundoff
     err = np.linalg.norm(W - f.Q @ f.R) / np.linalg.norm(W)
     assert err < 1e-13
@@ -110,18 +111,20 @@ def test_rgs_input_validation(rng):
         rgs_factorize(rng.standard_normal(100), theta)  # not a matrix
 
 
+def _householder(S, dtype=np.float64):
+    """The incremental QR of the columns of S, appended one at a time."""
+    qr = _IncrementalHouseholderQR(S.shape[0], dtype)
+    for j in range(S.shape[1]):
+        qr.append(S[:, j])
+    return qr
+
+
 def test_sketched_lsq_solvers_agree(rng):
     S = np.linalg.qr(rng.standard_normal((60, 8)))[0]
     S += 1e-4 * rng.standard_normal((60, 8))  # near-orthonormal columns
     p = rng.standard_normal(60)
     oracle = np.linalg.lstsq(S, p, rcond=None)[0]
-    # householder is exact; richardson converges geometrically; a single
-    # modified Gram-Schmidt sweep is only first-order accurate in the
-    # columns' deviation from orthonormality
-    for solver, atol in ((HOUSEHOLDER_QR, 1e-12), (richardson(30), 1e-12),
-                         (SKETCHED_MGS, 1e-2)):
-        y = sketched_lsq(S, p, solver)
-        assert np.allclose(y, oracle, atol=atol), solver.method
+    assert np.allclose(_householder(S).solve(p), oracle, atol=1e-12)
 
 
 def test_householder_lsq_binary32(rng):
@@ -129,7 +132,7 @@ def test_householder_lsq_binary32(rng):
     S = np.linalg.qr(rng.standard_normal((60, 8)))[0]
     p = rng.standard_normal(60)
     oracle = np.linalg.lstsq(S, p, rcond=None)[0]
-    y = sketched_lsq(S.astype(np.float32), p.astype(np.float32), HOUSEHOLDER_QR)
+    y = _householder(S.astype(np.float32), np.float32).solve(p.astype(np.float32))
     assert y.dtype == np.float32
     assert np.allclose(y, oracle, rtol=0, atol=1e-5)
     assert not np.allclose(y, oracle, rtol=0, atol=1e-9)
@@ -139,7 +142,65 @@ def test_sketched_lsq_rank_deficient(rng):
     S = np.zeros((20, 3))
     S[:, 0] = S[:, 1] = rng.standard_normal(20)
     with pytest.raises(np.linalg.LinAlgError):
-        sketched_lsq(S, rng.standard_normal(20), HOUSEHOLDER_QR)
+        _householder(S).solve(rng.standard_normal(20))
+
+
+def _householder_lsq_bound(k, i, u, kappa, rho):
+    """Forward error bound ||y - x|| / ||x|| of Householder least squares.
+
+    Householder QR solves a nearby problem (S + dS) y ~ p + dp with
+    ||dS e_j|| <= g ||S e_j||, ||dp|| <= g ||p||, g = k i u / (1 - k i u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 20.3, with the small constant taken as 1), so ||dS||_2 <= eps ||S||_2
+    with eps = sqrt(i) g. The perturbation bound of Thm 20.1 then gives
+    kappa eps / (1 - kappa eps) * (2 + (kappa + 1) rho), where
+    rho = ||p - S x|| / (||S||_2 ||x||) and kappa = cond_2(S).
+    """
+    g = k * i * u / (1 - k * i * u)
+    eps = math.sqrt(i) * g
+    assert kappa * eps < 1
+    return eps, kappa * eps / (1 - kappa * eps) * (2 + (kappa + 1) * rho)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 80).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+       st.floats(0.0, 2.0), st.sampled_from([np.float64, np.float32]),
+       st.integers(0, 2**32 - 1))
+# the arrays grow past 16, 32 and 64 columns, and fill all k rows
+@example((17, 17), 1.0, np.float32, 0)
+@example((65, 40), 2.0, np.float64, 1)
+@example((80, 80), 2.0, np.float32, 2)
+def test_householder_lsq_property(ki, log_cond, dtype, seed):
+    (k, i), u64 = ki, np.finfo(np.float64).eps / 2
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((k, i)))[0]
+    V = np.linalg.qr(rng.standard_normal((i, i)))[0]
+    S = ((U * np.logspace(0, -log_cond, i)) @ V.T).astype(dtype)
+    p = rng.standard_normal(k).astype(dtype)
+    u = np.finfo(dtype).eps / 2
+    qr = _IncrementalHouseholderQR(k, dtype)
+    for j in range(1, i + 1):
+        qr.append(S[:, j - 1])
+        # binary64 oracle on the same rounded data; a column block of S is
+        # no worse conditioned than S
+        Sj = S[:, :j].astype(np.float64)
+        p64 = p.astype(np.float64)
+        x = np.linalg.lstsq(Sj, p64, rcond=None)[0]
+        sv = np.linalg.svd(Sj, compute_uv=False)
+        rho = np.linalg.norm(p64 - Sj @ x) / (sv[0] * np.linalg.norm(x))
+        eps, bound = _householder_lsq_bound(k, j, u, sv[0] / sv[-1], rho)
+        # the oracle is itself backward stable in binary64
+        bound += _householder_lsq_bound(k, j, u64, sv[0] / sv[-1], rho)[1]
+        y = qr.solve(p)
+        assert y.dtype == dtype
+        assert np.linalg.norm(y - x) <= bound * np.linalg.norm(x)
+        R = qr.triangular()
+        assert R.dtype == dtype and R.shape == (j, j)
+        assert np.array_equal(R, np.triu(R))
+        # R^T R = (S + dS)^T (S + dS), evaluated in binary64
+        R64 = R.astype(np.float64)
+        gram_err = np.linalg.norm(R64.T @ R64 - Sj.T @ Sj, 2)
+        assert gram_err <= (2 * eps + eps**2 + 4 * j * u64) * sv[0]**2
 
 
 @pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])

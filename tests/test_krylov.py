@@ -182,6 +182,31 @@ def test_gmres_stops_on_true_residual():
     assert res.converged
 
 
+@pytest.mark.parametrize("method, m", [("gmres", 200), ("arnoldi", 80)])
+def test_krylov_rejects_sketch_below_m_plus_one(monkeypatch, method, m):
+    # the sketched least squares needs a row per basis vector; without the
+    # check the run failed in the Householder append, after its matvecs
+    A = generate_laplacian_2d(60)
+    b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
+    theta = make_sketch(SketchKind.PSRHT, 60, A.n, seed=0)
+    precond = ilu0(A)
+    matvecs = []
+    matvec = SparseMatrix.matvec
+
+    def counted(self, x):
+        matvecs.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    with pytest.raises(ValueError, match=rf"k >= m \+ 1 .*k=60, m={m}"):
+        if method == "gmres":
+            gmres(A, b, m=m, theta=theta, policy=UNIFIED64,
+                  preconditioner=precond, tol=1e-10)
+        else:
+            arnoldi(A, b, m, theta=theta, policy=UNIFIED64)
+    assert not matvecs
+
+
 def test_gmres_zero_rhs():
     A = generate_laplacian_2d(5)
     res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)

@@ -237,6 +237,12 @@ def test_sketch_validation():
     th = make_sketch(SketchKind.PSRHT, 4, 10, seed=0)
     with pytest.raises(ValueError):
         th.apply(np.zeros(11))
+    # P-SRHT samples k distinct rows of the padded size s = 128 of n = 100
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="s=128"):
+        SketchOperator(SketchKind.PSRHT, 200, 100, seed=0)
+    with pytest.warns(UserWarning):
+        th = SketchOperator(SketchKind.PSRHT, 128, 100, seed=0)
+    assert th.apply(np.ones(100)).shape == (128,)
 
 
 def test_epsilon_of_orthonormal_identity_sketch(rng):
