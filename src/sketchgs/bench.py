@@ -233,7 +233,9 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
                                             time.perf_counter() - t0))
         report.metadata.update({"m": m, "precond": config.precond,
                                 "final_residual": f"{result.final_residual:.17g}",
-                                "tol": config.tol})
+                                "tol": config.tol, "iterations": result.iterations,
+                                "converged": result.converged,
+                                "breakdown": result.breakdown})
         out[variant.value] = (report, result)
     return out
 

@@ -35,14 +35,16 @@ BREAKDOWN_FACTOR = 10.0
 
 
 class BreakdownError(RuntimeError):
-    """Vanishing projection residual at a given (1-based) column index."""
+    """Vanishing projection residual at a given (1-based) column index;
+    `coefficients` are the column's projection coefficients, in binary64."""
 
-    def __init__(self, column: int, r_ii: float, tol: float):
+    def __init__(self, column: int, r_ii: float, tol: float, coefficients):
         super().__init__(f"breakdown at column {column}: "
                          f"r_ii={r_ii:.3e} <= tol={tol:.3e}")
         self.column = column
         self.r_ii = r_ii
         self.tol = tol
+        self.coefficients = np.asarray(coefficients, dtype=np.float64)
 
 
 class NonFiniteError(ArithmeticError):
@@ -256,7 +258,7 @@ class RgsState:
         p_norm = float(np.linalg.norm(p))
         tol = self.breakdown_factor * policy.u_crs * p_norm
         if r_ii <= tol:
-            raise BreakdownError(i + 1, r_ii, tol)
+            raise BreakdownError(i + 1, r_ii, tol, r_col)
 
         self._Q[:, i] = qp / r_ii  # rounded to the coarse format on store
         _require_finite(self._Q[:, i], i + 1, "stored column of Q")
@@ -304,16 +306,9 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
 
 def classical_factorize(W, variant: GsVariant, policy: PrecisionPolicy = UNIFIED64,
                         breakdown_factor: float = BREAKDOWN_FACTOR) -> QrFactors:
-    """CGS / MGS / CGS2 baseline factorization.
-
-    All high-dimensional operations run at the coarse roundoff (the classical
-    baselines are single-precision throughout under the mixed policy): with a
-    binary32 coarse dtype every n-dimensional dot and update runs in binary32
-    on unit-stride operands. MGS copies each column of Q into a contiguous
-    buffer first, because a BLAS `sdot` on a strided operand may accumulate
-    in binary64 (OpenBLAS 0.3.31 does), which would make the baseline more
-    accurate than the arithmetic it stands for.
-    """
+    """CGS / MGS / CGS2 baseline factorization by one `ClassicalGsState`:
+    every high-dimensional operation runs at the coarse roundoff, so under
+    the mixed policy the baselines are binary32 throughout."""
     W = np.asarray(W)
     if W.ndim != 2:
         raise ValueError("W must be a matrix")
@@ -333,8 +328,9 @@ class ClassicalGsState:
     With a binary32 coarse dtype every n-dimensional dot and update runs in
     binary32 on unit-stride operands. MGS reads each column of the row-major
     Q into a contiguous buffer before its dot and update: a BLAS `sdot` on a
-    strided column may accumulate in binary64 (OpenBLAS 0.3.31 does), and
-    the copy also makes MGS independent of `capacity`. For CGS and CGS2,
+    strided column may accumulate in binary64 (OpenBLAS 0.3.31 does), which
+    would make the baseline more accurate than the arithmetic it stands for,
+    and the copy also makes MGS independent of `capacity`. For CGS and CGS2,
     fixing `capacity` up front makes runs bit-identical to a batch
     factorization of the same columns (growing the backing array changes the
     BLAS leading dimension, which can change low-order bits).
@@ -400,11 +396,10 @@ class ClassicalGsState:
         r_ii = float(np.linalg.norm(qp))
         tol = self.breakdown_factor * self.policy.u_crs * float(np.linalg.norm(w))
         if r_ii <= tol:
-            raise BreakdownError(i + 1, r_ii, tol)
+            raise BreakdownError(i + 1, r_ii, tol, r_col)
         self._Q[:, i] = qp / dtype.type(r_ii)
         _require_finite(self._Q[:, i], i + 1, "stored column of Q")
-        if i:
-            self._R[:i, i] = np.asarray(r_col, dtype=np.float64)
+        self._R[:i, i] = r_col
         self._R[i, i] = r_ii
         self.m += 1
         return r_ii

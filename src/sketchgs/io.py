@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .krylov import SparseMatrix
 
@@ -35,12 +36,8 @@ def read_matrix_market(path) -> SparseMatrix:
         fmt, fld, symm = (p.lower() for p in parts[2:5])
         if fmt != "coordinate":
             raise MatrixMarketError(f"unsupported format {fmt!r} (coordinate only)")
-        if fld in ("complex", "pattern"):
-            raise MatrixMarketError(f"unsupported field {fld!r}")
         if fld not in ("real", "integer", "double"):
             raise MatrixMarketError(f"unsupported field {fld!r}")
-        if symm == "skew-symmetric" or symm == "hermitian":
-            raise MatrixMarketError(f"unsupported symmetry {symm!r}")
         if symm not in ("general", "symmetric"):
             raise MatrixMarketError(f"unsupported symmetry {symm!r}")
         line = fh.readline()
@@ -98,19 +95,15 @@ def synthetic_matrix(n: int, m: int) -> np.ndarray:
 
 
 def generate_laplacian_2d(grid: int) -> SparseMatrix:
-    """5-point stencil Laplacian on a grid x grid mesh (n = grid^2 unknowns)."""
+    """5-point stencil Laplacian on a grid x grid mesh (n = grid^2 unknowns),
+    built as kron(I, T) + kron(T, I) from the 1-D second-difference T."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    n = grid * grid
-    rows, cols, vals = [], [], []
-    for iy in range(grid):
-        for ix in range(grid):
-            p = iy * grid + ix
-            rows.append(p); cols.append(p); vals.append(4.0)
-            for qx, qy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-                if 0 <= qx < grid and 0 <= qy < grid:
-                    rows.append(p); cols.append(qy * grid + qx); vals.append(-1.0)
-    return SparseMatrix.from_coo(n, rows, cols, vals)
+    T = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid, grid))
+    I = scipy.sparse.identity(grid)
+    # csr: kron's default block format stores the zeros of a small dense T
+    return SparseMatrix.from_scipy(scipy.sparse.kron(I, T, format="csr")
+                                   + scipy.sparse.kron(T, I, format="csr"))
 
 
 def generate_random_sparse(n: int, nnz_per_row: int, seed: int,

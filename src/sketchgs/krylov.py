@@ -109,20 +109,14 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
     indices = A.csr.indices
     data = A.csr.data.copy()
     # Column -> position maps per row, and the diagonal position per row.
-    diag_pos = np.full(n, -1, dtype=np.int64)
-    colmaps = []
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        cm = {int(indices[p]): p for p in range(lo, hi)}
-        colmaps.append(cm)
-        if i in cm:
-            diag_pos[i] = cm[i]
-    if np.any(diag_pos < 0):
-        missing = int(np.argmin(diag_pos))
-        raise ValueError(f"structural zero diagonal at row {missing}")
+    colmaps = [{int(indices[p]): p for p in range(indptr[i], indptr[i + 1])}
+               for i in range(n)]
+    missing = [i for i in range(n) if i not in colmaps[i]]
+    if missing:
+        raise ValueError(f"structural zero diagonal at row {missing[0]}")
+    diag_pos = [colmaps[i][i] for i in range(n)]
     for i in range(1, n):
         lo, hi = indptr[i], indptr[i + 1]
-        row_cols = indices[lo:hi]
         for p in range(lo, hi):
             k = int(indices[p])
             if k >= i:
@@ -160,15 +154,32 @@ def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
     return ClassicalGsState(n, variant, policy, capacity=ncols)
 
 
+def _arnoldi_steps(matvec, state, m: int):
+    """Up to m Arnoldi steps on a state holding q_1, yielding each Hessenberg
+    column; a lucky breakdown yields the breaking column, its coefficients
+    and a zero, pushes nothing and ends the loop."""
+    for i in range(m):
+        w = matvec(state.Q[:, i].astype(np.float64))
+        try:
+            state.push(w)
+        except BreakdownError as exc:
+            yield np.append(exc.coefficients, 0.0)
+            return
+        yield state.R[:i + 2, i + 1].copy()
+
+
 @dataclass
 class ArnoldiDecomposition:
-    """Basis Q (n x (m+1)), Hessenberg H ((m+1) x m) with A Q_m ~ Q_{m+1} H,
-    and the R factor of the orthogonalized Krylov matrix [b, AQ_m]."""
+    """Basis Q (n x (m+1)) and Hessenberg H ((m+1) x m) with
+    A Q_m ~ Q_{m+1} H, and the (sketched) norm beta given to b.
+
+    On a lucky breakdown at step j, Q has j columns and H is (j+1) x j with
+    a zero last row, so A Q_j ~ Q_j H[:j].
+    """
 
     Q: np.ndarray
     H: np.ndarray
-    R: np.ndarray
-    beta: float  # r_11, the (sketched) norm given to b
+    beta: float
     breakdown: bool = False
 
 
@@ -177,32 +188,34 @@ def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
             policy: PrecisionPolicy = MIXED32_64) -> ArnoldiDecomposition:
     """m-step Arnoldi: orthogonalize [b, A q_1, ..., A q_m] column by column.
 
-    Returns fewer columns on a lucky breakdown (exhausted Krylov subspace).
+    Stops early on a lucky breakdown (exhausted Krylov subspace).
     """
     b = np.asarray(b, dtype=np.float64)
     state = _make_gs_state(A.n, variant, policy, theta, m + 1)
-    breakdown = False
     state.push(b)
-    for i in range(m):
-        w = A.matvec(state.Q[:, i].astype(np.float64))
-        try:
-            state.push(w)
-        except BreakdownError:
-            breakdown = True
-            break
-    R = state.R.copy()
-    H = R[:, 1:].copy()
-    return ArnoldiDecomposition(Q=state.Q.copy(), H=H, R=R,
-                                beta=float(R[0, 0]), breakdown=breakdown)
+    H = np.zeros((m + 1, m))
+    j = 0
+    for j, hcol in enumerate(_arnoldi_steps(A.matvec, state, m), 1):
+        H[:j + 1, j - 1] = hcol
+    return ArnoldiDecomposition(Q=state.Q.copy(), H=H[:j + 1, :j],
+                                beta=float(state.R[0, 0]),
+                                breakdown=state.m == j)
 
 
 @dataclass
 class GmresResult:
+    """`residual_history` holds the estimated residual of each iteration,
+    `final_residual` the true ||b - A x|| / ||b||, and `converged` means
+    final_residual <= tol; a breakdown alone is not convergence. A lucky
+    breakdown keeps the breaking column, as one more iteration with a zero
+    estimate, unless its rotated diagonal is below the guard's tolerance:
+    the projected operator is then singular and the previous x is kept."""
+
     x: np.ndarray
-    residual_history: np.ndarray  # estimated residual norms, entry per iteration
-    final_residual: float         # true ||b - A x|| / ||b||
+    residual_history: np.ndarray
+    final_residual: float
     iterations: int
-    converged: bool               # final_residual <= tol; breakdown alone is not
+    converged: bool
     breakdown: bool
     factors: QrFactors | None = None
 
@@ -271,37 +284,32 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     iters = 0
 
     def solution(k):
-        """x from the first k Arnoldi steps, and its true relative residual."""
-        if k == 0:
-            x = np.zeros(A.n)
-        else:
-            y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
-            # z solves the normalized system; undo preconditioning and scaling.
-            z = state.Q[:, :k].astype(np.float64) @ y
-            x_tilde = (b_norm / alpha) * z
-            x = (preconditioner.solve(x_tilde) if preconditioner is not None
-                 else x_tilde)
+        """x from the first k Arnoldi steps (0 for k = 0), and its true
+        relative residual."""
+        y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
+        # z solves the normalized system; undo preconditioning and scaling.
+        z = state.Q[:, :k].astype(np.float64) @ y
+        x_tilde = (b_norm / alpha) * z
+        x = (preconditioner.solve(x_tilde) if preconditioner is not None
+             else x_tilde)
         return x, float(np.linalg.norm(b - A.matvec(x)) / b_norm)
 
     solved_at = None
-    for i in range(m):
-        w = eff_matvec(state.Q[:, i].astype(np.float64)) / alpha
-        try:
-            state.push(w)
-        except BreakdownError:
-            breakdown = True
-            break
-        iters = i + 1
-        hcol = state.R[:i + 2, i + 1].copy()  # new Hessenberg column
+    steps = _arnoldi_steps(lambda v: eff_matvec(v) / alpha, state, m)
+    for i, hcol in enumerate(steps):
         for j in range(i):
             t = cs[j] * hcol[j] + sn[j] * hcol[j + 1]
             hcol[j + 1] = -sn[j] * hcol[j] + cs[j] * hcol[j + 1]
             hcol[j] = t
         r = np.hypot(hcol[i], hcol[i + 1])
-        if r == 0.0:
-            cs[i], sn[i] = 1.0, 0.0
-        else:
-            cs[i], sn[i] = hcol[i] / r, hcol[i + 1] / r
+        if state.m == i + 1:  # a lucky breakdown, which pushed no column
+            breakdown = True
+            # a vanishing rotated diagonal (r = 0 included) makes the projected
+            # operator singular: the kept column cannot lower the residual
+            if r <= state.breakdown_factor * policy.u_crs * np.linalg.norm(hcol):
+                break
+        iters = i + 1
+        cs[i], sn[i] = hcol[i] / r, hcol[i + 1] / r
         hcol[i] = r
         hcol[i + 1] = 0.0
         T[:i + 2, i] = hcol

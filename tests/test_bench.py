@@ -81,6 +81,10 @@ def test_run_gmres_bench():
         assert result.final_residual < 1e-8, name
         assert rep.column("residual_norm")[-1] < 1e-8
         assert rep.metadata["final_residual"] == f"{result.final_residual:.17g}"
+        assert rep.metadata["iterations"] == result.iterations == len(
+            result.residual_history)
+        assert rep.metadata["converged"] is result.converged is True
+        assert rep.metadata["breakdown"] is result.breakdown is False
     # the randomized run also traces cond_Q
     assert np.all(out["rgs"][0].column("cond_Q") < 10.0)
 

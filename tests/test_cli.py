@@ -61,7 +61,12 @@ def test_gmres_bench(tmp_path, capsys):
     assert rc == EXIT_OK
     rep = read_report(out)
     assert rep.column("residual_norm")[-1] < 1e-8
-    assert "final residual" in capsys.readouterr().out
+    assert rep.metadata["iterations"] == str(len(rep.rows))
+    assert rep.metadata["converged"] == "True"
+    assert rep.metadata["breakdown"] == "False"
+    printed = capsys.readouterr().out
+    assert "final residual" in printed
+    assert "converged=True, breakdown=False" in printed
 
 
 def test_certify_command(tmp_path, capsys):

@@ -135,9 +135,15 @@ def test_laplacian_2d_structure():
     # interior point has 4 neighbors
     assert np.sum(D[4] != 0.0) == 5
     # oracle: kron form of the stencil
-    T = 2 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
-    K = np.kron(np.eye(3), T) + np.kron(T, np.eye(3))
-    assert np.array_equal(D, K)
+    for grid in (2, 3, 7):
+        csr = generate_laplacian_2d(grid).to_scipy()
+        T = 2 * np.eye(grid) - np.eye(grid, k=1) - np.eye(grid, k=-1)
+        K = np.kron(np.eye(grid), T) + np.kron(T, np.eye(grid))
+        assert np.array_equal(csr.toarray(), K)
+        # no stored zeros: one entry per stencil point
+        assert csr.has_canonical_format
+        assert csr.nnz == 5 * grid**2 - 4 * grid
+        assert csr.indices.dtype == csr.indptr.dtype == np.int32
 
 
 def test_random_sparse_diagonally_dominant():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, SparseMatrix,
                       UNIFIED64, arnoldi, best_attainable_residual,
@@ -78,6 +80,14 @@ def test_ilu0_rejects_zero_diagonal():
         ilu0(A)
 
 
+def _arnoldi_error(A, dec):
+    """||A Q_j - Q H|| / ||A Q_j|| for the j columns of H, with H cut to the
+    columns of Q (a zero last row after a breakdown)."""
+    j = dec.H.shape[1]
+    AQ = np.column_stack([A.matvec(dec.Q[:, i]) for i in range(j)])
+    return np.linalg.norm(AQ - dec.Q @ dec.H[:dec.Q.shape[1]]) / np.linalg.norm(AQ)
+
+
 def test_arnoldi_identity(rng):
     # A Q_m = Q_{m+1} H_m up to the working precision
     A = generate_random_sparse(200, 5, seed=1)
@@ -85,9 +95,7 @@ def test_arnoldi_identity(rng):
     theta = make_sketch(SketchKind.PSRHT, 64, 200, seed=0)
     for variant in (GsVariant.RGS, GsVariant.CGS2):
         dec = arnoldi(A, b, 15, variant=variant, theta=theta, policy=UNIFIED64)
-        AQ = np.column_stack([A.matvec(dec.Q[:, j]) for j in range(15)])
-        err = np.linalg.norm(AQ - dec.Q @ dec.H) / np.linalg.norm(AQ)
-        assert err < 1e-12, variant
+        assert _arnoldi_error(A, dec) < 1e-12, variant
         assert dec.H.shape == (16, 15)
         assert dec.beta > 0
 
@@ -148,24 +156,95 @@ def test_gmres_preconditioned_converges_faster(rng):
     assert pre.final_residual < plain.final_residual
 
 
-@pytest.mark.parametrize("variant,policy", [(GsVariant.RGS, UNIFIED64),
-                                            (GsVariant.RGS, MIXED32_64),
-                                            (GsVariant.CGS2, UNIFIED64)],
-                         ids=["rgs-f64", "rgs-mixed", "cgs2-f64"])
+_BREAKDOWN_CASES = pytest.mark.parametrize(
+    "variant,policy", [(GsVariant.RGS, UNIFIED64), (GsVariant.RGS, MIXED32_64),
+                       (GsVariant.CGS2, UNIFIED64)],
+    ids=["rgs-f64", "rgs-mixed", "cgs2-f64"])
+
+
+def _diagonal(values, n=4096, seed=0):
+    """diag(values) repeated to n rows, and a seeded right-hand side."""
+    A = SparseMatrix.from_scipy(
+        scipy.sparse.diags(np.asarray(values)[np.arange(n) % len(values)]))
+    return A, np.random.default_rng(seed).standard_normal(n)
+
+
+@_BREAKDOWN_CASES
 def test_gmres_breakdown_is_not_convergence(variant, policy):
     # A has three distinct eigenvalues, so the Krylov space is exhausted after
-    # three columns; the breaking column is dropped, the residual stays large,
-    # and the solve must not report convergence
-    n = 4096
-    A = SparseMatrix.from_scipy(scipy.sparse.diags(np.arange(n) % 3 + 1.0))
-    b = np.random.default_rng(0).standard_normal(n)
-    theta = make_sketch(SketchKind.PSRHT, 200, n, seed=0)
+    # three columns and the guard trips on the fourth; the breaking column is
+    # kept with a zero subdiagonal, which solves the system in binary64 and
+    # leaves the binary32 plateau under the mixed policy, and convergence is
+    # read from the true residual only
+    A, b = _diagonal([1.0, 2.0, 3.0])
+    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
     tol = 1e-10
     res = gmres(A, b, m=10, variant=variant, theta=theta, policy=policy,
                 tol=tol)
     assert res.breakdown
-    assert res.final_residual > tol
     assert res.converged == (res.final_residual <= tol)
+    assert res.iterations == 3 and res.residual_history[-1] == 0.0
+    if policy is UNIFIED64:
+        assert res.final_residual <= tol
+    else:
+        assert res.final_residual <= 1e-5  # criterion 7's band for rgs
+
+    dec = arnoldi(A, b, 10, variant=variant, theta=theta, policy=policy)
+    assert dec.breakdown
+    assert dec.Q.shape == (A.n, 3) and dec.H.shape == (4, 3)
+    assert np.all(dec.H[3] == 0.0)
+    if policy is UNIFIED64:
+        assert _arnoldi_error(A, dec) <= 1e-14
+
+
+@_BREAKDOWN_CASES
+def test_gmres_singular_breakdown_keeps_previous_iterate(variant, policy):
+    # A = diag(0, 1, ...) and b has a component in its null space: the
+    # Krylov space is spent after two columns and the projected operator is
+    # singular there, so the breaking column is dropped and the previous
+    # iterate returned; keeping it would divide by a vanishing pivot
+    A, b = _diagonal([0.0, 1.0])
+    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    res = gmres(A, b, m=10, variant=variant, theta=theta, policy=policy,
+                tol=1e-10)
+    assert res.breakdown and not res.converged
+    assert res.iterations == 1
+    assert np.all(np.isfinite(res.x)) and np.linalg.norm(res.x) < 1e3
+    # the optimum over all x is ||P_null b|| / ||b||, about 0.7083
+    assert res.final_residual <= 0.72
+
+
+@st.composite
+def _spectra(draw):
+    """1 to 6 eigenvalues in [0.5, 10], at least 0.25 apart."""
+    d = draw(st.integers(1, 6))
+    slack = 9.5 - 0.25 * (d - 1)
+    cuts = sorted(draw(st.lists(st.floats(0.0, slack), min_size=d,
+                                max_size=d)))
+    return [0.5 + c + 0.25 * i for i, c in enumerate(cuts)]
+
+
+@given(values=_spectra(), n=st.integers(64, 4096), seed=st.integers(0, 2**32),
+       k_extra=st.integers(0, 55))
+def test_krylov_exhausts_diagonal_spectrum(values, n, seed, k_extra):
+    # d distinct eigenvalues exhaust the Krylov space after d columns, so
+    # GMRES converges within d + 1 iterations whether the guard trips at
+    # step d (the kept column solves) or not (step d + 1 then does)
+    d = len(values)
+    m = d + 2
+    A, b = _diagonal(values, n, seed)
+    theta = make_sketch(SketchKind.PSRHT, m + 1 + k_extra, n, seed=seed)
+    tol = 1e-10
+    for variant in (GsVariant.RGS, GsVariant.CGS2):
+        res = gmres(A, b, m, variant=variant, theta=theta, policy=UNIFIED64,
+                    tol=tol)
+        assert res.converged and res.iterations <= d + 1, variant
+        assert abs(res.residual_history[-1] - res.final_residual) <= tol
+        dec = arnoldi(A, b, m, variant=variant, theta=theta, policy=UNIFIED64)
+        if dec.breakdown:
+            j = dec.Q.shape[1]
+            assert dec.H.shape == (j + 1, j) and np.all(dec.H[j] == 0.0)
+            assert _arnoldi_error(A, dec) <= 1e-13, variant
 
 
 def test_gmres_stops_on_true_residual():
