@@ -202,7 +202,8 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
 
     The right-hand side is b = A y / ||A y|| with y the all-ones vector.
     Returns {variant name: (ExperimentReport, GmresResult)} with the
-    estimated residual per iteration and a final cond(Q) trace.
+    estimated residual per iteration and a final cond(Q) trace. Without a
+    tolerance the report's metadata has no `converged` entry.
     """
     if m is None:
         m = config.m
@@ -234,8 +235,9 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
         report.metadata.update({"m": m, "precond": config.precond,
                                 "final_residual": f"{result.final_residual:.17g}",
                                 "tol": config.tol, "iterations": result.iterations,
-                                "converged": result.converged,
                                 "breakdown": result.breakdown})
+        if result.converged is not None:  # absent without a tolerance
+            report.metadata["converged"] = result.converged
         out[variant.value] = (report, result)
     return out
 

@@ -139,8 +139,9 @@ def _run(args) -> int:
         for variant, (report, result) in results.items():
             path = _out_path(args.out, variant, multi)
             write_report(report, path)
+            converged = "n/a" if result.converged is None else result.converged
             print(f"{variant}: {result.iterations} iterations, final residual "
-                  f"{result.final_residual:.3e}, converged={result.converged}, "
+                  f"{result.final_residual:.3e}, converged={converged}, "
                   f"breakdown={result.breakdown}, wrote {path}")
         return EXIT_OK
     if args.subcommand == "certify":

@@ -69,6 +69,19 @@ def test_gmres_bench(tmp_path, capsys):
     assert "converged=True, breakdown=False" in printed
 
 
+def test_gmres_bench_without_tol(tmp_path, capsys):
+    # nothing was asked, so the flag is reported as absent, not as False
+    out = tmp_path / "g.csv"
+    rc = main(["gmres-bench", "--matrix", "laplacian:15", "--precond",
+               "--m", "40", "--k", "200", "--policy", "f64", "--variants",
+               "rgs", "--out", str(out)])
+    assert rc == EXIT_OK
+    rep = read_report(out)
+    assert float(rep.metadata["final_residual"]) < 1e-13
+    assert "converged" not in rep.metadata
+    assert "converged=n/a, breakdown=False" in capsys.readouterr().out
+
+
 def test_certify_command(tmp_path, capsys):
     out = tmp_path / "c.csv"
     rc = main(["certify", "--n", "400", "--m", "10", "--k", "64",

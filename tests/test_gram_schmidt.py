@@ -301,5 +301,56 @@ def test_certificates_oracle(rng):
     assert lo <= sv[-1] and sv[0] <= hi
 
 
+def _gamma(j, u):
+    return j * u / (1 - j * u)
+
+
+@settings(max_examples=40)
+@given(m=st.integers(1, 24), k_extra=st.integers(0, 120),
+       n_extra=st.integers(0, 1000), log_cond=st.floats(0.0, 8.0),
+       policy=st.sampled_from([UNIFIED64, MIXED32_64, UNIFIED32]),
+       kind=st.sampled_from([SketchKind.PSRHT, SketchKind.RADEMACHER]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rgs_invariants_within_certificate(m, k_extra, n_extra, log_cond,
+                                           policy, kind, seed):
+    # Delta_m and Delta~_m are read from the stored sketches S and P. The
+    # sketches of the returned Q and of W must satisfy S^T S ~ I and P ~ S R
+    # within those values, up to what separates stored from recomputed
+    # sketches: Q rounded to the coarse format, the binary64 applies (sums of
+    # at most s < 2n terms, |Theta| having 2-norm sqrt(n)), the cast and the
+    # division in the fine format, and the binary64 evaluation of both sides
+    # k well above m: with k = m the sketch of W can come near rank loss
+    k, u64 = 2 * m + 8 + k_extra, 2.0**-53
+    n = k + n_extra
+    W = _problem(np.random.default_rng(seed), n=n, m=m, cond=10.0**log_cond)
+    theta = make_sketch(kind, k, n, seed=seed)
+    # the guard off: a numerically dependent column is pushed through too
+    f, cert = rgs_factorize(W, theta, policy, breakdown_factor=0.0)
+    uc, uf = policy.u_crs, policy.u_fine
+    Q, R = f.Q.astype(np.float64), f.R
+    S, P = f.S.astype(np.float64), f.P.astype(np.float64)
+    SQ, PW = theta.apply_block(Q), theta.apply_block(W)
+    e_apply = _gamma(2 * n, u64) * math.sqrt(n) + u64
+    theta_2 = np.linalg.norm(theta.materialize(), 2)
+    q_norms = np.linalg.norm(Q, axis=0) / (1 - uc)
+    # ||SQ - S||_F <= eta, column by column
+    eta = 1.01 * np.linalg.norm(q_norms * (theta_2 * (uc + 2 * uf)
+                                           + 2 * e_apply))
+    gram = np.linalg.norm(np.eye(m) - SQ.T @ SQ)
+    assert gram <= ((1 + 4 * u64) * cert.delta_m
+                    + 2 * np.linalg.norm(S, 2) * eta + eta**2
+                    + _gamma(k, u64) * (np.linalg.norm(S)**2
+                                        + np.linalg.norm(SQ)**2))
+    p_norm = np.linalg.norm(P)
+    residual = np.linalg.norm(PW - SQ @ R)
+    assert residual <= ((1 + 4 * u64) * cert.delta_tilde_m * p_norm
+                        + (uf + 2 * u64) * p_norm
+                        + 2 * e_apply * np.linalg.norm(W)
+                        + eta * np.linalg.norm(R, 2)
+                        + _gamma(m + 1, u64) * (np.linalg.norm(S)
+                                                + np.linalg.norm(SQ))
+                        * np.linalg.norm(R))
+
+
 def test_loss_of_orthogonality_identity():
     assert loss_of_orthogonality(np.eye(5)) == 0.0

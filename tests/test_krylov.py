@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given
@@ -78,6 +79,88 @@ def test_ilu0_rejects_zero_diagonal():
     A = SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
         ilu0(A)
+
+
+@pytest.mark.parametrize("rows, cols, vals, bad_row", [
+    # row 0's pivot, which no later row eliminates with
+    ([0, 1], [0, 1], [1e-40, 1.0], 0),
+    # the same pivot, reached through the (1, 0) entry
+    ([0, 1, 1], [0, 1, 0], [1e-40, 1.0, 1.0], 0),
+    # two small pivots: the lowest row is named
+    ([0, 1, 2, 3], [0, 1, 2, 3], [1.0, 1e-40, 1.0, 0.0], 1),
+    # a pivot that cancels in the elimination: [[1, 1], [1, 1]]
+    ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], 1),
+])
+def test_ilu0_checks_every_pivot(rows, cols, vals, bad_row):
+    A = SparseMatrix.from_coo(max(rows) + 1, rows, cols, vals)
+    with pytest.raises(ZeroDivisionError, match=rf"at row {bad_row}$"):
+        ilu0(A)
+
+
+def _ilu0_reference(A, pivot_tol=1e-30):
+    """The row-by-row IKJ loop with one column -> position dict per row, as
+    `ilu0` ran before its level-scheduled form; the factors of `ilu0` must
+    equal these bit for bit. Returns (L, U) as CSR matrices."""
+    n = A.n
+    indptr = A.csr.indptr
+    indices = A.csr.indices
+    data = A.csr.data.copy()
+    colmaps = [{int(indices[p]): p for p in range(indptr[i], indptr[i + 1])}
+               for i in range(n)]
+    diag_pos = [colmaps[i][i] for i in range(n)]
+    for i in range(1, n):
+        lo, hi = indptr[i], indptr[i + 1]
+        for p in range(lo, hi):
+            k = int(indices[p])
+            if k >= i:
+                break
+            pivot = data[diag_pos[k]]
+            if abs(pivot) < pivot_tol:
+                raise ZeroDivisionError(f"ILU(0) pivot too small at row {k}")
+            lik = data[p] / pivot
+            data[p] = lik
+            cmk = colmaps[k]
+            for q in range(p + 1, hi):
+                pos = cmk.get(int(indices[q]))
+                if pos is not None:
+                    data[q] -= lik * data[pos]
+        if abs(data[diag_pos[i]]) < pivot_tol:
+            raise ZeroDivisionError(f"ILU(0) pivot too small at row {i}")
+    full = scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                                   shape=(n, n))
+    L = scipy.sparse.tril(full, k=-1, format="csr")
+    L = (L + scipy.sparse.eye(n, format="csr")).tocsr()
+    U = scipy.sparse.triu(full, k=0, format="csr")
+    return L, U
+
+
+@st.composite
+def _ilu_matrices(draw):
+    """A seeded diagonally dominant sparse matrix, or a small Laplacian."""
+    if draw(st.booleans()):
+        return generate_laplacian_2d(draw(st.integers(2, 12)))
+    n = draw(st.integers(1, 150))
+    nnz_per_row = draw(st.integers(0, min(n - 1, 9)))
+    shift = draw(st.sampled_from([1e-3, 1.0]))
+    return generate_random_sparse(n, nnz_per_row, draw(st.integers(0, 2**32)),
+                                  diag_shift=shift)
+
+
+@given(A=_ilu_matrices(), seed=st.integers(0, 2**32))
+def test_ilu0_matches_reference_loop(A, seed):
+    # the level-scheduled factorization keeps the loop's operation order, so
+    # its factors are the same bits; the SuperLU solve applies those factors
+    pre = ilu0(A)
+    L, U = _ilu0_reference(A)
+    for got, ref in ((pre.L, L), (pre.U, U)):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+    v = np.random.default_rng(seed).standard_normal(A.n)
+    ref = scipy.linalg.solve_triangular(
+        U.toarray(), scipy.linalg.solve_triangular(
+            L.toarray(), v, lower=True, unit_diagonal=True))
+    assert np.linalg.norm(pre.solve(v) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def _arnoldi_error(A, dec):
@@ -288,8 +371,22 @@ def test_krylov_rejects_sketch_below_m_plus_one(monkeypatch, method, m):
 
 def test_gmres_zero_rhs():
     A = generate_laplacian_2d(5)
-    res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)
+    res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS, tol=1e-12)
     assert res.converged and np.all(res.x == 0.0)
+    res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)
+    assert res.converged is None and np.all(res.x == 0.0)
+
+
+def test_gmres_without_tolerance_reports_no_convergence_flag():
+    # without a tolerance there is nothing to compare against: the flag is
+    # absent, not False, even at a residual near the unit roundoff
+    A = generate_laplacian_2d(15)
+    b = A.matvec(np.ones(A.n))
+    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    res = gmres(A, b, m=40, theta=theta, policy=UNIFIED64,
+                preconditioner=ilu0(A))
+    assert res.final_residual < 1e-13
+    assert res.converged is None
 
 
 def test_gmres_mixed_precision_reaches_coarse_accuracy(rng):
