@@ -50,7 +50,7 @@ class CertificationParams:
 def make_certification_sketch(params: CertificationParams, n: int,
                               kind: SketchKind = SketchKind.RADEMACHER) -> SketchOperator:
     """Build Phi. Any oblivious single-vector embedding works; at large n,
-    kind=PSRHT spares regenerating Rademacher sign blocks on every apply."""
+    kind=PSRHT spares redrawing Rademacher sign blocks on each vector apply."""
     return SketchOperator(kind, params.dimension(), n, params.phi_seed)
 
 

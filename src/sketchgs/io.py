@@ -102,8 +102,8 @@ def generate_laplacian_2d(grid: int) -> SparseMatrix:
     T = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid, grid))
     I = scipy.sparse.identity(grid)
     # csr: kron's default block format stores the zeros of a small dense T
-    return SparseMatrix.from_scipy(scipy.sparse.kron(I, T, format="csr")
-                                   + scipy.sparse.kron(T, I, format="csr"))
+    return SparseMatrix(csr=scipy.sparse.kron(I, T, format="csr")
+                        + scipy.sparse.kron(T, I, format="csr"))
 
 
 def generate_random_sparse(n: int, nnz_per_row: int, seed: int,

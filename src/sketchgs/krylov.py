@@ -27,8 +27,8 @@ __all__ = [
 
 @dataclass
 class SparseMatrix:
-    """Square matrix held as one scipy CSR matrix with binary64 values and
-    duplicate entries summed.
+    """Square matrix held as a binary64 copy of the given scipy CSR matrix,
+    canonical (sorted column indices, duplicates summed) as `ilu0` assumes.
 
     `symmetric_expansion_applied` records that the off-diagonal mirror of a
     symmetric input was materialized at construction.
@@ -36,6 +36,12 @@ class SparseMatrix:
 
     csr: scipy.sparse.csr_matrix
     symmetric_expansion_applied: bool = False
+
+    def __post_init__(self):
+        self.csr = scipy.sparse.csr_matrix(self.csr, dtype=np.float64, copy=True)
+        if self.csr.shape[0] != self.csr.shape[1]:
+            raise ValueError("matrix must be square")
+        self.csr.sum_duplicates()  # sorts the indices first
 
     @property
     def n(self) -> int:
@@ -62,16 +68,7 @@ class SparseMatrix:
             cols = np.concatenate([cols, rows[:off.size][off]])
             vals = np.concatenate([vals, vals[off]])
         m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
         return cls(csr=m, symmetric_expansion_applied=symmetric)
-
-    @classmethod
-    def from_scipy(cls, m) -> "SparseMatrix":
-        m = scipy.sparse.csr_matrix(m, dtype=np.float64, copy=True)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        m.sum_duplicates()
-        return cls(csr=m)
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return self.csr

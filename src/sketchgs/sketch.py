@@ -2,10 +2,11 @@
 
 Two sketch families are provided: rescaled Rademacher matrices (i.i.d.
 +-1/sqrt(k) entries, drawn in blocks of columns, one counter-based Philox
-stream per block, and kept or regenerated per apply by size) and the partial
-subsampled randomized Hadamard transform (P-SRHT: sign flip, fast
-Walsh-Hadamard transform on the padded power-of-two dimension, uniform row
-sampling without replacement, 1/sqrt(k) scaling).
+stream per block, kept or regenerated by size, and read once per apply of a
+vector or a block) and the partial subsampled randomized Hadamard transform
+(P-SRHT: sign flip, fast Walsh-Hadamard transform on the padded power-of-two
+dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
+`apply` and `apply_block` run one body; `apply_block` says how they differ.
 
 All randomness is a pure function of (kind, k, n, seed); equal parameters
 produce bit-identical operators. Sketch-dimension bounds use natural
@@ -199,27 +200,36 @@ class SketchOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {x.shape}")
-        scale = 1.0 / math.sqrt(self.k)
-        if self.kind is SketchKind.RADEMACHER:
-            acc = np.zeros(self.k)
-            for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
-                acc += self._sign_block(b) @ x[j0:j0 + _COLUMN_BLOCK]
-            return scale * acc
-        padded = np.zeros(self.s)
-        padded[:self.n] = self.signs * x
-        return scale * fwht(padded)[self.sample_indices]
+        return self._apply(x)
 
     def apply_block(self, X) -> np.ndarray:
-        """Columnwise Theta @ X; bit-identical to per-column `apply`."""
+        """Columnwise Theta @ X for an n x N block (a vector is one column).
+
+        A Rademacher block takes one gemm per sign block, so its columns equal
+        `apply` of each column only to roundoff; P-SRHT columns equal it bit
+        for bit."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[:, None]
-        if X.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} rows, got {X.shape[0]}")
-        out = np.empty((self.k, X.shape[1]))
-        for j in range(X.shape[1]):
-            out[:, j] = self.apply(X[:, j])
-        return out
+        if X.ndim != 2 or X.shape[0] != self.n:
+            raise ValueError(f"expected {self.n} rows and 2 axes, got {X.shape}")
+        return self._apply(X)
+
+    def _apply(self, X: np.ndarray) -> np.ndarray:
+        """Theta @ X for a binary64 n-vector or n x N block X."""
+        acc = np.zeros((self.k,) + X.shape[1:])
+        if self.kind is SketchKind.RADEMACHER:
+            # a gemv or a gemm: each sign block is read or drawn once per call
+            for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
+                acc += self._sign_block(b) @ X[j0:j0 + _COLUMN_BLOCK]
+        else:
+            # one column at a time, as fwht works anyway: no s x N padded block
+            out = acc.reshape(self.k, -1)  # a view: columns land in acc
+            padded = np.zeros(self.s)
+            for j, x in enumerate(X.reshape(self.n, -1).T):
+                padded[:self.n] = self.signs * x
+                out[:, j] = fwht(padded)[self.sample_indices]
+        return (1.0 / math.sqrt(self.k)) * acc
 
     def materialize(self) -> np.ndarray:
         """Dense k x n matrix; intended for small-n diagnostics and tests."""

@@ -37,7 +37,7 @@ def test_from_coo_bounds():
 
 def test_matvec_matches_scipy(rng):
     S = scipy.sparse.random(50, 50, density=0.1, random_state=1, format="csr")
-    A = SparseMatrix.from_scipy(S)
+    A = SparseMatrix(csr=S)
     x = rng.standard_normal(50)
     assert np.allclose(A.matvec(x), S @ x, atol=1e-14)
 
@@ -73,6 +73,23 @@ def test_ilu0_solve_is_triangular_solve(rng):
     # oracle: dense solve with the same factors
     ref = np.linalg.solve(pre.U.toarray(), np.linalg.solve(pre.L.toarray(), v))
     assert np.allclose(y, ref, atol=1e-10)
+
+
+def test_ilu0_canonicalizes_unsorted_rows():
+    # the same matrix with every row's entries stored in reverse column order
+    A = generate_random_sparse(50, 4, seed=1)
+    c = A.csr
+    rev = np.concatenate([np.arange(c.indptr[i], c.indptr[i + 1])[::-1]
+                          for i in range(A.n)])
+    given = scipy.sparse.csr_matrix((c.data[rev], c.indices[rev], c.indptr),
+                                    shape=c.shape)
+    B = SparseMatrix(csr=given)
+    assert np.array_equal(given.indices, c.indices[rev])  # held on a copy
+    PA, PB = ilu0(A), ilu0(B)
+    for F, G in ((PA.L, PB.L), (PA.U, PB.U)):
+        assert np.array_equal(F.indptr, G.indptr)
+        assert np.array_equal(F.indices, G.indices)
+        assert np.array_equal(F.data, G.data)
 
 
 def test_ilu0_rejects_zero_diagonal():
@@ -185,7 +202,7 @@ def test_arnoldi_identity(rng):
 
 def test_arnoldi_lucky_breakdown():
     # b an exact eigenvector: the Krylov subspace is 1-dimensional
-    A = SparseMatrix.from_scipy(scipy.sparse.eye(30, format="csr") * 2.0)
+    A = SparseMatrix(csr=scipy.sparse.eye(30, format="csr") * 2.0)
     b = np.zeros(30)
     b[0] = 1.0
     dec = arnoldi(A, b, 5, variant=GsVariant.MGS, policy=UNIFIED64)
@@ -247,8 +264,8 @@ _BREAKDOWN_CASES = pytest.mark.parametrize(
 
 def _diagonal(values, n=4096, seed=0):
     """diag(values) repeated to n rows, and a seeded right-hand side."""
-    A = SparseMatrix.from_scipy(
-        scipy.sparse.diags(np.asarray(values)[np.arange(n) % len(values)]))
+    A = SparseMatrix(csr=scipy.sparse.diags(
+        np.asarray(values)[np.arange(n) % len(values)]))
     return A, np.random.default_rng(seed).standard_normal(n)
 
 

@@ -171,11 +171,37 @@ def test_sketch_entries_are_pm_scaled(kind):
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
 def test_apply_block_matches_apply(kind, rng):
-    th = make_sketch(kind, 20, 50, seed=5)
-    X = rng.standard_normal((50, 4))
+    if kind is SketchKind.PSRHT:
+        # each column is transformed alone: the bits of its own apply
+        th = make_sketch(kind, 20, 50, seed=5)
+        X = rng.standard_normal((50, 4))
+        blk = th.apply_block(X)
+        for j in range(4):
+            assert np.array_equal(blk[:, j], th.apply(X[:, j]))
+        return
+    # Rademacher: a block is one gemm per sign block and a vector one gemv,
+    # which sum in different orders, so both are held to the a-priori bound
+    # against a reference. n = 5000 spans a full and a partial sign block.
+    k, n = 20, 5000
+    th = make_sketch(kind, k, n, seed=5)
+    X = rng.standard_normal((n, 4))
     blk = th.apply_block(X)
+    scale = 1.0 / math.sqrt(k)
+    signs = np.sign(th.materialize())
+    u = 2.0**-53
+    gamma = n * u / (1.0 - n * u)
     for j in range(4):
-        assert np.array_equal(blk[:, j], th.apply(X[:, j]))
+        col = th.apply(X[:, j])
+        # Every +-1 * x_j is exact; let S be their exact sum and A = sum |x_j|
+        # >= |S|. fsum rounds S once and the scale once more, so
+        # |ref - scale S| <= (2u + u^2) scale A. Any summation order is
+        # within gamma_n A of S and the scale rounds once, so
+        # |got - scale S| <= ((1 + u) gamma_n + u) scale A. Together:
+        tol = ((1.0 + u) * gamma + 4.0 * u) * scale * np.sum(np.abs(X[:, j]))
+        for i in range(k):
+            ref = scale * math.fsum(signs[i] * X[:, j])
+            assert abs(blk[i, j] - ref) <= tol
+            assert abs(col[i] - ref) <= tol
 
 
 def test_rademacher_streamed_matches_dense(rng, monkeypatch):
@@ -186,6 +212,20 @@ def test_rademacher_streamed_matches_dense(rng, monkeypatch):
     monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
     streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
     assert np.array_equal(dense, streamed)
+
+
+def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
+    # n = 9000 spans three column blocks, the last one partial
+    X = rng.standard_normal((9000, 5))
+    kept = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply_block(X)
+    monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
+    draws = []
+    philox = sk._philox
+    monkeypatch.setattr(sk, "_philox", lambda seed, stream:
+                        draws.append(stream) or philox(seed, stream))
+    streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply_block(X)
+    assert np.array_equal(streamed, kept)
+    assert draws == [0, 1, 2]  # each sign block once, not once per column
 
 
 @pytest.mark.filterwarnings("ignore:sketch dimension")
@@ -237,6 +277,8 @@ def test_sketch_validation():
     th = make_sketch(SketchKind.PSRHT, 4, 10, seed=0)
     with pytest.raises(ValueError):
         th.apply(np.zeros(11))
+    with pytest.raises(ValueError):
+        th.apply_block(np.zeros((10, 2, 2)))
     # P-SRHT samples k distinct rows of the padded size s = 128 of n = 100
     with pytest.warns(UserWarning), pytest.raises(ValueError, match="s=128"):
         SketchOperator(SketchKind.PSRHT, 200, 100, seed=0)
