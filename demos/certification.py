@@ -38,12 +38,10 @@ def main():
         omega = epsilon_of(theta, f.Q)  # exact, needs the full basis
         print(f"k={k:4d}: exact omega={omega:.4f}  certified "
               f"omega_bar={res.omega_bar_q:.4f}  "
-              f"(advisory half: {res.omega_bar_q_halved:.4f}, "
-              f"margin ok: {res.margin_ok_q})")
+              f"(margin ok: {res.margin_ok_q})")
 
-    print("\nomega_bar always sits above the exact omega; halving it is a "
-          "practical estimate, not a guarantee. Increasing k improves the "
-          "embedding and both quantities shrink together.")
+    print("\nomega_bar always sits above the exact omega. Increasing k "
+          "improves the embedding and both quantities shrink together.")
 
 
 if __name__ == "__main__":

@@ -111,10 +111,6 @@ class CertificationResult:
     margin_w: float
     margin_ok_q: bool
     margin_ok_w: bool
-    # Advisory: the bound is observed to overestimate by roughly 2x in
-    # practice; reported separately and never substituted for the bound.
-    omega_bar_q_halved: float
-    omega_bar_w_halved: float
 
 
 def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
@@ -144,6 +140,4 @@ def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
         margin_q=margin_q, margin_w=margin_w,
         margin_ok_q=margin_q <= 0.1 * max(abs(ob_q), eps_star),
         margin_ok_w=margin_w <= 0.1 * max(abs(ob_w), eps_star),
-        omega_bar_q_halved=0.5 * ob_q,
-        omega_bar_w_halved=0.5 * ob_w,
     )

@@ -48,8 +48,8 @@ class BreakdownError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A NaN or infinity in an input column, or in a column of Q once it is
-    stored in the coarse format (binary32 overflow), at a (1-based) index."""
+    """A NaN or infinity in an input column, in a norm the breakdown guard
+    reads, or in a column of Q stored in the coarse format, at a 1-based index."""
 
     def __init__(self, column: int, where: str):
         super().__init__(f"non-finite {where} at column {column}")
@@ -174,33 +174,24 @@ def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:
     return out
 
 
-class RgsState:
-    """Streaming state of the randomized factorizer; one column per `push`.
+class _GsState:
+    """What every Gram-Schmidt variant shares: Q (laid out in `_Q_ORDER`) and
+    R, doubled when full, the input checks, the breakdown guard and the store.
+    A variant's `push` runs its projection pass between `_next_column` and
+    `_store`; a push that raises leaves the trimmed views as they were."""
 
-    Exposed so a Krylov iteration can generate w_{i+1} = A q_i between steps.
-    Arrays hold `capacity` columns and double when full; `factors()` returns
-    copies trimmed to the current column count. Q is column-major, so the
-    update Q r sees leading dimension n whatever `capacity` is.
-    """
-
-    def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
-                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
-        self.theta = theta
+    def __init__(self, n: int, policy: PrecisionPolicy, capacity: int,
+                 breakdown_factor: float):
         self.policy = policy
         # breakdown_factor = 0 disables the guard: benchmark protocols push
         # through numerically singular columns the way the solver would.
         self.breakdown_factor = breakdown_factor
-        n, k = theta.n, theta.k
+        self.n = n
         self.m = 0
-        # column-contiguous: the update Q r is a unit-stride gemv, a new
-        # column is one contiguous write, and unused columns are never touched
-        self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype, order="F")
+        self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype,
+                           order=self._Q_ORDER)
         self._R = np.zeros((capacity, capacity))
-        self._S = np.zeros((k, capacity), dtype=policy.fine_dtype)
-        self._P = np.zeros((k, capacity), dtype=policy.fine_dtype)
-        self._qr = _IncrementalHouseholderQR(k, policy.fine_dtype)
 
-    # trimmed views --------------------------------------------------------
     @property
     def Q(self):
         return self._Q[:, :self.m]
@@ -208,6 +199,59 @@ class RgsState:
     @property
     def R(self):
         return self._R[:self.m, :self.m]
+
+    def _grow(self):
+        cap = self._Q.shape[1]
+        if self.m < cap:
+            return
+        self._Q = _widened(self._Q, (self.n, 2 * cap), self._Q_ORDER)
+        self._R = _widened(self._R, (2 * cap, 2 * cap))
+
+    def _next_column(self, w) -> np.ndarray:
+        """Room for one more column, and w as a checked binary64 vector."""
+        self._grow()
+        # one contiguous copy, so a strided column of W is read only once
+        w64 = np.ascontiguousarray(w, dtype=np.float64)
+        if w64.shape != (self.n,):
+            raise ValueError("column length mismatch")
+        _require_finite(w64, self.m + 1, "input")
+        return w64
+
+    def _store(self, qp, r_col, r_ii: float, ref_norm: float) -> None:
+        """Guard, then store q'/r_ii as column m of Q and (r_col, r_ii) as
+        column m of R; the division runs in the dtype of q'. The guard trips
+        when r_ii <= breakdown_factor * u_crs * ref_norm."""
+        i = self.m
+        tol = self.breakdown_factor * self.policy.u_crs * ref_norm
+        if r_ii == np.inf or tol == np.inf:  # overflowed, not vanishing
+            raise NonFiniteError(i + 1, "norm")
+        if r_ii <= tol:
+            raise BreakdownError(i + 1, r_ii, tol, r_col)
+        self._Q[:, i] = qp / qp.dtype.type(r_ii)  # rounded to the coarse format
+        _require_finite(self._Q[:, i], i + 1, "stored column of Q")
+        self._R[:i, i] = r_col
+        self._R[i, i] = r_ii
+
+
+class RgsState(_GsState):
+    """Streaming state of the randomized factorizer; one column per `push`.
+
+    Exposed so a Krylov iteration can generate w_{i+1} = A q_i between steps.
+    `factors()` returns copies trimmed to the current column count. Q is
+    column-major, so the update Q r sees leading dimension n whatever
+    `capacity` is, a new column is one contiguous write, and unused columns
+    are never touched.
+    """
+
+    _Q_ORDER = "F"
+
+    def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
+                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
+        super().__init__(theta.n, policy, capacity, breakdown_factor)
+        self.theta = theta
+        self._S = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
+        self._P = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
+        self._qr = _IncrementalHouseholderQR(theta.k, policy.fine_dtype)
 
     @property
     def S(self):
@@ -218,26 +262,17 @@ class RgsState:
         return self._P[:, :self.m]
 
     def _grow(self):
-        cap = self._Q.shape[1]
-        if self.m < cap:
-            return
-        self._Q = _widened(self._Q, (self._Q.shape[0], 2 * cap), "F")
-        self._R = _widened(self._R, (2 * cap, 2 * cap))
-        self._S = _widened(self._S, (self._S.shape[0], 2 * cap))
-        self._P = _widened(self._P, (self._P.shape[0], 2 * cap))
+        if self.m == self._Q.shape[1]:  # full: S and P double with Q and R
+            self._S, self._P = (_widened(a, (a.shape[0], 2 * self.m))
+                                for a in (self._S, self._P))
+        super()._grow()
 
     def push(self, w) -> float:
         """Run one iteration on the next column; returns the diagonal r_ii."""
-        self._grow()
+        w64 = self._next_column(w)
         i = self.m  # zero-based index of the new column
         policy = self.policy
         fine = policy.fine_dtype
-        # one contiguous copy, so a strided column of W is read only once
-        w64 = np.ascontiguousarray(w, dtype=np.float64)
-        if w64.shape != (self.theta.n,):
-            raise ValueError("column length mismatch")
-        _require_finite(w64, i + 1, "input")
-
         p = self.theta.apply(w64).astype(fine)               # Step 1 (u_fine)
 
         if i == 0:
@@ -255,17 +290,10 @@ class RgsState:
             sp = self.theta.apply(qp).astype(fine)            # Step 4
 
         r_ii = float(np.sqrt(np.sum(sp.astype(fine) * sp)))   # Step 5 (u_fine)
-        p_norm = float(np.linalg.norm(p))
-        tol = self.breakdown_factor * policy.u_crs * p_norm
-        if r_ii <= tol:
-            raise BreakdownError(i + 1, r_ii, tol, r_col)
-
-        self._Q[:, i] = qp / r_ii  # rounded to the coarse format on store
-        _require_finite(self._Q[:, i], i + 1, "stored column of Q")
+        # q' is binary64 here: divided in binary64, rounded once on store
+        self._store(qp, r_col, r_ii, float(np.linalg.norm(p)))
         self._S[:, i] = sp / fine.type(r_ii)                  # Step 6 (u_fine)
         self._P[:, i] = p
-        self._R[:i, i] = r_col.astype(np.float64)
-        self._R[i, i] = r_ii
         self._qr.append(self._S[:, i])
         self.m += 1
         return r_ii
@@ -322,7 +350,7 @@ def classical_factorize(W, variant: GsVariant, policy: PrecisionPolicy = UNIFIED
     return QrFactors(Q=state.Q.copy(), R=state.R.copy())
 
 
-class ClassicalGsState:
+class ClassicalGsState(_GsState):
     """Streaming CGS/MGS/CGS2, one column per `push`.
 
     With a binary32 coarse dtype every n-dimensional dot and update runs in
@@ -336,71 +364,38 @@ class ClassicalGsState:
     BLAS leading dimension, which can change low-order bits).
     """
 
+    _Q_ORDER = "C"
+
     def __init__(self, n: int, variant: GsVariant, policy: PrecisionPolicy,
                  capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
         if variant not in (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2):
             raise ValueError(f"classical Gram-Schmidt got {variant}")
+        super().__init__(n, policy, capacity, breakdown_factor)
         self.variant = variant
-        self.policy = policy
-        self.breakdown_factor = breakdown_factor
-        self.n = n
-        self.m = 0
-        self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype)
-        self._R = np.zeros((capacity, capacity))
-
-    @property
-    def Q(self):
-        return self._Q[:, :self.m]
-
-    @property
-    def R(self):
-        return self._R[:self.m, :self.m]
-
-    def _grow(self):
-        cap = self._Q.shape[1]
-        if self.m < cap:
-            return
-        self._Q = _widened(self._Q, (self.n, 2 * cap))
-        self._R = _widened(self._R, (2 * cap, 2 * cap))
 
     def push(self, w) -> float:
-        self._grow()
-        i = self.m
+        """Run one iteration on the next column; returns the diagonal r_ii."""
         dtype = self.policy.coarse_dtype
-        w = np.asarray(w)
-        if w.shape != (self.n,):
-            raise ValueError("column length mismatch")
-        _require_finite(w, i + 1, "input")
-        w = w.astype(dtype)
+        w = self._next_column(w).astype(dtype)
+        i = self.m
         Q = self._Q[:, :i]
-        if i == 0:
-            qp = w.copy()
-            r_col = np.zeros(0)
-        elif self.variant is GsVariant.CGS:
-            r_col = Q.T @ w
-            qp = w - Q @ r_col
-        elif self.variant is GsVariant.MGS:
-            qp = w.copy()
+        if self.variant is GsVariant.MGS:
+            qp = w
             r_col = np.zeros(i, dtype=dtype)
             for j in range(i):
                 # unit-stride copy: a strided sdot may accumulate in binary64
                 q = np.ascontiguousarray(Q[:, j])
                 r_col[j] = q @ qp
                 qp = qp - r_col[j] * q
-        else:  # CGS2: classical projector applied twice
-            r1 = Q.T @ w
-            q1 = w - Q @ r1
-            r2 = Q.T @ q1
-            qp = q1 - Q @ r2
-            r_col = r1.astype(np.float64) + r2.astype(np.float64)
+        else:  # CGS; CGS2 applies the classical projector twice
+            qp, r_col = w, np.zeros(i)
+            for _ in range(2 if self.variant is GsVariant.CGS2 else 1):
+                r = Q.T @ qp
+                qp = qp - Q @ r
+                r_col += r  # summed in binary64
         r_ii = float(np.linalg.norm(qp))
-        tol = self.breakdown_factor * self.policy.u_crs * float(np.linalg.norm(w))
-        if r_ii <= tol:
-            raise BreakdownError(i + 1, r_ii, tol, r_col)
-        self._Q[:, i] = qp / dtype.type(r_ii)
-        _require_finite(self._Q[:, i], i + 1, "stored column of Q")
-        self._R[:i, i] = r_col
-        self._R[i, i] = r_ii
+        # q' is in the coarse format, and so is the division
+        self._store(qp, r_col, r_ii, float(np.linalg.norm(w)))
         self.m += 1
         return r_ii
 

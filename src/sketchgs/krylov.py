@@ -29,13 +29,9 @@ __all__ = [
 class SparseMatrix:
     """Square matrix held as a binary64 copy of the given scipy CSR matrix,
     canonical (sorted column indices, duplicates summed) as `ilu0` assumes.
-
-    `symmetric_expansion_applied` records that the off-diagonal mirror of a
-    symmetric input was materialized at construction.
     """
 
     csr: scipy.sparse.csr_matrix
-    symmetric_expansion_applied: bool = False
 
     def __post_init__(self):
         self.csr = scipy.sparse.csr_matrix(self.csr, dtype=np.float64, copy=True)
@@ -68,7 +64,7 @@ class SparseMatrix:
             cols = np.concatenate([cols, rows[:off.size][off]])
             vals = np.concatenate([vals, vals[off]])
         m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(csr=m, symmetric_expansion_applied=symmetric)
+        return cls(csr=m)
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return self.csr

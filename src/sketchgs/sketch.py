@@ -103,35 +103,29 @@ def _hadamard(bits: int, dtype: np.dtype) -> np.ndarray:
 
 
 def fwht(v):
-    """Unnormalized fast Walsh-Hadamard transform along axis 0.
+    """Unnormalized fast Walsh-Hadamard transform of a vector, as a new array.
 
-    Sylvester (natural) ordering, O(s log s). The leading dimension s must be
-    a power of two. Input dtype is preserved. H_s is applied as the Kronecker
+    Sylvester (natural) ordering, O(s log s). The length s must be a power
+    of two. Input dtype is preserved. H_s is applied as the Kronecker
     product of Hadamard factors of order at most 2**6, each one BLAS matmul
     on the vector reshaped to a matrix (Andoni et al., arXiv:1509.02897).
-    Columns of a matrix input are transformed one at a time, so each equals
-    the transform of that column alone, bit for bit.
     """
-    a = np.asarray(v)
-    s = a.shape[0]
+    x = np.asarray(v)
+    s = x.shape[0] if x.ndim == 1 else 0
     if s < 1 or (s & (s - 1)) != 0:
-        raise ValueError(f"leading dimension {s} is not a power of two")
+        raise ValueError(f"shape {x.shape} is not a power-of-two length vector")
+    x = np.ascontiguousarray(x)  # BLAS path whatever the stride
     bits = s.bit_length() - 1
-    factors = [_hadamard(min(6, bits - b), a.dtype) for b in range(0, bits, 6)]
-    cols = a.reshape(s, -1)
-    out = np.empty(cols.shape, dtype=a.dtype)
-    for j in range(cols.shape[1]):
-        x = np.ascontiguousarray(cols[:, j])  # BLAS path whatever the stride
-        lead = 1
-        for H in factors:
-            # H acts on the middle axis of x viewed as (lead, d, trail)
-            d = H.shape[0]
-            trail = s // (lead * d)
-            x = (x.reshape(lead, d) @ H if trail == 1
-                 else np.matmul(H, x.reshape(lead, d, trail)))
-            lead *= d
-        out[:, j] = x.reshape(s)
-    return out.reshape(a.shape)
+    lead = 1
+    for b in range(0, bits, 6):
+        # H acts on the middle axis of x viewed as (lead, d, trail)
+        H = _hadamard(min(6, bits - b), x.dtype)
+        d = H.shape[0]
+        trail = s // (lead * d)
+        x = (x.reshape(lead, d) @ H if trail == 1
+             else np.matmul(H, x.reshape(lead, d, trail)))
+        lead *= d
+    return x.reshape(s) if bits else x.copy()
 
 
 def _next_pow2(n: int) -> int:
@@ -223,7 +217,7 @@ class SketchOperator:
             for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
                 acc += self._sign_block(b) @ X[j0:j0 + _COLUMN_BLOCK]
         else:
-            # one column at a time, as fwht works anyway: no s x N padded block
+            # one column at a time, as fwht takes one: no s x N padded block
             out = acc.reshape(self.k, -1)  # a view: columns land in acc
             padded = np.zeros(self.s)
             for j, x in enumerate(X.reshape(self.n, -1).T):
@@ -236,10 +230,6 @@ class SketchOperator:
         # column j is apply(e_j), one unit vector at a time: no n x n identity
         return np.column_stack([self.apply(np.eye(1, self.n, j)[0])
                                 for j in range(self.n)])
-
-    def frobenius_norm(self) -> float:
-        # Every entry of either construction is +-1/sqrt(k).
-        return math.sqrt(self.n)
 
 
 def make_sketch(kind: SketchKind, k: int, n: int, seed: int) -> SketchOperator:

@@ -107,7 +107,6 @@ def test_certify_factorization(rng):
     assert res.omega_bar_q >= om_q
     assert res.omega_bar_w >= om_w
     assert res.margin_ok_q and res.margin_ok_w
-    assert res.omega_bar_q_halved == pytest.approx(0.5 * res.omega_bar_q)
 
 
 def test_certify_rejects_invalid_inputs(rng):

@@ -248,24 +248,83 @@ def test_classical_mgs_binary32_independent_of_capacity(rng):
     assert np.array_equal(f.R, st.R)
 
 
-@pytest.mark.parametrize("variant", [GsVariant.RGS, GsVariant.CGS,
-                                     GsVariant.MGS], ids=lambda v: v.value)
-@pytest.mark.parametrize("fault", ["nan", "overflow"])
+def _factorize(W, variant):
+    if variant is GsVariant.RGS:
+        theta = make_sketch(SketchKind.PSRHT, 64, W.shape[0], seed=5)
+        return rgs_factorize(W, theta, MIXED32_64)[0]
+    return classical_factorize(W, variant, policy=MIXED32_64)
+
+
+_VARIANTS = pytest.mark.parametrize(
+    "variant", [GsVariant.RGS, GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2],
+    ids=lambda v: v.value)
+
+
+@_VARIANTS
+@pytest.mark.parametrize("fault", ["nan", "overflow", "norm", "ref_norm"])
 def test_nonfinite_column_raises(rng, variant, fault):
-    # a NaN in the input, or a column that overflows binary32 when Q is
-    # stored, is reported at that column instead of a non-finite Q
-    W = _problem(rng, n=200, m=5)
+    # a NaN in the input, a column that overflows binary32 when Q is stored,
+    # or a finite binary32 column whose norm overflows binary32 (that of q'
+    # for "norm", only that of w for "ref_norm") is reported at that column,
+    # not as a non-finite Q or a breakdown. RGS takes both norms of the last
+    # two in binary64, so it factorizes those inputs.
+    if fault == "norm":
+        W = rng.standard_normal((200, 5))  # q' keeps most of w
+    else:
+        W = _problem(rng, n=200, m=5)
     if fault == "nan":
         W[17, 2] = np.nan
     else:
-        W[:, 2] *= 1e40
-    with pytest.raises(NonFiniteError) as exc, np.errstate(all="ignore"):
-        if variant is GsVariant.RGS:
-            theta = make_sketch(SketchKind.PSRHT, 64, 200, seed=5)
-            rgs_factorize(W, theta, MIXED32_64)
-        else:
-            classical_factorize(W, variant, policy=MIXED32_64)
+        W[:, 2] *= 1e40 if fault == "overflow" else 1e20
+    with np.errstate(all="ignore"):
+        if variant is GsVariant.RGS and fault in ("norm", "ref_norm"):
+            assert np.isfinite(_factorize(W, variant).Q).all()
+            return
+        with pytest.raises(NonFiniteError) as exc:
+            _factorize(W, variant)
     assert exc.value.column == 3
+
+
+def _state(variant, n, capacity):
+    if variant is GsVariant.RGS:
+        theta = make_sketch(SketchKind.PSRHT, 64, n, seed=5)
+        return RgsState(theta, MIXED32_64, capacity=capacity)
+    return ClassicalGsState(n, variant, MIXED32_64, capacity=capacity)
+
+
+def _snapshot(state):
+    names = ("m", "Q", "R") + (("S", "P") if isinstance(state, RgsState) else ())
+    return {name: np.copy(getattr(state, name)) for name in names}
+
+
+@_VARIANTS
+@pytest.mark.parametrize("error", [BreakdownError, NonFiniteError],
+                         ids=lambda e: e.__name__)
+def test_failed_push_leaves_state_unchanged(rng, variant, error):
+    # the Krylov loop catches a failed push and goes on with the same state.
+    # The fifth push fails on a full capacity of 4, so the state grows in it.
+    W = _problem(rng, n=200, m=7)
+    state = _state(variant, 200, capacity=4)
+    for j in range(4):
+        state.push(W[:, j])
+    if error is BreakdownError:
+        bad = np.zeros(200)  # r_ii = 0 trips the guard in every variant
+    else:
+        bad = W[:, 4] * 1e40  # overflows binary32 when stored
+    before = _snapshot(state)
+    with pytest.raises(error), np.errstate(all="ignore"):
+        state.push(bad)
+    after = _snapshot(state)
+    for name, value in before.items():
+        assert np.array_equal(after[name], value), name
+    for j in range(4, 7):
+        state.push(W[:, j])
+    clean = _state(variant, 200, capacity=4)
+    for j in range(7):
+        clean.push(W[:, j])
+    assert state._Q.shape == clean._Q.shape
+    for name, value in _snapshot(clean).items():
+        assert np.array_equal(getattr(state, name), value), name
 
 
 def test_classical_rejects_rgs_variant():

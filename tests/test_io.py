@@ -26,7 +26,6 @@ def test_read_matrix_market_general(tmp_path):
     assert D[0, 0] == 3.0
     assert D[1, 2] == -1.0
     assert D[2, 0] == 0.04
-    assert not A.symmetric_expansion_applied
 
 
 def test_read_matrix_market_symmetric(tmp_path):
@@ -39,7 +38,6 @@ def test_read_matrix_market_symmetric(tmp_path):
     A = read_matrix_market(p)
     D = A.to_scipy().toarray()
     assert np.array_equal(D, np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert A.symmetric_expansion_applied
 
 
 def test_read_matrix_market_integer_field(tmp_path):

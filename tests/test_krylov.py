@@ -26,7 +26,6 @@ def test_from_coo_symmetric_expansion():
     # lower triangle of [[2, 1], [1, 3]]
     A = SparseMatrix.from_coo(2, [0, 1, 1], [0, 0, 1], [2.0, 1.0, 3.0],
                               symmetric=True)
-    assert A.symmetric_expansion_applied
     assert np.array_equal(_dense(A), np.array([[2.0, 1.0], [1.0, 3.0]]))
 
 

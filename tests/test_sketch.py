@@ -120,7 +120,8 @@ def test_fwht_small():
     # H2 kron H2 applied to [1,2,3,4] by hand
     assert np.array_equal(fwht(np.array([1.0, 2.0, 3.0, 4.0])),
                           np.array([10.0, -2.0, -4.0, 0.0]))
-    assert np.array_equal(fwht(np.array([5.0])), np.array([5.0]))
+    x = np.array([5.0])
+    assert np.array_equal(fwht(x), x) and not np.shares_memory(fwht(x), x)
 
 
 def test_fwht_matches_dense_hadamard():
@@ -138,15 +139,11 @@ def test_fwht_involution(rng):
     assert np.allclose(fwht(fwht(x)) / 256.0, x, atol=1e-12)
 
 
-def test_fwht_axis0_matrix(rng):
-    X = rng.standard_normal((16, 3))
-    cols = np.stack([fwht(X[:, j]) for j in range(3)], axis=1)
-    assert np.array_equal(fwht(X), cols)
-
-
 def test_fwht_rejects_non_pow2():
     with pytest.raises(ValueError):
         fwht(np.zeros(6))
+    with pytest.raises(ValueError):  # one vector, not a matrix
+        fwht(np.zeros((4, 2)))
 
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
@@ -166,7 +163,6 @@ def test_sketch_entries_are_pm_scaled(kind):
     M = th.materialize()
     assert M.shape == (16, 24)
     assert np.allclose(np.abs(M), 1.0 / math.sqrt(16))
-    assert th.frobenius_norm() == pytest.approx(math.sqrt(24))
 
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
