@@ -5,7 +5,8 @@ the BLAS backends are pinned before numpy loads (default 1, override with
 SKETCHGS_THREADS) so repeated runs are reproducible.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown
-(including non-finite input or binary32 overflow), 4 I/O failure.
+(including non-finite input, binary32 overflow and a failed dense linear
+algebra routine), 4 I/O failure.
 """
 
 import os
@@ -162,10 +163,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    from numpy.linalg import LinAlgError
+
     from .gram_schmidt import BreakdownError, NonFiniteError
     try:
         return _run(args)
-    except (BreakdownError, NonFiniteError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (BreakdownError, NonFiniteError, LinAlgError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (ValueError, TypeError) as exc:

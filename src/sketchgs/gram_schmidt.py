@@ -9,6 +9,11 @@ basis kept in compact WY form and grown one column per step (backward
 stable in the fine precision, as the stability analysis assumes); the
 expensive n-dimensional projection update runs at the coarse roundoff, and
 everything else runs fine.
+
+Step 1 (p = Theta w) needs no earlier column, so `rgs_factorize` of an array
+sketches W in blocks of columns (`RgsState.push_block`). Under P-SRHT that
+keeps the bits of pushing one column at a time; under Rademacher the block
+apply sums in another order, so its outputs agree with `push` to roundoff.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ __all__ = [
 # A column whose sketched norm falls below this multiple of u_crs*||p_i||
 # cannot be meaningfully normalized; fail loudly instead of dividing.
 BREAKDOWN_FACTOR = 10.0
+
+# Columns per push_block in rgs_factorize: a gemm per Rademacher sign block
+# instead of a gemv per column, for an extra n x 32 binary64 copy.
+_SKETCH_BLOCK = 32
 
 
 class BreakdownError(RuntimeError):
@@ -252,6 +261,7 @@ class RgsState(_GsState):
         self._S = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._qr = _IncrementalHouseholderQR(theta.k, policy.fine_dtype)
+        self._sketched = iter(())  # push_block's Step-1 sketches, in order
 
     @property
     def S(self):
@@ -268,12 +278,15 @@ class RgsState(_GsState):
         super()._grow()
 
     def push(self, w) -> float:
-        """Run one iteration on the next column; returns the diagonal r_ii."""
+        """Run one iteration on the next column; returns the diagonal r_ii.
+        Called by `push_block`, it takes Step 1 from the block's sketch."""
         w64 = self._next_column(w)
         i = self.m  # zero-based index of the new column
         policy = self.policy
         fine = policy.fine_dtype
-        p = self.theta.apply(w64).astype(fine)               # Step 1 (u_fine)
+        p = next(self._sketched, None)
+        if p is None:
+            p = self.theta.apply(w64).astype(fine, copy=False)  # Step 1 (u_fine)
 
         if i == 0:
             r_col = np.zeros(0, dtype=fine)
@@ -287,9 +300,9 @@ class RgsState(_GsState):
             crs = policy.coarse_dtype
             qp = (w64.astype(crs) - self._Q[:, :i] @ r_col.astype(crs)
                   ).astype(np.float64)
-            sp = self.theta.apply(qp).astype(fine)            # Step 4
+            sp = self.theta.apply(qp).astype(fine, copy=False)  # Step 4
 
-        r_ii = float(np.sqrt(np.sum(sp.astype(fine) * sp)))   # Step 5 (u_fine)
+        r_ii = float(np.sqrt(np.sum(sp * sp)))                # Step 5 (u_fine)
         # q' is binary64 here: divided in binary64, rounded once on store
         self._store(qp, r_col, r_ii, float(np.linalg.norm(p)))
         self._S[:, i] = sp / fine.type(r_ii)                  # Step 6 (u_fine)
@@ -297,6 +310,25 @@ class RgsState(_GsState):
         self._qr.append(self._S[:, i])
         self.m += 1
         return r_ii
+
+    def push_block(self, Wb) -> np.ndarray:
+        """`push` each column of an n x b block, with Step 1 run for all of
+        them as one `theta.apply_block`; returns their r_ii. A non-finite
+        entry pushes no column; a later failure keeps the columns before it.
+        Bits equal b `push` calls under P-SRHT, or for b = 1 (see
+        `SketchOperator.apply_block`)."""
+        Wb = np.asarray(Wb, dtype=np.float64, order="F")  # contiguous columns
+        if Wb.ndim != 2 or Wb.shape[0] != self.n:
+            raise ValueError("block must be a matrix with n rows")
+        bad = np.flatnonzero(~np.isfinite(Wb).all(axis=0))
+        if bad.size:
+            raise NonFiniteError(self.m + int(bad[0]) + 1, "input")
+        P = self.theta.apply_block(Wb).astype(self.policy.fine_dtype, order="F")
+        self._sketched = iter(P.T)
+        try:
+            return np.array([self.push(w) for w in Wb.T])
+        finally:
+            self._sketched = iter(())
 
     def factors(self) -> QrFactors:
         return QrFactors(Q=self.Q.copy(order="F"), R=self.R.copy(),
@@ -309,7 +341,8 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
     """Randomized Gram-Schmidt QR of the columns of W.
 
     Returns (QrFactors, StabilityCertificate or None). W may be an n x m
-    array or any iterable of n-vectors (columns are consumed in order).
+    array, pushed in blocks of `_SKETCH_BLOCK` columns by `push_block`, or
+    any iterable of n-vectors, pushed in order one at a time.
     """
     if isinstance(W, np.ndarray):
         if W.ndim != 2:
@@ -318,15 +351,14 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
         if not (theta.k >= m and n >= m >= 1):
             raise ValueError(f"need k >= m and n >= m >= 1, got "
                              f"k={theta.k}, n={n}, m={m}")
-        columns = (W[:, j] for j in range(m))
-        capacity = m
+        state = RgsState(theta, policy, capacity=m,
+                         breakdown_factor=breakdown_factor)
+        for j in range(0, m, _SKETCH_BLOCK):
+            state.push_block(W[:, j:j + _SKETCH_BLOCK])
     else:
-        columns = iter(W)
-        capacity = 16
-    state = RgsState(theta, policy, capacity=capacity,
-                     breakdown_factor=breakdown_factor)
-    for w in columns:
-        state.push(w)
+        state = RgsState(theta, policy, breakdown_factor=breakdown_factor)
+        for w in W:
+            state.push(w)
     factors = state.factors()
     cert = certificates(factors) if with_certificate else None
     return factors, cert

@@ -149,6 +149,18 @@ def test_exit_code_nonfinite(tmp_path, capsys):
     assert "non-finite stored column of Q at column 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["qr-bench", "certify"])
+def test_exit_code_linalg_failure(tmp_path, capsys, command):
+    # in binary32 the basis loses rank, so S^T S of the omega_bar pencil is
+    # not positive definite; numpy's LinAlgError subclasses ValueError, but
+    # it is a numerical failure, not a configuration error
+    rc = main([command, "--n", "300", "--m", "250", "--k", "260",
+               "--policy", "f32", "--variants", "rgs",
+               "--out", str(tmp_path / "l.csv")])
+    assert rc == EXIT_BREAKDOWN
+    assert "numerical breakdown" in capsys.readouterr().err
+
+
 def test_exit_code_zero_columns(tmp_path, capsys):
     rc = main(["qr-bench", "--m", "0", "--k", "16", "--matrix", "laplacian:5",
                "--variants", "rgs,cgs", "--out", str(tmp_path / "z.csv")])

@@ -9,7 +9,8 @@ from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
                       MIXED32_64, NonFiniteError, SketchKind,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       loss_of_orthogonality, make_sketch, rgs_factorize)
-from sketchgs.gram_schmidt import RgsState, _IncrementalHouseholderQR
+from sketchgs.gram_schmidt import (RgsState, _IncrementalHouseholderQR,
+                                   _SKETCH_BLOCK)
 
 
 def _problem(rng, n=400, m=12, cond=1e4):
@@ -56,16 +57,57 @@ def test_rgs_mixed_precision_storage(rng):
 
 
 def test_rgs_streaming_matches_batch(rng):
-    W = _problem(rng, n=300, m=10)
+    # the same column blocks streamed through push_block, a full and a
+    # partial one, into a state that grows from the default capacity
+    W = _problem(rng, n=300, m=40)
     theta = make_sketch(SketchKind.RADEMACHER, 80, 300, seed=2)
     batch, _ = rgs_factorize(W, theta, MIXED32_64, with_certificate=False)
     state = RgsState(theta, MIXED32_64)
-    for j in range(10):
-        state.push(W[:, j])
+    for j in range(0, 40, _SKETCH_BLOCK):
+        state.push_block(W[:, j:j + _SKETCH_BLOCK])
     f = state.factors()
     assert np.array_equal(batch.Q, f.Q)
     assert np.array_equal(batch.R, f.R)
     assert np.array_equal(batch.S, f.S)
+    assert np.array_equal(batch.P, f.P)
+
+
+@pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64],
+                         ids=["mixed", "unified64"])
+def test_push_block_of_one_column_is_push(rng, kind, policy):
+    # b = 1 is push bit for bit; n = 5000 spans two Rademacher sign blocks
+    W = _problem(rng, n=5000, m=6)
+    theta = make_sketch(kind, 40, 5000, seed=3)
+    by_column, by_block = RgsState(theta, policy), RgsState(theta, policy)
+    for j in range(6):
+        r_ii = by_column.push(W[:, j])
+        assert np.array_equal(by_block.push_block(W[:, j:j + 1]), [r_ii])
+    for name in ("Q", "R", "S", "P"):
+        assert np.array_equal(getattr(by_column, name), getattr(by_block, name)), name
+
+
+def test_rgs_push_stream_P_within_a_priori_bound(rng):
+    # a Rademacher block apply sums in another order than a per-column
+    # apply, so a push stream's P and rgs_factorize's P need not share bits;
+    # both are held to the bound of test_sketch.py's
+    # test_apply_block_matches_apply against an fsum reference
+    k, n, m = 36, 5000, 34  # two blocks: 32 columns and 2
+    W = rng.standard_normal((n, m))
+    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed=6)
+    batch, _ = rgs_factorize(W, theta, UNIFIED64, with_certificate=False)
+    state = RgsState(theta, UNIFIED64)
+    for j in range(m):
+        state.push(W[:, j])
+    scale = 1.0 / math.sqrt(k)
+    signs = np.sign(theta.materialize())
+    u = 2.0**-53
+    gamma = n * u / (1.0 - n * u)
+    for j in range(m):
+        tol = ((1.0 + u) * gamma + 4.0 * u) * scale * np.sum(np.abs(W[:, j]))
+        ref = [scale * math.fsum(signs[i] * W[:, j]) for i in range(k)]
+        assert np.all(np.abs(batch.P[:, j] - ref) <= tol)
+        assert np.all(np.abs(state.P[:, j] - ref) <= tol)
 
 
 @pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64])
@@ -312,11 +354,15 @@ def test_failed_push_leaves_state_unchanged(rng, variant, error):
     else:
         bad = W[:, 4] * 1e40  # overflows binary32 when stored
     before = _snapshot(state)
-    with pytest.raises(error), np.errstate(all="ignore"):
-        state.push(bad)
-    after = _snapshot(state)
-    for name, value in before.items():
-        assert np.array_equal(after[name], value), name
+    pushes = [state.push]
+    if variant is GsVariant.RGS:  # and a block of that one column
+        pushes.append(lambda w: state.push_block(w[:, None]))
+    for push in pushes:
+        with pytest.raises(error), np.errstate(all="ignore"):
+            push(bad)
+        after = _snapshot(state)
+        for name, value in before.items():
+            assert np.array_equal(after[name], value), name
     for j in range(4, 7):
         state.push(W[:, j])
     clean = _state(variant, 200, capacity=4)
@@ -325,6 +371,49 @@ def test_failed_push_leaves_state_unchanged(rng, variant, error):
     assert state._Q.shape == clean._Q.shape
     for name, value in _snapshot(clean).items():
         assert np.array_equal(getattr(state, name), value), name
+
+
+@pytest.mark.parametrize("error", [BreakdownError, NonFiniteError],
+                         ids=lambda e: e.__name__)
+def test_failed_push_block_keeps_earlier_columns(rng, error):
+    # a block whose second column fails keeps its first column pushed, with
+    # the state growing in it, and the state stays usable
+    W = _problem(rng, n=200, m=7)
+    state = _state(GsVariant.RGS, 200, capacity=4)
+    state.push_block(W[:, :4])
+    bad = np.zeros(200) if error is BreakdownError else W[:, 5] * 1e40
+    with pytest.raises(error) as exc, np.errstate(all="ignore"):
+        state.push_block(np.column_stack([W[:, 4], bad, W[:, 5]]))
+    assert exc.value.column == 6
+    clean = _state(GsVariant.RGS, 200, capacity=4)
+    for j in range(5):
+        clean.push(W[:, j])
+    for name, value in _snapshot(clean).items():
+        assert np.array_equal(getattr(state, name), value), name
+    state.push(W[:, 5])  # runs its own Step 1 after the failed block
+    state.push_block(W[:, 6:])
+    for j in range(5, 7):
+        clean.push(W[:, j])
+    for name, value in _snapshot(clean).items():
+        assert np.array_equal(getattr(state, name), value), name
+
+
+def test_nonfinite_block_pushes_nothing(rng):
+    # the whole block is checked first: a NaN in its third column is
+    # reported at its global index and no column of the block is pushed
+    W = _problem(rng, n=200, m=7)
+    state = _state(GsVariant.RGS, 200, capacity=4)
+    state.push_block(W[:, :3])
+    before = _snapshot(state)
+    block = W[:, 3:].copy()
+    block[11, 2] = np.nan
+    with pytest.raises(NonFiniteError) as exc:
+        state.push_block(block)
+    assert exc.value.column == 3 + 2 + 1
+    for name, value in before.items():
+        assert np.array_equal(getattr(state, name), value), name
+    with pytest.raises(ValueError):
+        state.push_block(W[:100, 3:])  # n rows are required
 
 
 def test_classical_rejects_rgs_variant():
