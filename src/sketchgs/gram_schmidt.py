@@ -386,39 +386,37 @@ class ClassicalGsState(_GsState):
     """Streaming CGS/MGS/CGS2, one column per `push`.
 
     With a binary32 coarse dtype every n-dimensional dot and update runs in
-    binary32 on unit-stride operands. MGS reads each column of the row-major
-    Q into a contiguous buffer before its dot and update: a BLAS `sdot` on a
-    strided column may accumulate in binary64 (OpenBLAS 0.3.31 does), which
-    would make the baseline more accurate than the arithmetic it stands for,
-    and the copy also makes MGS independent of `capacity`. For CGS and CGS2,
-    fixing `capacity` up front makes runs bit-identical to a batch
-    factorization of the same columns (growing the backing array changes the
-    BLAS leading dimension, which can change low-order bits).
+    binary32 on unit-stride operands. MGS keeps Q column-major and reads each
+    column in place; a strided `sdot` may accumulate in binary64 (OpenBLAS
+    0.3.31 does), more accurately than the baseline's arithmetic. CGS and CGS2
+    keep Q row-major: their `sgemv` on a column-major Q fails criterion 7 (see
+    the CHANGES.md `FOUND:` line on summation order and ROADMAP item 4). A
+    grown Q changes their leading dimension and low-order bits, so only a
+    fixed `capacity` matches a batch run; MGS does not depend on `capacity`.
     """
-
-    _Q_ORDER = "C"
 
     def __init__(self, n: int, variant: GsVariant, policy: PrecisionPolicy,
                  capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
         if variant not in (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2):
             raise ValueError(f"classical Gram-Schmidt got {variant}")
+        self._Q_ORDER = "F" if variant is GsVariant.MGS else "C"
         super().__init__(n, policy, capacity, breakdown_factor)
         self.variant = variant
 
     def push(self, w) -> float:
         """Run one iteration on the next column; returns the diagonal r_ii."""
         dtype = self.policy.coarse_dtype
-        w = self._next_column(w).astype(dtype)
+        w = self._next_column(w).astype(dtype)  # a copy, never the caller's
+        ref_norm = float(np.linalg.norm(w))  # before MGS updates w in place
         i = self.m
         Q = self._Q[:, :i]
         if self.variant is GsVariant.MGS:
-            qp = w
-            r_col = np.zeros(i, dtype=dtype)
+            qp, r_col, t = w, np.zeros(i, dtype=dtype), np.empty_like(w)
             for j in range(i):
-                # unit-stride copy: a strided sdot may accumulate in binary64
-                q = np.ascontiguousarray(Q[:, j])
+                q = Q[:, j]  # unit-stride: Q is column-major for MGS
                 r_col[j] = q @ qp
-                qp = qp - r_col[j] * q
+                # r_j q_j, then q' - r_j q_j: two roundings, no fused axpy
+                np.subtract(qp, np.multiply(r_col[j], q, out=t), out=qp)
         else:  # CGS; CGS2 applies the classical projector twice
             qp, r_col = w, np.zeros(i)
             for _ in range(2 if self.variant is GsVariant.CGS2 else 1):
@@ -427,7 +425,7 @@ class ClassicalGsState(_GsState):
                 r_col += r  # summed in binary64
         r_ii = float(np.linalg.norm(qp))
         # q' is in the coarse format, and so is the division
-        self._store(qp, r_col, r_ii, float(np.linalg.norm(w)))
+        self._store(qp, r_col, r_ii, ref_norm)
         self.m += 1
         return r_ii
 

@@ -278,8 +278,8 @@ def test_classical_streaming_bit_identical_to_batch(rng, variant):
 
 
 def test_classical_mgs_binary32_independent_of_capacity(rng):
-    # the default capacity 16 makes Q grow twice, changing its row stride;
-    # binary32 MGS reads each column unit-stride, so the bits must not change
+    # the default capacity 16 makes Q grow twice; binary32 MGS reads each
+    # column unit-stride whatever the capacity, so the bits must not change
     W = _problem(rng, n=3000, m=40, cond=1e6)
     f = classical_factorize(W, GsVariant.MGS, policy=MIXED32_64)
     st = ClassicalGsState(3000, GsVariant.MGS, MIXED32_64)
@@ -288,6 +288,60 @@ def test_classical_mgs_binary32_independent_of_capacity(rng):
     assert st._Q.shape[1] == 64
     assert np.array_equal(f.Q, st.Q)
     assert np.array_equal(f.R, st.R)
+
+
+def _mgs_copying_columns(W, policy):
+    """MGS as it ran on a row-major Q: each earlier column copied to a
+    contiguous buffer, then q' = q' - r_j q_j in fresh temporaries."""
+    dtype = policy.coarse_dtype
+    n, m = W.shape
+    Q = np.zeros((n, m), dtype=dtype)
+    R = np.zeros((m, m))
+    for i in range(m):
+        qp = np.ascontiguousarray(W[:, i], dtype=np.float64).astype(dtype)
+        r_col = np.zeros(i, dtype=dtype)
+        for j in range(i):
+            q = np.ascontiguousarray(Q[:, j])
+            r_col[j] = q @ qp
+            qp = qp - r_col[j] * q
+        r_ii = float(np.linalg.norm(qp))
+        Q[:, i] = qp / qp.dtype.type(r_ii)
+        R[:i, i] = r_col
+        R[i, i] = r_ii
+    return Q, R
+
+
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED32, UNIFIED64],
+                         ids=lambda p: p.mode)
+def test_classical_mgs_bits_equal_copying_loop(rng, policy):
+    # reading the columns of a column-major Q in place keeps every bit of the
+    # copying loop, in a batch and in a stream that grows from capacity 16
+    W = _problem(rng, n=1001, m=40, cond=1e6)
+    Q, R = _mgs_copying_columns(W, policy)
+    f = classical_factorize(W, GsVariant.MGS, policy=policy)
+    st = ClassicalGsState(1001, GsVariant.MGS, policy)
+    for j in range(40):
+        st.push(W[:, j])
+    assert st._Q.shape[1] == 64
+    for got in (f, st):
+        assert np.array_equal(got.Q, Q)
+        assert np.array_equal(got.R, R)
+
+
+@pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])
+def test_classical_q_layout(rng, variant):
+    # MGS reads columns of Q, CGS and CGS2 multiply by it as a row-major
+    # matrix; the layout survives growth, and the factors come back C-ordered
+    W = _problem(rng, n=300, m=20)
+    st = ClassicalGsState(300, variant, MIXED32_64)
+    for j in range(20):
+        st.push(W[:, j])
+    assert st._Q.shape[1] == 32
+    if variant is GsVariant.MGS:
+        assert st._Q.flags.f_contiguous and not st._Q.flags.c_contiguous
+    else:
+        assert st._Q.flags.c_contiguous and not st._Q.flags.f_contiguous
+    assert classical_factorize(W, variant, MIXED32_64).Q.flags.c_contiguous
 
 
 def _factorize(W, variant):
@@ -414,6 +468,43 @@ def test_nonfinite_block_pushes_nothing(rng):
         assert np.array_equal(getattr(state, name), value), name
     with pytest.raises(ValueError):
         state.push_block(W[:100, 3:])  # n rows are required
+
+
+@_VARIANTS
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64],
+                         ids=lambda p: p.mode)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["f64", "f32"])
+def test_push_leaves_the_callers_column_unchanged(rng, variant, policy, dtype):
+    # under UNIFIED64 a contiguous binary64 column passes the input checks
+    # as the caller's own array; MGS updates q' in place, in its own copy
+    W = _problem(rng, n=200, m=6).astype(dtype)
+    if variant is GsVariant.RGS:
+        state = RgsState(make_sketch(SketchKind.PSRHT, 64, 200, seed=5), policy)
+    else:
+        state = ClassicalGsState(200, variant, policy)
+    for j in range(6):
+        w = W[:, j].copy()
+        state.push(w)
+        assert np.array_equal(w, W[:, j])
+
+
+@pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64],
+                         ids=lambda p: p.mode)
+def test_classical_breakdown_tolerance_reads_input_norm(rng, variant, policy):
+    # the guard compares r_ii with ||w||, not with the norm of the buffer
+    # that MGS has updated in place into q'
+    W = _problem(rng, n=100, m=3, cond=10.0)
+    state = ClassicalGsState(100, variant, policy, breakdown_factor=1e4)
+    for j in range(3):
+        state.push(W[:, j])
+    w = W[:, 0] - 2.0 * W[:, 2]  # in the span, up to rounding
+    with pytest.raises(BreakdownError) as exc:
+        state.push(w)
+    ref_norm = float(np.linalg.norm(w.astype(policy.coarse_dtype)))
+    assert exc.value.tol == 1e4 * policy.u_crs * ref_norm
+    assert state.m == 3
 
 
 def test_classical_rejects_rgs_variant():
