@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .certification import CertificationParams, make_certification_sketch
+from .certification import (CertificationParams, _whiten,
+                            make_certification_sketch)
 from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
@@ -68,11 +69,10 @@ def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
     raise ValueError(f"unrecognized matrix source {spec!r}")
 
 
-def _leading_eigs(G, B=None) -> list:
-    """Eigenvalues of each leading i x i block of G, or of the pencil of the
-    leading blocks of G and B, for i = 1 .. m."""
-    return [scipy.linalg.eigh(G[:i, :i], None if B is None else B[:i, :i],
-                              eigvals_only=True) for i in range(1, len(G) + 1)]
+def _leading_eigs(G) -> list:
+    """Eigenvalues of each leading i x i block of G, for i = 1 .. m."""
+    return [scipy.linalg.eigh(G[:i, :i], eigvals_only=True)
+            for i in range(1, len(G) + 1)]
 
 
 def _cond_trace(G) -> np.ndarray:
@@ -93,44 +93,44 @@ def _traces(Q, S=None, theta: SketchOperator | None = None,
 
     - cond_Q and loss_of_orthogonality from Q^T Q (always);
     - cond_S from S^T S (with S);
-    - omega_bar from the pencil of (Phi Q)^T (Phi Q) and S^T S (with S, phi);
+    - omega_bar from B^T B, B = (Phi Q) R_S^-1 with R_S from a binary64 QR
+      of S (with S, phi); its rows from a numerically dependent column of S
+      onward read inf;
     - the exact omega from (Theta U)^T (Theta U) (with theta), where
       Theta U = (Theta Q) R^-1 and R comes from one binary64 Householder QR
       of Q, whose leading i columns of U span Q_i. U is never formed.
     """
     Q64 = np.array(Q, dtype=np.float64, order="F")  # the one binary64 copy
     G = Q64.T @ Q64
+    m = len(G)
     out = {"cond_Q": _cond_trace(G),
            "loss_of_orthogonality": np.array(
-               [np.linalg.norm(np.eye(i) - G[:i, :i])
-                for i in range(1, len(G) + 1)])}
+               [np.linalg.norm(np.eye(i) - G[:i, :i]) for i in range(1, m + 1)])}
     if S is not None:
-        S64 = np.asarray(S, dtype=np.float64)
-        G_S = S64.T @ S64
-        out["cond_S"] = _cond_trace(G_S)
+        S64 = np.array(S, dtype=np.float64)  # a copy: `_whiten` may overwrite
+        out["cond_S"] = _cond_trace(S64.T @ S64)
         if phi is not None:
-            phi_q = phi.apply_block(Q64)
+            B = _whiten(S64, phi.apply_block(Q64))
             out["omega_bar"] = np.array(
                 [max(1.0 - (1.0 - eps_star) * lam[0],
                      (1.0 + eps_star) * lam[-1] - 1.0)
-                 for lam in _leading_eigs(phi_q.T @ phi_q, G_S)])
+                 for lam in _leading_eigs(B.T @ B)]
+                + [np.inf] * (m - B.shape[1]))
     if theta is not None:
         SQ = theta.apply_block(Q64)
-        # Q64 is overwritten by its factorization; only R is read back
-        R = scipy.linalg.qr(Q64, overwrite_a=True, mode="raw")[1]
-        dependent = np.abs(np.diag(R)) < 1e-12 * np.sqrt(np.diag(G))
-        if dependent.any():
+        SU = _whiten(Q64, SQ)  # overwrites Q64 with its factorization
+        if SU.shape[1] < m:
             raise np.linalg.LinAlgError(
-                f"column {np.argmax(dependent) + 1} of Q is numerically "
-                "dependent on the columns before it")
-        SU = scipy.linalg.solve_triangular(R, SQ.T, trans="T").T
+                f"column {SU.shape[1] + 1} of Q is numerically dependent "
+                "on the columns before it")
         out["omega"] = np.array([max(1.0 - lam[0], lam[-1] - 1.0)
                                  for lam in _leading_eigs(SU.T @ SU)])
     return out
 
 
-def _qr_metadata(config: RunConfig, variant: GsVariant, wall: float) -> dict:
-    return {"seed": config.seed, "k": config.k, "n": config.n, "m": config.m,
+def _qr_metadata(config: RunConfig, n: int, variant: GsVariant,
+                 wall: float) -> dict:
+    return {"seed": config.seed, "k": config.k, "n": n, "m": config.m,
             "policy": config.policy, "variant": variant.value,
             "sketch": config.sketch_kind.value, "matrix": config.matrix,
             "wall_time": f"{wall:.3f}"}
@@ -169,16 +169,17 @@ def run_qr_bench(config: RunConfig) -> dict:
         cols["factorization_error"] = np.sqrt(
             np.cumsum(np.einsum("ij,ij->j", E, E)) / w_frob2)
         runs.append((variant, cols, time.perf_counter() - t0))
-    # cond(W_i) is variant independent: the cond_Q trace of W itself, read
-    # once the factorizations have rejected a non-finite W
-    cond_w = _traces(W)["cond_Q"]
+    # cond(W_i) is variant independent, read once the factorizations have
+    # rejected a non-finite W
+    cond_w = _cond_trace(W.T @ W)
     reports = {}
     for variant, cols, wall in runs:
         report = ExperimentReport()
         for i in range(W.shape[1]):
             report.add_row(i + 1, cond_W=cond_w[i],
                            **{c: v[i] for c, v in cols.items()})
-        report.metadata.update(_qr_metadata(config, variant, wall))
+        report.metadata.update(_qr_metadata(config, W.shape[0], variant,
+                                            wall))
         reports[variant.value] = report
     return reports
 
@@ -230,7 +231,7 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
             if cond_q is not None:
                 row["cond_Q"] = cond_q[i]
             report.add_row(i + 1, **row)
-        report.metadata.update(_qr_metadata(config, variant,
+        report.metadata.update(_qr_metadata(config, A.n, variant,
                                             time.perf_counter() - t0))
         report.metadata.update({"m": m, "precond": config.precond,
                                 "final_residual": f"{result.final_residual:.17g}",
@@ -256,7 +257,7 @@ def run_certify(config: RunConfig) -> ExperimentReport:
     for i in range(W.shape[1]):
         report.add_row(i + 1, **{c: cols[c][i]
                                  for c in ("omega", "omega_bar", "cond_S")})
-    report.metadata.update(_qr_metadata(config, GsVariant.RGS,
+    report.metadata.update(_qr_metadata(config, W.shape[0], GsVariant.RGS,
                                         time.perf_counter() - t0))
     report.metadata.update({"eps_star": config.eps_star,
                             "delta_star": config.delta_star,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .gram_schmidt import QrFactors, _cond
+from .gram_schmidt import QrFactors
 from .sketch import SketchKind, SketchOperator, vector_certificate_dim
 
 __all__ = [
@@ -54,6 +54,20 @@ def make_certification_sketch(params: CertificationParams, n: int,
     return SketchOperator(kind, params.dimension(), n, params.phi_seed)
 
 
+def _whiten(X, Y) -> np.ndarray:
+    """Y R^-1, with R the triangular factor of a binary64 Householder QR of
+    X, for the leading columns of X before the first numerically dependent
+    one: column j is dependent when |r_jj| <= 1e-12 ||x_j||. Column i of
+    the result reads only the leading i columns of X and Y. A binary64
+    Fortran-ordered X is overwritten by its factorization."""
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    R = scipy.linalg.qr(X, overwrite_a=True, mode="raw")[1]
+    diag = np.abs(np.diag(R))
+    dependent = diag <= 1e-12 * norms[:diag.size]
+    j = int(np.argmax(dependent)) if dependent.any() else diag.size
+    return scipy.linalg.solve_triangular(R[:j, :j], Y[:, :j].T, trans="T").T
+
+
 def omega_bar(V_theta, V_phi, eps_star: float) -> float:
     """Certified upper bound on the embedding error of Theta on range(V).
 
@@ -61,19 +75,14 @@ def omega_bar(V_theta, V_phi, eps_star: float) -> float:
     matrix. The orthonormalizing map X = R^{-1} from the QR of V_theta is
     applied implicitly by a triangular solve.
     """
-    V_theta = np.asarray(V_theta, dtype=np.float64)
-    V_phi = np.asarray(V_phi, dtype=np.float64)
-    if V_theta.ndim == 1:
-        V_theta = V_theta[:, None]
-    if V_phi.ndim == 1:
-        V_phi = V_phi[:, None]
+    # copies, 1-D sketches as one column: `_whiten` overwrites V_theta
+    V_theta, V_phi = (np.array(V, dtype=np.float64).reshape(len(V), -1)
+                      for V in (V_theta, V_phi))
     if V_theta.shape[1] != V_phi.shape[1]:
         raise ValueError("sketches have different column counts")
-    R = np.linalg.qr(V_theta, mode="r")
-    diag = np.abs(np.diag(R))
-    if diag.min() <= 1e-14 * max(diag.max(), 1.0):
+    B = _whiten(V_theta, V_phi)
+    if B.shape[1] < V_phi.shape[1]:
         raise np.linalg.LinAlgError("Theta-sketch is numerically rank deficient")
-    B = scipy.linalg.solve_triangular(R.T, V_phi.T, lower=True).T
     sv = np.linalg.svd(B, compute_uv=False)
     return max(1.0 - (1.0 - eps_star) * sv[-1]**2,
                (1.0 + eps_star) * sv[0]**2 - 1.0)
@@ -132,8 +141,8 @@ def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
     phi_w = phi.apply_block(W)
     ob_q = omega_bar(factors.S, phi_q, eps_star)
     ob_w = omega_bar(factors.P, phi_w, eps_star)
-    margin_q = u_crs * _cond(phi_q)
-    margin_w = u_crs * _cond(phi_w)
+    margin_q = u_crs * float(np.linalg.cond(phi_q))
+    margin_w = u_crs * float(np.linalg.cond(phi_w))
     return CertificationResult(
         eps_star=eps_star,
         omega_bar_q=ob_q, omega_bar_w=ob_w,

@@ -338,27 +338,23 @@ class RgsState(_GsState):
 def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
                   with_certificate: bool = True,
                   breakdown_factor: float = BREAKDOWN_FACTOR):
-    """Randomized Gram-Schmidt QR of the columns of W.
+    """Randomized Gram-Schmidt QR of the columns of the n x m matrix W,
+    pushed in blocks of `_SKETCH_BLOCK` columns by `push_block`; a stream
+    of columns goes to `RgsState.push` instead.
 
-    Returns (QrFactors, StabilityCertificate or None). W may be an n x m
-    array, pushed in blocks of `_SKETCH_BLOCK` columns by `push_block`, or
-    any iterable of n-vectors, pushed in order one at a time.
+    Returns (QrFactors, StabilityCertificate or None).
     """
-    if isinstance(W, np.ndarray):
-        if W.ndim != 2:
-            raise ValueError("W must be a matrix")
-        n, m = W.shape
-        if not (theta.k >= m and n >= m >= 1):
-            raise ValueError(f"need k >= m and n >= m >= 1, got "
-                             f"k={theta.k}, n={n}, m={m}")
-        state = RgsState(theta, policy, capacity=m,
-                         breakdown_factor=breakdown_factor)
-        for j in range(0, m, _SKETCH_BLOCK):
-            state.push_block(W[:, j:j + _SKETCH_BLOCK])
-    else:
-        state = RgsState(theta, policy, breakdown_factor=breakdown_factor)
-        for w in W:
-            state.push(w)
+    W = np.asarray(W)
+    if W.ndim != 2:
+        raise ValueError("W must be a matrix")
+    n, m = W.shape
+    if not (theta.k >= m and n >= m >= 1):
+        raise ValueError(f"need k >= m and n >= m >= 1, got "
+                         f"k={theta.k}, n={n}, m={m}")
+    state = RgsState(theta, policy, capacity=m,
+                     breakdown_factor=breakdown_factor)
+    for j in range(0, m, _SKETCH_BLOCK):
+        state.push_block(W[:, j:j + _SKETCH_BLOCK])
     factors = state.factors()
     cert = certificates(factors) if with_certificate else None
     return factors, cert
@@ -437,17 +433,10 @@ def certificates(factors: QrFactors) -> StabilityCertificate:
     S = factors.S.astype(np.float64)
     P = factors.P.astype(np.float64)
     R = factors.R
-    m = S.shape[1]
-    delta_m = float(np.linalg.norm(np.eye(m) - S.T @ S))
     delta_tilde = float(np.linalg.norm(P - S @ R) / np.linalg.norm(P))
-    return StabilityCertificate(delta_m=delta_m, delta_tilde_m=delta_tilde,
-                                cond_S=_cond(S))
-
-
-def _cond(M) -> float:
-    """2-norm condition number of M from a binary64 SVD; inf if singular."""
-    sv = np.linalg.svd(np.asarray(M, dtype=np.float64), compute_uv=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    return StabilityCertificate(delta_m=loss_of_orthogonality(S),
+                                delta_tilde_m=delta_tilde,
+                                cond_S=float(np.linalg.cond(S)))
 
 
 def loss_of_orthogonality(Q) -> float:

@@ -21,58 +21,34 @@ class MatrixMarketError(ValueError):
 
 
 def read_matrix_market(path) -> SparseMatrix:
-    """Read a real coordinate Matrix Market file into a square CSR matrix.
+    """Read a square real coordinate Matrix Market file into a CSR matrix.
 
-    Supports `general` and `symmetric` storage (symmetric is expanded to the
-    full pattern); `pattern`, `complex` and array formats are rejected.
-    Indices are 1-based in the file and converted. Duplicates are summed.
+    `general` and `symmetric` storage (expanded to the full pattern) with a
+    real or integer field are read by `scipy.io.mmread`; any other header,
+    a malformed file or an out-of-range index raises `MatrixMarketError`.
+    Duplicate entries are summed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if (len(parts) != 5 or parts[0] != "%%MatrixMarket"
-                or parts[1].lower() != "matrix"):
-            raise MatrixMarketError(f"malformed Matrix Market header: {header!r}")
-        fmt, fld, symm = (p.lower() for p in parts[2:5])
-        if fmt != "coordinate":
-            raise MatrixMarketError(f"unsupported format {fmt!r} (coordinate only)")
-        if fld not in ("real", "integer", "double"):
-            raise MatrixMarketError(f"unsupported field {fld!r}")
-        if symm not in ("general", "symmetric"):
-            raise MatrixMarketError(f"unsupported symmetry {symm!r}")
-        line = fh.readline()
-        while line and line.lstrip().startswith("%"):
-            line = fh.readline()
-        sizes = line.split()
-        if len(sizes) != 3:
-            raise MatrixMarketError(f"malformed size line: {line!r}")
-        nrows, ncols, nnz = (int(s) for s in sizes)
+    import scipy.io  # on first use: `import sketchgs` does not load it
+    try:
+        nrows, ncols, _, fmt, fld, symm = scipy.io.mminfo(path)
+        if (fmt != "coordinate" or fld not in ("real", "integer", "double")
+                or symm not in ("general", "symmetric")):
+            raise ValueError(f"unsupported type {fmt} {fld} {symm} (coordinate "
+                             "real or integer, general or symmetric only)")
         if nrows != ncols:
-            raise MatrixMarketError(f"matrix is {nrows}x{ncols}, expected square")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for t in range(nnz):
-            entry = fh.readline().split()
-            if len(entry) != 3:
-                raise MatrixMarketError(f"malformed entry line {t + 1}: {entry!r}")
-            i, j = int(entry[0]), int(entry[1])
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(
-                    f"entry ({i}, {j}) out of bounds for {nrows}x{ncols}")
-            rows[t], cols[t], vals[t] = i - 1, j - 1, float(entry[2])
-    return SparseMatrix.from_coo(nrows, rows, cols, vals,
-                                 symmetric=(symm == "symmetric"))
+            raise ValueError(f"matrix is {nrows}x{ncols}, expected square")
+        return SparseMatrix(csr=scipy.io.mmread(path))
+    except ValueError as exc:  # scipy's parse errors and the checks above
+        raise MatrixMarketError(f"{path}: {exc}") from exc
 
 
 def write_matrix_market(A: SparseMatrix, path) -> None:
-    """Write a square CSR matrix in coordinate real general format."""
-    coo = A.to_scipy().tocoo()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.n} {A.n} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+    """Write a square CSR matrix in coordinate real general format, every
+    stored entry in the shortest form that reads back bit for bit."""
+    import scipy.io
+    # symmetry="general": detecting symmetry would fold (i, j) and (j, i)
+    # into one entry, losing -0.0 against 0.0
+    scipy.io.mmwrite(path, A.to_scipy().tocoo(), symmetry="general")
 
 
 def synthetic_matrix(n: int, m: int) -> np.ndarray:

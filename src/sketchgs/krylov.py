@@ -44,12 +44,8 @@ class SparseMatrix:
         return self.csr.shape[0]
 
     @classmethod
-    def from_coo(cls, n: int, rows, cols, vals, symmetric: bool = False) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicate entries are summed.
-
-        With symmetric=True only one triangle is given and the mirror entries
-        are generated (diagonal entries are not duplicated).
-        """
+    def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
+        """Build from coordinate triplets; duplicate entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -58,11 +54,6 @@ class SparseMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= n):
             raise ValueError("coordinate index out of range")
-        if symmetric:
-            off = rows != cols
-            rows = np.concatenate([rows, cols[off]])
-            cols = np.concatenate([cols, rows[:off.size][off]])
-            vals = np.concatenate([vals, vals[off]])
         m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return cls(csr=m)
 

@@ -124,10 +124,9 @@ def test_run_certify_matches_run_qr_bench():
 
 
 def test_omega_bar_trace_matches_one_shot_oracle():
-    # The trace computes omega_bar from the pencil of two Gram matrices, the
-    # one-shot `certification.omega_bar` from a QR and a triangular solve;
-    # both formulas are kept (one small eigensolve per row for the trace,
-    # robustness for an ill-conditioned sketch), so they must agree at
+    # The trace and the one-shot `certification.omega_bar` whiten Phi Q by
+    # the same triangular factor of S; the trace then takes one small
+    # eigensolve per row, the one-shot bound an SVD, so they must agree at
     # every column.
     n, m, eps_star = 1024, 20, 0.25
     W = np.random.default_rng(3).standard_normal((n, m))
@@ -166,6 +165,24 @@ def test_traces_match_one_shot_oracles(policy):
         assert rows["omega_bar"][i - 1] == pytest.approx(
             omega_bar(f.S[:, :i], phi.apply_block(Q[:, :i]), eps_star),
             rel=1e-10)
+
+
+def test_omega_bar_trace_is_inf_past_dependent_column_of_S():
+    # a repeated column of S leaves Phi Q without a whitening from that
+    # column on; the rows before it are kept, the rest read inf
+    n, eps_star = 512, 0.25
+    W = np.random.default_rng(9).standard_normal((n, 4))
+    Q = np.column_stack([W[:, 0], W[:, 1], W[:, 2], W[:, 1]])
+    theta = make_sketch(SketchKind.PSRHT, 64, n, seed=10)
+    phi = make_sketch(SketchKind.RADEMACHER, 48, n, seed=11)
+    S = theta.apply_block(Q)
+    rows = _traces(Q, S, phi=phi, eps_star=eps_star)
+    S_phi = phi.apply_block(Q)
+    for i in (1, 2, 3):
+        assert rows["omega_bar"][i - 1] == pytest.approx(
+            omega_bar(S[:, :i], S_phi[:, :i], eps_star), rel=1e-10)
+    assert rows["omega_bar"][3] == np.inf
+    assert len(rows["cond_S"]) == 4
 
 
 def test_traces_reject_dependent_column():

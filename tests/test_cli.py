@@ -1,8 +1,13 @@
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sketchgs
 from sketchgs import read_report
 from sketchgs.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           _out_path, _parse_variants, main)
@@ -150,15 +155,56 @@ def test_exit_code_nonfinite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["qr-bench", "certify"])
-def test_exit_code_linalg_failure(tmp_path, capsys, command):
-    # in binary32 the basis loses rank, so S^T S of the omega_bar pencil is
-    # not positive definite; numpy's LinAlgError subclasses ValueError, but
-    # it is a numerical failure, not a configuration error
-    rc = main([command, "--n", "300", "--m", "250", "--k", "260",
-               "--policy", "f32", "--variants", "rgs",
-               "--out", str(tmp_path / "l.csv")])
+def test_exit_code_linalg_failure(tmp_path, capsys, monkeypatch, command):
+    # numpy's LinAlgError subclasses ValueError, but it is a numerical
+    # failure, not a configuration error; a rank-deficient sketch no longer
+    # raises one in the traces, so a failing eigensolve is injected there
+    def fail(G):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr("sketchgs.bench._leading_eigs", fail)
+    rc = main([command, "--n", "300", "--m", "8", "--k", "32",
+               "--variants", "rgs", "--out", str(tmp_path / "l.csv")])
     assert rc == EXIT_BREAKDOWN
-    assert "numerical breakdown" in capsys.readouterr().err
+    assert "numerical breakdown: eigenvalues" in capsys.readouterr().err
+    assert not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["qr-bench", "certify"])
+def test_rank_deficient_sketch_writes_full_report(tmp_path, command):
+    # in binary32 the basis loses rank, so S^T S is far from the identity;
+    # the run still writes every row, omega_bar above omega in each
+    out = tmp_path / "f.csv"
+    rc = main([command, "--n", "300", "--m", "250", "--k", "260",
+               "--policy", "f32", "--variants", "rgs", "--out", str(out)])
+    assert rc == EXIT_OK
+    rep = read_report(out)
+    om, ob = rep.column("omega"), rep.column("omega_bar")
+    assert len(rep.rows) == 250
+    assert not np.isnan(om).any() and not np.isnan(ob).any()
+    assert np.all(om <= ob)
+
+
+@pytest.mark.parametrize("command", ["qr-bench", "gmres-bench", "certify"])
+def test_metadata_n_of_matrix_source(tmp_path, command):
+    # the system has grid^2 = 36 unknowns, whatever --n (default 1e5) says
+    out = tmp_path / "n.csv"
+    rc = main([command, "--matrix", "laplacian:6", "--m", "8", "--k", "32",
+               "--k-phi", "32", "--policy", "f64", "--variants", "rgs",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    assert read_report(out).metadata["n"] == "36"
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # the Matrix Market functions import scipy.io on use, so the library's
+    # import time does not carry it
+    code = "import sys, sketchgs; print('scipy.io' in sys.modules)"
+    src = pathlib.Path(sketchgs.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_code_zero_columns(tmp_path, capsys):

@@ -151,6 +151,9 @@ def test_rgs_input_validation(rng):
         rgs_factorize(rng.standard_normal((100, 12)), theta)  # k < m
     with pytest.raises(ValueError):
         rgs_factorize(rng.standard_normal(100), theta)  # not a matrix
+    # a stream of columns goes to RgsState.push; rgs_factorize takes a matrix
+    with pytest.raises(ValueError, match="W must be a matrix"):
+        rgs_factorize((w for w in rng.standard_normal((4, 100))), theta)
 
 
 def _householder(S, dtype=np.float64):

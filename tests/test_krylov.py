@@ -22,13 +22,6 @@ def test_from_coo_duplicates_summed():
     assert D[0, 1] == 5.0 and D[1, 0] == 4.0 and D[0, 0] == 0.0
 
 
-def test_from_coo_symmetric_expansion():
-    # lower triangle of [[2, 1], [1, 3]]
-    A = SparseMatrix.from_coo(2, [0, 1, 1], [0, 0, 1], [2.0, 1.0, 3.0],
-                              symmetric=True)
-    assert np.array_equal(_dense(A), np.array([[2.0, 1.0], [1.0, 3.0]]))
-
-
 def test_from_coo_bounds():
     with pytest.raises(ValueError):
         SparseMatrix.from_coo(2, [0], [2], [1.0])
