@@ -33,8 +33,7 @@ def main():
         params = CertificationParams(eps_star=0.25, delta_star=1e-3)
         phi = make_certification_sketch(params, N)
         f, _ = rgs_factorize(W, theta, UNIFIED64)
-        res = certify_factorization(f, W, phi, params.eps_star,
-                                    UNIFIED64.u_crs)
+        res = certify_factorization(f, W, phi, params.eps_star)
         omega = epsilon_of(theta, f.Q)  # exact, needs the full basis
         print(f"k={k:4d}: exact omega={omega:.4f}  certified "
               f"omega_bar={res.omega_bar_q:.4f}  "

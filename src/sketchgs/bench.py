@@ -203,8 +203,8 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
 
     The right-hand side is b = A y / ||A y|| with y the all-ones vector.
     Returns {variant name: (ExperimentReport, GmresResult)} with the
-    estimated residual per iteration and a final cond(Q) trace. Without a
-    tolerance the report's metadata has no `converged` entry.
+    estimated residual and cond(Q_i) per iteration, under every variant.
+    Without a tolerance the report's metadata has no `converged` entry.
     """
     if m is None:
         m = config.m
@@ -224,13 +224,9 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
                        preconditioner=precond, tol=config.tol)
         report = ExperimentReport()
         history = result.residual_history
-        cond_q = (_traces(result.factors.Q[:, :len(history)])["cond_Q"]
-                  if result.factors is not None else None)
+        cond_q = _traces(result.factors.Q[:, :len(history)])["cond_Q"]
         for i, est in enumerate(history):
-            row = {"residual_norm": float(est)}
-            if cond_q is not None:
-                row["cond_Q"] = cond_q[i]
-            report.add_row(i + 1, **row)
+            report.add_row(i + 1, residual_norm=float(est), cond_Q=cond_q[i])
         report.metadata.update(_qr_metadata(config, A.n, variant,
                                             time.perf_counter() - t0))
         report.metadata.update({"m": m, "precond": config.precond,

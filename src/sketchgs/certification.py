@@ -123,14 +123,15 @@ class CertificationResult:
 
 
 def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
-                          eps_star: float, u_crs: float) -> CertificationResult:
+                          eps_star: float) -> CertificationResult:
     """Certify the embedding of Theta on range(Q) and range(W).
 
     `factors` come from the randomized process (they hold S = Theta Q and
     P = Theta W); Phi is applied here to the stored Q and to W. The
     rounding-margin check requires u_crs * cond(V_phi) to be small relative
-    to the certified quantity; `margin_ok_*` is False when the
-    finite-precision slack could dominate the bound.
+    to the certified quantity, with u_crs the unit roundoff of the format Q
+    is stored in; `margin_ok_*` is False when the finite-precision slack
+    could dominate the bound.
     """
     if factors.S is None or factors.P is None:
         raise ValueError("certification needs the sketches S and P "
@@ -141,6 +142,7 @@ def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
     phi_w = phi.apply_block(W)
     ob_q = omega_bar(factors.S, phi_q, eps_star)
     ob_w = omega_bar(factors.P, phi_w, eps_star)
+    u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
     margin_q = u_crs * float(np.linalg.cond(phi_q))
     margin_w = u_crs * float(np.linalg.cond(phi_w))
     return CertificationResult(

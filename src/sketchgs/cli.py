@@ -1,23 +1,24 @@
 """Command-line experiment runner.
 
-Subcommands: qr-bench, gmres-bench, certify, sketch-info. Thread counts of
-the BLAS backends are pinned before numpy loads (default 1, override with
-SKETCHGS_THREADS) so repeated runs are reproducible.
+Subcommands: qr-bench, gmres-bench, certify, sketch-info. The BLAS thread
+count changes summation order, so pin it in the environment before launching
+(see README) for reproducible runs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical breakdown
 (including non-finite input, binary32 overflow and a failed dense linear
 algebra routine), 4 I/O failure.
 """
 
-import os
+import argparse
 import sys
 
-_threads = os.environ.get("SKETCHGS_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
+from numpy.linalg import LinAlgError
 
-import argparse
+from .bench import RunConfig, run_certify, run_gmres_bench, run_qr_bench
+from .gram_schmidt import BreakdownError, GsVariant, NonFiniteError
+from .io import write_report
+from .sketch import (EmbeddingParams, SketchKind, required_sketch_dim,
+                     vector_certificate_dim)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_variants(text: str):
-    from .gram_schmidt import GsVariant
     out = []
     for name in text.split(","):
         name = name.strip()
@@ -86,8 +86,6 @@ def _parse_variants(text: str):
 
 
 def _config_from_args(args):
-    from .bench import RunConfig
-    from .sketch import SketchKind
     return RunConfig(
         n=args.n, m=args.m, k=args.k,
         sketch_kind=SketchKind(args.sketch),
@@ -109,10 +107,7 @@ def _out_path(base: str, variant: str, multi: bool) -> str:
 
 
 def _run(args) -> int:
-    from .io import write_report
     if args.subcommand == "sketch-info":
-        from .sketch import (EmbeddingParams, SketchKind, required_sketch_dim,
-                             vector_certificate_dim)
         kind = SketchKind(args.sketch)
         params = EmbeddingParams(args.eps, args.delta, args.d)
         k = required_sketch_dim(kind, params, n=args.n)
@@ -125,7 +120,6 @@ def _run(args) -> int:
 
     config = _config_from_args(args)
     if args.subcommand == "qr-bench":
-        from .bench import run_qr_bench
         reports = run_qr_bench(config)
         multi = len(reports) > 1
         for variant, report in reports.items():
@@ -134,7 +128,6 @@ def _run(args) -> int:
             print(f"{variant}: wrote {path}")
         return EXIT_OK
     if args.subcommand == "gmres-bench":
-        from .bench import run_gmres_bench
         results = run_gmres_bench(config)
         multi = len(results) > 1
         for variant, (report, result) in results.items():
@@ -146,7 +139,6 @@ def _run(args) -> int:
                   f"breakdown={result.breakdown}, wrote {path}")
         return EXIT_OK
     if args.subcommand == "certify":
-        from .bench import run_certify
         report = run_certify(config)
         write_report(report, args.out)
         last = report.rows[-1] if report.rows else {}
@@ -163,9 +155,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    from numpy.linalg import LinAlgError
-
-    from .gram_schmidt import BreakdownError, NonFiniteError
     try:
         return _run(args)
     # LinAlgError subclasses ValueError, so it must be caught first

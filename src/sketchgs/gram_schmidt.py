@@ -10,10 +10,9 @@ stable in the fine precision, as the stability analysis assumes); the
 expensive n-dimensional projection update runs at the coarse roundoff, and
 everything else runs fine.
 
-Step 1 (p = Theta w) needs no earlier column, so `rgs_factorize` of an array
-sketches W in blocks of columns (`RgsState.push_block`). Under P-SRHT that
-keeps the bits of pushing one column at a time; under Rademacher the block
-apply sums in another order, so its outputs agree with `push` to roundoff.
+Step 1 (p = Theta w) needs no earlier column, so `push_block` sketches a
+block of columns at once: under P-SRHT with the bits of one `push` per column,
+under Rademacher (another summation order) equal to roundoff.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ __all__ = [
 # cannot be meaningfully normalized; fail loudly instead of dividing.
 BREAKDOWN_FACTOR = 10.0
 
-# Columns per push_block in rgs_factorize: a gemm per Rademacher sign block
-# instead of a gemv per column, for an extra n x 32 binary64 copy.
-_SKETCH_BLOCK = 32
+# Columns per push_block in the factorizers, each copied once to binary64;
+# RGS sketches a block with a gemm per Rademacher sign block, not a gemv each.
+_PUSH_BLOCK = 32
 
 
 class BreakdownError(RuntimeError):
@@ -185,9 +184,13 @@ def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:
 
 class _GsState:
     """What every Gram-Schmidt variant shares: Q (laid out in `_Q_ORDER`) and
-    R, doubled when full, the input checks, the breakdown guard and the store.
-    A variant's `push` runs its projection pass between `_next_column` and
-    `_store`; a push that raises leaves the trimmed views as they were."""
+    R, doubled when full, the input checks, the breakdown guard, the store,
+    `push_block` and `factors`. A variant's `push` runs its projection pass
+    between `_next_column` and `_store`; a push that raises leaves the
+    trimmed views as they were. A stored column is never written again, so
+    `factors()` hands over views that keep their values."""
+
+    S = P = None  # the sketches, kept by the randomized process only
 
     def __init__(self, n: int, policy: PrecisionPolicy, capacity: int,
                  breakdown_factor: float):
@@ -200,6 +203,7 @@ class _GsState:
         self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype,
                            order=self._Q_ORDER)
         self._R = np.zeros((capacity, capacity))
+        self._sketched = iter(())  # push_block's Step-1 sketches, if any
 
     @property
     def Q(self):
@@ -241,13 +245,36 @@ class _GsState:
         self._R[:i, i] = r_col
         self._R[i, i] = r_ii
 
+    def _sketch_block(self, Wb):  # Step-1 sketches of a block's columns
+        return iter(())
+
+    def push_block(self, Wb) -> np.ndarray:
+        """`push` each column of an n x b block; returns their r_ii. A
+        non-finite entry pushes no column; a later failure keeps the columns
+        before it. RGS runs Step 1 as one `theta.apply_block`, with the bits
+        of b `push` calls under P-SRHT or for b = 1 (see `apply_block`)."""
+        Wb = np.asarray(Wb, dtype=np.float64, order="F")  # contiguous columns
+        if Wb.ndim != 2 or Wb.shape[0] != self.n:
+            raise ValueError("block must be a matrix with n rows")
+        bad = np.flatnonzero(~np.isfinite(Wb).all(axis=0))
+        if bad.size:
+            raise NonFiniteError(self.m + int(bad[0]) + 1, "input")
+        self._sketched = self._sketch_block(Wb)
+        try:
+            return np.array([self.push(w) for w in Wb.T])
+        finally:
+            self._sketched = iter(())
+
+    def factors(self) -> QrFactors:
+        """Views of Q, R (and S, P for RGS) trimmed to the columns pushed."""
+        return QrFactors(Q=self.Q, R=self.R, S=self.S, P=self.P)
+
 
 class RgsState(_GsState):
     """Streaming state of the randomized factorizer; one column per `push`.
 
     Exposed so a Krylov iteration can generate w_{i+1} = A q_i between steps.
-    `factors()` returns copies trimmed to the current column count. Q is
-    column-major, so the update Q r sees leading dimension n whatever
+    Q is column-major, so the update Q r sees leading dimension n whatever
     `capacity` is, a new column is one contiguous write, and unused columns
     are never touched.
     """
@@ -261,7 +288,6 @@ class RgsState(_GsState):
         self._S = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._qr = _IncrementalHouseholderQR(theta.k, policy.fine_dtype)
-        self._sketched = iter(())  # push_block's Step-1 sketches, in order
 
     @property
     def S(self):
@@ -311,71 +337,51 @@ class RgsState(_GsState):
         self.m += 1
         return r_ii
 
-    def push_block(self, Wb) -> np.ndarray:
-        """`push` each column of an n x b block, with Step 1 run for all of
-        them as one `theta.apply_block`; returns their r_ii. A non-finite
-        entry pushes no column; a later failure keeps the columns before it.
-        Bits equal b `push` calls under P-SRHT, or for b = 1 (see
-        `SketchOperator.apply_block`)."""
-        Wb = np.asarray(Wb, dtype=np.float64, order="F")  # contiguous columns
-        if Wb.ndim != 2 or Wb.shape[0] != self.n:
-            raise ValueError("block must be a matrix with n rows")
-        bad = np.flatnonzero(~np.isfinite(Wb).all(axis=0))
-        if bad.size:
-            raise NonFiniteError(self.m + int(bad[0]) + 1, "input")
+    def _sketch_block(self, Wb):
         P = self.theta.apply_block(Wb).astype(self.policy.fine_dtype, order="F")
-        self._sketched = iter(P.T)
-        try:
-            return np.array([self.push(w) for w in Wb.T])
-        finally:
-            self._sketched = iter(())
+        return iter(P.T)
 
-    def factors(self) -> QrFactors:
-        return QrFactors(Q=self.Q.copy(order="F"), R=self.R.copy(),
-                         S=self.S.copy(), P=self.P.copy())
+
+def _factorize(W, new_state, k: int | None = None) -> QrFactors:
+    """The one factorization loop: check the n x m matrix W (and k >= m
+    sketch rows), push it in blocks of `_PUSH_BLOCK` columns into
+    `new_state(n, m)` and hand over the state's factors."""
+    W = np.asarray(W)
+    if W.ndim != 2:
+        raise ValueError("W must be a matrix")
+    n, m = W.shape
+    if not n >= m >= 1:
+        raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
+    if k is not None and k < m:
+        raise ValueError(f"need k >= m sketch rows, got k={k}, m={m}")
+    state = new_state(n, m)
+    for j in range(0, m, _PUSH_BLOCK):
+        state.push_block(W[:, j:j + _PUSH_BLOCK])
+    return state.factors()
 
 
 def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
                   with_certificate: bool = True,
                   breakdown_factor: float = BREAKDOWN_FACTOR):
     """Randomized Gram-Schmidt QR of the columns of the n x m matrix W,
-    pushed in blocks of `_SKETCH_BLOCK` columns by `push_block`; a stream
-    of columns goes to `RgsState.push` instead.
+    pushed in blocks by `push_block`; a stream of columns goes to
+    `RgsState.push` instead.
 
     Returns (QrFactors, StabilityCertificate or None).
     """
-    W = np.asarray(W)
-    if W.ndim != 2:
-        raise ValueError("W must be a matrix")
-    n, m = W.shape
-    if not (theta.k >= m and n >= m >= 1):
-        raise ValueError(f"need k >= m and n >= m >= 1, got "
-                         f"k={theta.k}, n={n}, m={m}")
-    state = RgsState(theta, policy, capacity=m,
-                     breakdown_factor=breakdown_factor)
-    for j in range(0, m, _SKETCH_BLOCK):
-        state.push_block(W[:, j:j + _SKETCH_BLOCK])
-    factors = state.factors()
-    cert = certificates(factors) if with_certificate else None
-    return factors, cert
+    factors = _factorize(W, lambda n, m: RgsState(
+        theta, policy, capacity=m, breakdown_factor=breakdown_factor), theta.k)
+    return factors, certificates(factors) if with_certificate else None
 
 
 def classical_factorize(W, variant: GsVariant, policy: PrecisionPolicy = UNIFIED64,
                         breakdown_factor: float = BREAKDOWN_FACTOR) -> QrFactors:
     """CGS / MGS / CGS2 baseline factorization by one `ClassicalGsState`:
     every high-dimensional operation runs at the coarse roundoff, so under
-    the mixed policy the baselines are binary32 throughout."""
-    W = np.asarray(W)
-    if W.ndim != 2:
-        raise ValueError("W must be a matrix")
-    n, m = W.shape
-    if not n >= m >= 1:
-        raise ValueError("need n >= m >= 1")
-    state = ClassicalGsState(n, variant, policy, capacity=m,
-                             breakdown_factor=breakdown_factor)
-    for i in range(m):
-        state.push(W[:, i])
-    return QrFactors(Q=state.Q.copy(), R=state.R.copy())
+    the mixed policy the baselines are binary32 throughout. The factors are
+    the state's own arrays, so Q is column-major for MGS."""
+    return _factorize(W, lambda n, m: ClassicalGsState(
+        n, variant, policy, capacity=m, breakdown_factor=breakdown_factor))
 
 
 class ClassicalGsState(_GsState):
@@ -389,6 +395,7 @@ class ClassicalGsState(_GsState):
     the CHANGES.md `FOUND:` line on summation order and ROADMAP item 4). A
     grown Q changes their leading dimension and low-order bits, so only a
     fixed `capacity` matches a batch run; MGS does not depend on `capacity`.
+    `factors()` hands over views in these layouts.
     """
 
     def __init__(self, n: int, variant: GsVariant, policy: PrecisionPolicy,

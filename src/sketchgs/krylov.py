@@ -257,7 +257,7 @@ def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     j = 0
     for j, hcol in enumerate(_arnoldi_steps(A.matvec, state, m), 1):
         H[:j + 1, j - 1] = hcol
-    return ArnoldiDecomposition(Q=state.Q.copy(), H=H[:j + 1, :j],
+    return ArnoldiDecomposition(Q=state.Q, H=H[:j + 1, :j],
                                 beta=float(state.R[0, 0]),
                                 breakdown=state.m == j)
 
@@ -270,7 +270,10 @@ class GmresResult:
     nothing to compare against); a breakdown alone is not convergence. A lucky
     breakdown keeps the breaking column, as one more iteration with a zero
     estimate, unless its rotated diagonal is below the guard's tolerance:
-    the projected operator is then singular and the previous x is kept."""
+    the projected operator is then singular and the previous x is kept.
+    `factors` are the Gram-Schmidt state's, under every variant, as views of
+    its arrays: the pushed Krylov basis Q (no column for b = 0) and
+    R = [beta e_1, H] over it; S and P are set for the randomized variant."""
 
     x: np.ndarray
     residual_history: np.ndarray
@@ -278,7 +281,7 @@ class GmresResult:
     iterations: int
     converged: bool | None
     breakdown: bool
-    factors: QrFactors | None = None
+    factors: QrFactors
 
 
 def _operator_norm_estimate(matvec, n: int, iters: int = 20) -> float:
@@ -314,12 +317,12 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if b.shape != (A.n,):
         raise ValueError("right-hand side length mismatch")
     b_norm = float(np.linalg.norm(b))
+    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
     if b_norm == 0.0:
         return GmresResult(x=np.zeros(A.n), residual_history=np.zeros(0),
                            final_residual=0.0, iterations=0,
                            converged=None if tol is None else True,
-                           breakdown=False)
-    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
+                           breakdown=False, factors=state.factors())
 
     if preconditioner is None:
         eff_matvec = A.matvec
@@ -388,11 +391,10 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if solved_at != iters:
         x, true_res = solution(iters)
     converged = None if tol is None else true_res <= max(tol, 0.0)
-    factors = state.factors() if isinstance(state, RgsState) else None
     return GmresResult(x=x, residual_history=np.asarray(history),
                        final_residual=true_res, iterations=iters,
                        converged=converged,
-                       breakdown=breakdown, factors=factors)
+                       breakdown=breakdown, factors=state.factors())
 
 
 def best_attainable_residual(A: SparseMatrix, Q, b) -> float:

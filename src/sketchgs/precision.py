@@ -18,28 +18,31 @@ U_BINARY64 = 2.0**-53
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """A (u_crs, u_fine) pair realized as numpy dtypes per operation class."""
+    """Coarse and fine dtypes per operation class; u_crs, u_fine derive."""
 
     mode: str  # "f32" | "f64" | "mixed"
     coarse_dtype: np.dtype
     fine_dtype: np.dtype
-    u_crs: float
-    u_fine: float
 
     def __post_init__(self):
         if self.u_fine > self.u_crs:
-            raise ValueError("u_fine must not exceed u_crs")
+            raise ValueError("the fine format must not be coarser")
+
+    @property
+    def u_crs(self) -> float:
+        return float(np.finfo(self.coarse_dtype).eps / 2)
+
+    @property
+    def u_fine(self) -> float:
+        return float(np.finfo(self.fine_dtype).eps / 2)
 
     def __repr__(self):
         return f"PrecisionPolicy({self.mode!r})"
 
 
-UNIFIED32 = PrecisionPolicy("f32", np.dtype(np.float32), np.dtype(np.float32),
-                            U_BINARY32, U_BINARY32)
-UNIFIED64 = PrecisionPolicy("f64", np.dtype(np.float64), np.dtype(np.float64),
-                            U_BINARY64, U_BINARY64)
-MIXED32_64 = PrecisionPolicy("mixed", np.dtype(np.float32), np.dtype(np.float64),
-                             U_BINARY32, U_BINARY64)
+UNIFIED32 = PrecisionPolicy("f32", np.dtype(np.float32), np.dtype(np.float32))
+UNIFIED64 = PrecisionPolicy("f64", np.dtype(np.float64), np.dtype(np.float64))
+MIXED32_64 = PrecisionPolicy("mixed", np.dtype(np.float32), np.dtype(np.float64))
 
 _POLICIES = {"f32": UNIFIED32, "f64": UNIFIED64, "mixed": MIXED32_64}
 

@@ -85,8 +85,9 @@ def test_run_gmres_bench():
             result.residual_history)
         assert rep.metadata["converged"] is result.converged is True
         assert rep.metadata["breakdown"] is result.breakdown is False
-    # the randomized run also traces cond_Q
-    assert np.all(out["rgs"][0].column("cond_Q") < 10.0)
+    # every variant traces cond_Q of its Krylov basis
+    for name, (rep, _) in out.items():
+        assert np.all(rep.column("cond_Q") < 10.0), name
 
 
 def test_run_gmres_bench_preconditioned():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sketchgs import (CertificationParams, GsVariant, SketchKind, UNIFIED64,
+from sketchgs import (CertificationParams, GsVariant, MIXED32_64, SketchKind,
+                      UNIFIED64,
                       certify_factorization, classical_factorize,
                       eps_star_for_dim, epsilon_of, make_certification_sketch,
                       make_sketch, omega_bar, omega_bar_sharpness,
@@ -95,13 +96,18 @@ def test_eps_star_for_dim_inverts_bound():
         eps_star_for_dim(1, 1e-3)
 
 
-def test_certify_factorization(rng):
+@pytest.mark.parametrize("policy, u", [(MIXED32_64, 2.0**-24),
+                                       (UNIFIED64, 2.0**-53)],
+                         ids=["mixed", "f64"])
+def test_certify_factorization(rng, policy, u):
+    # the rounding margin takes u_crs from the format Q is stored in
     n, m = 1024, 10
     W = rng.standard_normal((n, m))
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
     phi = make_certification_sketch(CertificationParams(eps_star=0.25), n)
-    f, _ = rgs_factorize(W, theta, UNIFIED64)
-    res = certify_factorization(f, W, phi, eps_star=0.25, u_crs=UNIFIED64.u_crs)
+    f, _ = rgs_factorize(W, theta, policy)
+    res = certify_factorization(f, W, phi, eps_star=0.25)
+    assert res.margin_q == u * np.linalg.cond(phi.apply_block(f.Q))
     om_q = epsilon_of(theta, f.Q)
     om_w = epsilon_of(theta, W)
     assert res.omega_bar_q >= om_q
@@ -115,11 +121,9 @@ def test_certify_rejects_invalid_inputs(rng):
     f, _ = rgs_factorize(W, theta, UNIFIED64)
     phi_short = make_sketch(SketchKind.RADEMACHER, 32, 255, seed=1)
     with pytest.raises(ValueError, match="ambient dimension"):
-        certify_factorization(f, W, phi_short, eps_star=0.25,
-                              u_crs=UNIFIED64.u_crs)
+        certify_factorization(f, W, phi_short, eps_star=0.25)
     # classical factors carry no sketches S and P to certify against
     phi = make_sketch(SketchKind.RADEMACHER, 32, 256, seed=1)
     classical = classical_factorize(W, GsVariant.MGS)
     with pytest.raises(ValueError, match="sketches S and P"):
-        certify_factorization(classical, W, phi, eps_star=0.25,
-                              u_crs=UNIFIED64.u_crs)
+        certify_factorization(classical, W, phi, eps_star=0.25)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,22 @@ from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       loss_of_orthogonality, make_sketch, rgs_factorize)
 from sketchgs.gram_schmidt import (RgsState, _IncrementalHouseholderQR,
-                                   _SKETCH_BLOCK)
+                                   _PUSH_BLOCK)
+
+
+_CLASSICAL = (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2)
+
+
+def _state(variant, n, capacity, policy=MIXED32_64, kind=SketchKind.PSRHT, k=64):
+    if variant is GsVariant.RGS:
+        theta = make_sketch(kind, k, n, seed=5)
+        return RgsState(theta, policy, capacity=capacity)
+    return ClassicalGsState(n, variant, policy, capacity=capacity)
+
+
+def _snapshot(state):
+    names = ("m", "Q", "R") + (("S", "P") if isinstance(state, RgsState) else ())
+    return {name: np.copy(getattr(state, name)) for name in names}
 
 
 def _problem(rng, n=400, m=12, cond=1e4):
@@ -63,8 +79,8 @@ def test_rgs_streaming_matches_batch(rng):
     theta = make_sketch(SketchKind.RADEMACHER, 80, 300, seed=2)
     batch, _ = rgs_factorize(W, theta, MIXED32_64, with_certificate=False)
     state = RgsState(theta, MIXED32_64)
-    for j in range(0, 40, _SKETCH_BLOCK):
-        state.push_block(W[:, j:j + _SKETCH_BLOCK])
+    for j in range(0, 40, _PUSH_BLOCK):
+        state.push_block(W[:, j:j + _PUSH_BLOCK])
     f = state.factors()
     assert np.array_equal(batch.Q, f.Q)
     assert np.array_equal(batch.R, f.R)
@@ -72,19 +88,21 @@ def test_rgs_streaming_matches_batch(rng):
     assert np.array_equal(batch.P, f.P)
 
 
-@pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("variant, kind", [
+    *(pytest.param(GsVariant.RGS, kind, id=kind.value) for kind in SketchKind),
+    *(pytest.param(v, None, id=v.value) for v in _CLASSICAL)])
 @pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64],
                          ids=["mixed", "unified64"])
-def test_push_block_of_one_column_is_push(rng, kind, policy):
+def test_push_block_of_one_column_is_push(rng, variant, kind, policy):
     # b = 1 is push bit for bit; n = 5000 spans two Rademacher sign blocks
     W = _problem(rng, n=5000, m=6)
-    theta = make_sketch(kind, 40, 5000, seed=3)
-    by_column, by_block = RgsState(theta, policy), RgsState(theta, policy)
+    by_column, by_block = (_state(variant, 5000, 16, policy, kind, k=40)
+                           for _ in range(2))
     for j in range(6):
         r_ii = by_column.push(W[:, j])
         assert np.array_equal(by_block.push_block(W[:, j:j + 1]), [r_ii])
-    for name in ("Q", "R", "S", "P"):
-        assert np.array_equal(getattr(by_column, name), getattr(by_block, name)), name
+    for name, value in _snapshot(by_column).items():
+        assert np.array_equal(getattr(by_block, name), value), name
 
 
 def test_rgs_push_stream_P_within_a_priori_bound(rng):
@@ -334,17 +352,18 @@ def test_classical_mgs_bits_equal_copying_loop(rng, policy):
 @pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])
 def test_classical_q_layout(rng, variant):
     # MGS reads columns of Q, CGS and CGS2 multiply by it as a row-major
-    # matrix; the layout survives growth, and the factors come back C-ordered
+    # matrix; the layout survives growth, and the factors hand it over
     W = _problem(rng, n=300, m=20)
     st = ClassicalGsState(300, variant, MIXED32_64)
     for j in range(20):
         st.push(W[:, j])
     assert st._Q.shape[1] == 32
-    if variant is GsVariant.MGS:
-        assert st._Q.flags.f_contiguous and not st._Q.flags.c_contiguous
-    else:
-        assert st._Q.flags.c_contiguous and not st._Q.flags.f_contiguous
-    assert classical_factorize(W, variant, MIXED32_64).Q.flags.c_contiguous
+    Q = classical_factorize(W, variant, MIXED32_64).Q
+    for a in (st._Q, Q):
+        if variant is GsVariant.MGS:
+            assert a.flags.f_contiguous and not a.flags.c_contiguous
+        else:
+            assert a.flags.c_contiguous and not a.flags.f_contiguous
 
 
 def _factorize(W, variant):
@@ -384,18 +403,6 @@ def test_nonfinite_column_raises(rng, variant, fault):
     assert exc.value.column == 3
 
 
-def _state(variant, n, capacity):
-    if variant is GsVariant.RGS:
-        theta = make_sketch(SketchKind.PSRHT, 64, n, seed=5)
-        return RgsState(theta, MIXED32_64, capacity=capacity)
-    return ClassicalGsState(n, variant, MIXED32_64, capacity=capacity)
-
-
-def _snapshot(state):
-    names = ("m", "Q", "R") + (("S", "P") if isinstance(state, RgsState) else ())
-    return {name: np.copy(getattr(state, name)) for name in names}
-
-
 @_VARIANTS
 @pytest.mark.parametrize("error", [BreakdownError, NonFiniteError],
                          ids=lambda e: e.__name__)
@@ -430,19 +437,22 @@ def test_failed_push_leaves_state_unchanged(rng, variant, error):
         assert np.array_equal(getattr(state, name), value), name
 
 
-@pytest.mark.parametrize("error", [BreakdownError, NonFiniteError],
-                         ids=lambda e: e.__name__)
-def test_failed_push_block_keeps_earlier_columns(rng, error):
+@pytest.mark.parametrize("variant, error", [
+    *(pytest.param(GsVariant.RGS, e, id=e.__name__)
+      for e in (BreakdownError, NonFiniteError)),
+    *(pytest.param(v, e, id=f"{v.value}-{e.__name__}")
+      for v in _CLASSICAL for e in (BreakdownError, NonFiniteError))])
+def test_failed_push_block_keeps_earlier_columns(rng, variant, error):
     # a block whose second column fails keeps its first column pushed, with
     # the state growing in it, and the state stays usable
     W = _problem(rng, n=200, m=7)
-    state = _state(GsVariant.RGS, 200, capacity=4)
+    state = _state(variant, 200, capacity=4)
     state.push_block(W[:, :4])
     bad = np.zeros(200) if error is BreakdownError else W[:, 5] * 1e40
     with pytest.raises(error) as exc, np.errstate(all="ignore"):
         state.push_block(np.column_stack([W[:, 4], bad, W[:, 5]]))
     assert exc.value.column == 6
-    clean = _state(GsVariant.RGS, 200, capacity=4)
+    clean = _state(variant, 200, capacity=4)
     for j in range(5):
         clean.push(W[:, j])
     for name, value in _snapshot(clean).items():
@@ -455,11 +465,12 @@ def test_failed_push_block_keeps_earlier_columns(rng, error):
         assert np.array_equal(getattr(state, name), value), name
 
 
-def test_nonfinite_block_pushes_nothing(rng):
+@_VARIANTS
+def test_nonfinite_block_pushes_nothing(rng, variant):
     # the whole block is checked first: a NaN in its third column is
     # reported at its global index and no column of the block is pushed
     W = _problem(rng, n=200, m=7)
-    state = _state(GsVariant.RGS, 200, capacity=4)
+    state = _state(variant, 200, capacity=4)
     state.push_block(W[:, :3])
     before = _snapshot(state)
     block = W[:, 3:].copy()
@@ -471,6 +482,51 @@ def test_nonfinite_block_pushes_nothing(rng):
         assert np.array_equal(getattr(state, name), value), name
     with pytest.raises(ValueError):
         state.push_block(W[:100, 3:])  # n rows are required
+
+
+@_VARIANTS
+def test_factors_taken_mid_stream_keep_their_bits(rng, variant):
+    # factors are views of the state's arrays: a pushed column is never
+    # written again, and a growth copies the arrays, so factors taken at a
+    # partial and at a full capacity keep every bit through later pushes
+    W = _problem(rng, n=200, m=12)
+    state = _state(variant, 200, capacity=4)
+    state.push_block(W[:, :3])
+    partial = state.factors()
+    assert np.shares_memory(partial.Q, state._Q)
+    assert np.shares_memory(partial.R, state._R)
+    state.push(W[:, 3])
+    full = state.factors()
+    taken = [(f, {name: np.copy(a) for name, a in vars(f).items()
+                  if a is not None}) for f in (partial, full)]
+    state.push_block(W[:, 4:])  # grows 4 -> 8 -> 16
+    assert state._Q.shape[1] == 16
+    for f, before in taken:
+        for name, value in before.items():
+            assert np.array_equal(getattr(f, name), value), name
+            now = getattr(state, name)[:len(value), :value.shape[1]]
+            assert np.array_equal(now, value), name
+
+
+@_VARIANTS
+def test_factorizers_hand_over_their_arrays(variant):
+    # the factors are the state's own arrays, so the memory a factorizer
+    # needs beyond what it returns (an n x 32 block copy and one column's
+    # temporaries) stays below one extra copy of Q where Q dominates
+    n, m = 8000, 256
+    W = np.random.default_rng(0).standard_normal((n, m))
+    theta = make_sketch(SketchKind.PSRHT, 300, n, seed=1)
+    tracemalloc.start()
+    try:
+        if variant is GsVariant.RGS:
+            f, _ = rgs_factorize(W, theta, MIXED32_64, with_certificate=False,
+                                 breakdown_factor=0.0)
+        else:
+            f = classical_factorize(W, variant, MIXED32_64, breakdown_factor=0.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < f.Q.nbytes
 
 
 @_VARIANTS

@@ -384,6 +384,7 @@ def test_gmres_zero_rhs():
     assert res.converged and np.all(res.x == 0.0)
     res = gmres(A, np.zeros(A.n), m=10, variant=GsVariant.MGS)
     assert res.converged is None and np.all(res.x == 0.0)
+    assert res.factors.Q.shape == (A.n, 0)  # factors under every variant
 
 
 def test_gmres_without_tolerance_reports_no_convergence_flag():
