@@ -17,11 +17,12 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 
-from sketchgs import (CertificationParams, SketchKind, UNIFIED64,
-                      certify_factorization, epsilon_of,
-                      make_certification_sketch, make_sketch, rgs_factorize)
+from sketchgs import (SketchKind, SketchOperator, UNIFIED64,
+                      certify_factorization, epsilon_of, make_sketch,
+                      rgs_factorize, vector_certificate_dim)
 
 N, M = 4096, 20
+EPS_STAR, DELTA_STAR = 0.25, 1e-3
 
 
 def main():
@@ -30,10 +31,13 @@ def main():
 
     for k in (96, 256, 1024):
         theta = make_sketch(SketchKind.PSRHT, k, N, seed=0)
-        params = CertificationParams(eps_star=0.25, delta_star=1e-3)
-        phi = make_certification_sketch(params, N)
+        # Phi only has to embed single vectors, so its rows depend on the
+        # certification levels, not on M
+        phi = SketchOperator(SketchKind.RADEMACHER,
+                             vector_certificate_dim(EPS_STAR, DELTA_STAR), N,
+                             seed=0x0F1A)
         f, _ = rgs_factorize(W, theta, UNIFIED64)
-        res = certify_factorization(f, W, phi, params.eps_star)
+        res = certify_factorization(f, W, phi, EPS_STAR)
         omega = epsilon_of(theta, f.Q)  # exact, needs the full basis
         print(f"k={k:4d}: exact omega={omega:.4f}  certified "
               f"omega_bar={res.omega_bar_q:.4f}  "

@@ -12,15 +12,13 @@ from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            StabilityCertificate, certificates,
                            classical_factorize, loss_of_orthogonality,
                            rgs_factorize)
-from .certification import (CertificationParams, CertificationResult,
-                            certify_factorization, eps_star_for_dim,
-                            make_certification_sketch, omega_bar,
-                            omega_bar_sharpness)
+from .certification import (CertificationResult, certify_factorization,
+                            omega_bar)
 from .krylov import (ArnoldiDecomposition, GmresResult, Ilu0Preconditioner,
                      SparseMatrix, arnoldi, best_attainable_residual, gmres,
                      ilu0)
 from .io import (ExperimentReport, REPORT_COLUMNS, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, read_report,
-                 synthetic_matrix, write_matrix_market, write_report)
+                 synthetic_matrix, write_report)
 
 __version__ = "0.1.0"

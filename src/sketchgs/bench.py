@@ -3,8 +3,10 @@ embedding certification sweeps, all emitting `ExperimentReport`s.
 
 Each runner factorizes first and then reads every per-iteration trace
 (condition numbers, loss of orthogonality, omega, omega_bar) from the
-leading blocks of Gram matrices of the finished factors, with one small
-symmetric eigensolve per iteration and never a large-matrix SVD.
+singular values of the leading blocks of triangular factors: each traced
+matrix gets one binary64 Householder QR, backward stable, so a trace is
+accurate to about u64 cond, not u64 cond^2 as from a Gram matrix, and no
+large-matrix SVD is ever taken.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .certification import (CertificationParams, _whiten,
-                            make_certification_sketch)
+from .certification import _embedding_error, _triangular, _whiten
 from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
@@ -69,18 +69,25 @@ def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
     raise ValueError(f"unrecognized matrix source {spec!r}")
 
 
-def _leading_eigs(G) -> list:
-    """Eigenvalues of each leading i x i block of G, for i = 1 .. m."""
-    return [scipy.linalg.eigh(G[:i, :i], eigvals_only=True)
-            for i in range(1, len(G) + 1)]
+def _leading_svals(R) -> list:
+    """Singular values, descending, of each leading i x i block of the
+    triangular factor R of an n x m matrix X: those of X[:, :i], i = 1 .. m
+    (min(n, i) of them)."""
+    return [np.linalg.svd(R[:i, :i], compute_uv=False)
+            for i in range(1, R.shape[1] + 1)]
 
 
-def _cond_trace(G) -> np.ndarray:
-    out = []
-    for lam in _leading_eigs(G):
-        lo = max(lam[0], 0.0)
-        out.append(np.inf if lo == 0.0 else float(np.sqrt(lam[-1] / lo)))
-    return np.array(out)
+def _cond(svals) -> np.ndarray:
+    return np.array([sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+                     for sv in svals])
+
+
+def _embedding_trace(B, eps_star: float, m: int) -> np.ndarray:
+    """Embedding error of the leading i columns of the whitened sketch B,
+    i = 1 .. m; the rows past B's last column read inf."""
+    errs = [_embedding_error(sv, eps_star)
+            for sv in _leading_svals(_triangular(B))]
+    return np.array(errs + [np.inf] * (m - len(errs)))
 
 
 def _traces(Q, S=None, theta: SketchOperator | None = None,
@@ -88,43 +95,41 @@ def _traces(Q, S=None, theta: SketchOperator | None = None,
     """Per-iteration traces of a finished factorization, as report columns.
 
     A column of Q or S never changes once written, so row i of each trace
-    depends only on the leading i columns and is read from the leading
-    i x i block of one Gram matrix:
+    depends only on the leading i columns. Each matrix gets one binary64
+    Householder QR, and row i is read from the singular values of the
+    leading i x i block of its triangular factor:
 
-    - cond_Q and loss_of_orthogonality from Q^T Q (always);
-    - cond_S from S^T S (with S);
-    - omega_bar from B^T B, B = (Phi Q) R_S^-1 with R_S from a binary64 QR
-      of S (with S, phi); its rows from a numerically dependent column of S
-      onward read inf;
-    - the exact omega from (Theta U)^T (Theta U) (with theta), where
-      Theta U = (Theta Q) R^-1 and R comes from one binary64 Householder QR
-      of Q, whose leading i columns of U span Q_i. U is never formed.
+    - cond_Q, and the loss of orthogonality ||I - Q_i^T Q_i||_F as
+      ||1 - sigma^2||_2, from R_Q (always);
+    - cond_S from R_S (with S);
+    - omega_bar from B = (Phi Q) R_S^-1 (with S, phi); its rows from a
+      numerically dependent column of S onward read inf;
+    - the exact omega from Theta U = (Theta Q) R_Q^-1 (with theta), whose
+      leading i columns sketch an orthonormal basis U_i of span Q_i. U is
+      never formed.
     """
     Q64 = np.array(Q, dtype=np.float64, order="F")  # the one binary64 copy
-    G = Q64.T @ Q64
-    m = len(G)
-    out = {"cond_Q": _cond_trace(G),
+    phi_q = phi.apply_block(Q64) if phi is not None and S is not None else None
+    theta_q = theta.apply_block(Q64) if theta is not None else None
+    R_Q = _triangular(Q64)  # overwrites Q64 with its factorization
+    m = R_Q.shape[1]
+    svals = _leading_svals(R_Q)
+    out = {"cond_Q": _cond(svals),
            "loss_of_orthogonality": np.array(
-               [np.linalg.norm(np.eye(i) - G[:i, :i]) for i in range(1, m + 1)])}
+               [np.linalg.norm(1.0 - sv**2) for sv in svals])}
     if S is not None:
-        S64 = np.array(S, dtype=np.float64)  # a copy: `_whiten` may overwrite
-        out["cond_S"] = _cond_trace(S64.T @ S64)
-        if phi is not None:
-            B = _whiten(S64, phi.apply_block(Q64))
-            out["omega_bar"] = np.array(
-                [max(1.0 - (1.0 - eps_star) * lam[0],
-                     (1.0 + eps_star) * lam[-1] - 1.0)
-                 for lam in _leading_eigs(B.T @ B)]
-                + [np.inf] * (m - B.shape[1]))
-    if theta is not None:
-        SQ = theta.apply_block(Q64)
-        SU = _whiten(Q64, SQ)  # overwrites Q64 with its factorization
+        R_S = _triangular(np.array(S, dtype=np.float64, order="F"))
+        out["cond_S"] = _cond(_leading_svals(R_S))
+        if phi_q is not None:
+            out["omega_bar"] = _embedding_trace(_whiten(R_S, phi_q),
+                                                eps_star, m)
+    if theta_q is not None:
+        SU = _whiten(R_Q, theta_q)
         if SU.shape[1] < m:
             raise np.linalg.LinAlgError(
                 f"column {SU.shape[1] + 1} of Q is numerically dependent "
                 "on the columns before it")
-        out["omega"] = np.array([max(1.0 - lam[0], lam[-1] - 1.0)
-                                 for lam in _leading_eigs(SU.T @ SU)])
+        out["omega"] = _embedding_trace(SU, 0.0, m)
     return out
 
 
@@ -171,7 +176,8 @@ def run_qr_bench(config: RunConfig) -> dict:
         runs.append((variant, cols, time.perf_counter() - t0))
     # cond(W_i) is variant independent, read once the factorizations have
     # rejected a non-finite W
-    cond_w = _cond_trace(W.T @ W)
+    cond_w = _cond(_leading_svals(
+        _triangular(np.array(W, dtype=np.float64, order="F"))))
     reports = {}
     for variant, cols, wall in runs:
         report = ExperimentReport()
@@ -188,9 +194,8 @@ def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy):
     """Randomized factorization of W and its traces, certification included."""
     n = W.shape[0]
     theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
-    cert = CertificationParams(config.eps_star, config.delta_star,
-                               config.phi_seed, config.phi_dim())
-    phi = make_certification_sketch(cert, n, kind=config.sketch_kind)
+    phi = SketchOperator(config.sketch_kind, config.phi_dim(), n,
+                         config.phi_seed)
     # benchmark protocol: run straight through numerically singular
     # columns (breakdown guard off), like the experiments being traced
     f, _ = rgs_factorize(W, theta, policy, with_certificate=False,

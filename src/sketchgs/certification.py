@@ -23,49 +23,36 @@ import numpy as np
 import scipy.linalg
 
 from .gram_schmidt import QrFactors
-from .sketch import SketchKind, SketchOperator, vector_certificate_dim
+from .sketch import SketchOperator
 
-__all__ = [
-    "CertificationParams", "CertificationResult", "omega_bar",
-    "omega_bar_sharpness", "eps_star_for_dim", "certify_factorization",
-    "make_certification_sketch",
-]
+__all__ = ["CertificationResult", "omega_bar", "certify_factorization"]
 
 
-@dataclass(frozen=True)
-class CertificationParams:
-    """Accuracy/failure levels and seeding of the auxiliary sketch Phi."""
-
-    eps_star: float = 0.05
-    delta_star: float = 1e-3
-    phi_seed: int = 0x0F1A
-    k_phi: int | None = None  # override the bound-derived dimension
-
-    def dimension(self) -> int:
-        if self.k_phi is not None:
-            return self.k_phi
-        return vector_certificate_dim(self.eps_star, self.delta_star)
+def _triangular(X) -> np.ndarray:
+    """The triangular factor R, min(n, m) x m, of one binary64 Householder
+    QR of the n x m matrix X, so that X[:, :i] and R[:i, :i] share their
+    nonzero singular values. A binary64 Fortran-ordered X is overwritten
+    by its factorization."""
+    return scipy.linalg.qr(X, overwrite_a=True, mode="raw")[1]
 
 
-def make_certification_sketch(params: CertificationParams, n: int,
-                              kind: SketchKind = SketchKind.RADEMACHER) -> SketchOperator:
-    """Build Phi. Any oblivious single-vector embedding works; at large n,
-    kind=PSRHT spares redrawing Rademacher sign blocks on each vector apply."""
-    return SketchOperator(kind, params.dimension(), n, params.phi_seed)
-
-
-def _whiten(X, Y) -> np.ndarray:
-    """Y R^-1, with R the triangular factor of a binary64 Householder QR of
-    X, for the leading columns of X before the first numerically dependent
-    one: column j is dependent when |r_jj| <= 1e-12 ||x_j||. Column i of
-    the result reads only the leading i columns of X and Y. A binary64
-    Fortran-ordered X is overwritten by its factorization."""
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    R = scipy.linalg.qr(X, overwrite_a=True, mode="raw")[1]
+def _whiten(R, Y) -> np.ndarray:
+    """Y R^-1 for the triangular factor R of a matrix X, for the leading
+    columns of X before the first numerically dependent one: column j is
+    dependent when |r_jj| <= 1e-12 ||r_j||, and ||r_j|| = ||x_j||. Column i
+    of the result reads only the leading i columns of R and Y."""
     diag = np.abs(np.diag(R))
-    dependent = diag <= 1e-12 * norms[:diag.size]
+    dependent = diag <= 1e-12 * np.linalg.norm(R[:, :diag.size], axis=0)
     j = int(np.argmax(dependent)) if dependent.any() else diag.size
     return scipy.linalg.solve_triangular(R[:j, :j], Y[:, :j].T, trans="T").T
+
+
+def _embedding_error(sv, eps_star: float) -> float:
+    """max{1 - (1 - eps*) sigma_min^2, (1 + eps*) sigma_max^2 - 1} for the
+    singular values sv, in descending order, of a whitened sketch; with
+    eps* = 0 this is the exact omega."""
+    return max(1.0 - (1.0 - eps_star) * sv[-1]**2,
+               (1.0 + eps_star) * sv[0]**2 - 1.0)
 
 
 def omega_bar(V_theta, V_phi, eps_star: float) -> float:
@@ -75,40 +62,15 @@ def omega_bar(V_theta, V_phi, eps_star: float) -> float:
     matrix. The orthonormalizing map X = R^{-1} from the QR of V_theta is
     applied implicitly by a triangular solve.
     """
-    # copies, 1-D sketches as one column: `_whiten` overwrites V_theta
+    # copies, 1-D sketches as one column: `_triangular` overwrites V_theta
     V_theta, V_phi = (np.array(V, dtype=np.float64).reshape(len(V), -1)
                       for V in (V_theta, V_phi))
     if V_theta.shape[1] != V_phi.shape[1]:
         raise ValueError("sketches have different column counts")
-    B = _whiten(V_theta, V_phi)
+    B = _whiten(_triangular(V_theta), V_phi)
     if B.shape[1] < V_phi.shape[1]:
         raise np.linalg.LinAlgError("Theta-sketch is numerically rank deficient")
-    sv = np.linalg.svd(B, compute_uv=False)
-    return max(1.0 - (1.0 - eps_star) * sv[-1]**2,
-               (1.0 + eps_star) * sv[0]**2 - 1.0)
-
-
-def omega_bar_sharpness(omega: float, eps_star: float, eps_prime: float) -> float:
-    """Guaranteed ceiling on omega_bar when Phi embeds range(V) with eps'."""
-    return (1.0 + eps_star) / (1.0 - eps_prime) * (1.0 + omega) - 1.0
-
-
-def eps_star_for_dim(k_phi: int, delta_star: float) -> float:
-    """Invert the certification dimension bound: the smallest eps* a
-    k_phi-row Rademacher sketch certifies at failure level delta_star."""
-    if k_phi < 1:
-        raise ValueError("k_phi must be positive")
-    lo, hi = 1e-8, 1.0 - 1e-12
-    if vector_certificate_dim(hi, delta_star) > k_phi:
-        raise ValueError(f"k_phi={k_phi} too small for any eps* < 1 "
-                         f"at delta*={delta_star}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if vector_certificate_dim(mid, delta_star) <= k_phi:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _embedding_error(np.linalg.svd(B, compute_uv=False), eps_star)
 
 
 @dataclass

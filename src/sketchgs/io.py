@@ -10,7 +10,7 @@ import scipy.sparse
 from .krylov import SparseMatrix
 
 __all__ = [
-    "read_matrix_market", "write_matrix_market", "synthetic_matrix",
+    "read_matrix_market", "synthetic_matrix",
     "generate_laplacian_2d", "generate_random_sparse",
     "ExperimentReport", "REPORT_COLUMNS", "write_report", "read_report",
 ]
@@ -40,15 +40,6 @@ def read_matrix_market(path) -> SparseMatrix:
         return SparseMatrix(csr=scipy.io.mmread(path))
     except ValueError as exc:  # scipy's parse errors and the checks above
         raise MatrixMarketError(f"{path}: {exc}") from exc
-
-
-def write_matrix_market(A: SparseMatrix, path) -> None:
-    """Write a square CSR matrix in coordinate real general format, every
-    stored entry in the shortest form that reads back bit for bit."""
-    import scipy.io
-    # symmetry="general": detecting symmetry would fold (i, j) and (j, i)
-    # into one entry, losing -0.0 against 0.0
-    scipy.io.mmwrite(path, A.to_scipy().tocoo(), symmetry="general")
 
 
 def synthetic_matrix(n: int, m: int) -> np.ndarray:

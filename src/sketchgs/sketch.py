@@ -225,12 +225,6 @@ class SketchOperator:
                 out[:, j] = fwht(padded)[self.sample_indices]
         return (1.0 / math.sqrt(self.k)) * acc
 
-    def materialize(self) -> np.ndarray:
-        """Dense k x n matrix; intended for small-n diagnostics and tests."""
-        # column j is apply(e_j), one unit vector at a time: no n x n identity
-        return np.column_stack([self.apply(np.eye(1, self.n, j)[0])
-                                for j in range(self.n)])
-
 
 def make_sketch(kind: SketchKind, k: int, n: int, seed: int) -> SketchOperator:
     return SketchOperator(kind, k, n, seed)

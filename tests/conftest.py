@@ -33,3 +33,15 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def dense_sketch():
+    """Theta as a dense k x n array, from `apply_block` of 512 unit columns
+    at a time, never an n x n identity. Each entry is one +-1 times 1, so it
+    has the bits of any apply."""
+    def dense(theta):
+        n = theta.n
+        return np.hstack([theta.apply_block(np.eye(n, min(512, n - j), -j))
+                          for j in range(0, n, 512)])
+    return dense

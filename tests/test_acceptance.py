@@ -78,7 +78,7 @@ def test_criterion_1_conditioning(big_run):
     cond = {name: float(np.linalg.cond(big_run[name].Q.astype(np.float64)))
             for name in ("rgs", "cgs", "mgs", "rgs32")}
     # onset of the classical instability: first iteration with cond >= 1e3,
-    # from the same Gram trace the benchmarks use
+    # from the same trace the benchmarks use
     cond_cgs = _traces(big_run["cgs"].Q)["cond_Q"]
     above = np.flatnonzero(cond_cgs >= 1e3)
     onset = int(above[0]) + 1 if above.size else None

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.io
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
-                      epsilon_of, make_sketch, rgs_factorize, synthetic_matrix,
-                      write_matrix_market)
+                      epsilon_of, make_sketch, rgs_factorize, synthetic_matrix)
 from sketchgs.bench import (RunConfig, _traces, load_matrix_source,
                             run_certify, run_gmres_bench, run_qr_bench)
 from sketchgs.certification import omega_bar
@@ -22,7 +22,7 @@ def test_load_matrix_source(tmp_path):
     B = load_matrix_source("randsparse:40:3", seed=1)
     assert B.n == 40
     p = tmp_path / "m.mtx"
-    write_matrix_market(A, p)
+    scipy.io.mmwrite(p, A.to_scipy().tocoo(), symmetry="general")
     C = load_matrix_source(str(p))
     assert np.array_equal(A.to_scipy().toarray(), C.to_scipy().toarray())
     with pytest.raises(ValueError):
@@ -126,9 +126,9 @@ def test_run_certify_matches_run_qr_bench():
 
 def test_omega_bar_trace_matches_one_shot_oracle():
     # The trace and the one-shot `certification.omega_bar` whiten Phi Q by
-    # the same triangular factor of S; the trace then takes one small
-    # eigensolve per row, the one-shot bound an SVD, so they must agree at
-    # every column.
+    # the same triangular factor of S; the trace then reads each row from
+    # the triangular factor of the whitened sketch, the one-shot bound from
+    # an SVD of it, so they must agree at every column.
     n, m, eps_star = 1024, 20, 0.25
     W = np.random.default_rng(3).standard_normal((n, m))
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=1)
@@ -141,24 +141,37 @@ def test_omega_bar_trace_matches_one_shot_oracle():
             omega_bar(f.S[:, :i + 1], S_phi[:, :i + 1], eps_star), rel=1e-10)
 
 
-@pytest.mark.parametrize("policy", [UNIFIED64, MIXED32_64],
-                         ids=["f64", "mixed"])
-def test_traces_match_one_shot_oracles(policy):
+@pytest.mark.parametrize("policy, log_cond", [(UNIFIED64, 0.0),
+                                              (MIXED32_64, 0.0),
+                                              (UNIFIED64, 13.0)],
+                         ids=["f64", "mixed", "cond1e13"])
+def test_traces_match_one_shot_oracles(policy, log_cond):
     # every row of every trace against a one-shot computation on the
-    # leading columns, at the omega_bar oracle's tolerance
+    # leading columns, at the omega_bar oracle's tolerance. The cond traces
+    # and np.linalg.cond both come from backward-stable factorizations,
+    # each exact for a matrix within about m u64 ||X|| of X, so they agree
+    # to 10 m u64 cond(X_i) relative (a Gram matrix squares that cond)
     n, m, eps_star = 1024, 16, 0.25
     W = np.random.default_rng(4).standard_normal((n, m))
+    if log_cond:
+        # singular values graded down to 10^-log_cond and mixed into every
+        # column by a fixed rotation, so cond(W_i) rises to 10^log_cond;
+        # graded columns alone would leave a Gram matrix graded too, which
+        # an eigensolve resolves
+        V, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((m, m)))
+        W = (W * np.logspace(0.0, -log_cond, m)) @ V
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=5)
     phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=6)
     f, _ = rgs_factorize(W, theta, policy)
     rows = _traces(f.Q, f.S, theta, phi, eps_star)
     cond_w = _traces(W)["cond_Q"]
     Q = f.Q.astype(np.float64)
+    u64 = 2.0**-53
     for i in range(1, m + 1):
-        assert rows["cond_Q"][i - 1] == pytest.approx(
-            np.linalg.cond(Q[:, :i]), rel=1e-10)
-        assert cond_w[i - 1] == pytest.approx(np.linalg.cond(W[:, :i]),
-                                              rel=1e-10)
+        for trace, X in ((rows["cond_Q"], Q), (cond_w, W)):
+            oracle = np.linalg.cond(X[:, :i])
+            assert trace[i - 1] == pytest.approx(
+                oracle, rel=10 * m * u64 * oracle)
         assert rows["cond_S"][i - 1] == pytest.approx(
             np.linalg.cond(f.S[:, :i]), rel=1e-10)
         assert rows["omega"][i - 1] == pytest.approx(
@@ -166,6 +179,24 @@ def test_traces_match_one_shot_oracles(policy):
         assert rows["omega_bar"][i - 1] == pytest.approx(
             omega_bar(f.S[:, :i], phi.apply_block(Q[:, :i]), eps_star),
             rel=1e-10)
+    if log_cond:
+        assert cond_w[-1] > 1e12
+
+
+def test_gmres_bench_cond_trace_beyond_1e8():
+    # CGS in mixed precision takes cond(Q_i) of the Krylov basis to about
+    # 3e8; every row is finite and matches the SVD
+    config = RunConfig(matrix="laplacian:30", m=80, k=200, policy="mixed",
+                       variants=(GsVariant.CGS,), precond=True, tol=1e-10)
+    rep, result = run_gmres_bench(config)["cgs"]
+    cond_q = rep.column("cond_Q")
+    assert np.all(np.isfinite(cond_q))
+    assert cond_q.max() > 1e8
+    Q = result.factors.Q.astype(np.float64)
+    for i, value in enumerate(cond_q, start=1):
+        oracle = np.linalg.cond(Q[:, :i])
+        assert value == pytest.approx(oracle,
+                                      rel=10 * len(cond_q) * 2.0**-53 * oracle)
 
 
 def test_omega_bar_trace_is_inf_past_dependent_column_of_S():

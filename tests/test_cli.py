@@ -158,15 +158,15 @@ def test_exit_code_nonfinite(tmp_path, capsys):
 def test_exit_code_linalg_failure(tmp_path, capsys, monkeypatch, command):
     # numpy's LinAlgError subclasses ValueError, but it is a numerical
     # failure, not a configuration error; a rank-deficient sketch no longer
-    # raises one in the traces, so a failing eigensolve is injected there
-    def fail(G):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    # raises one in the traces, so a failing SVD is injected there
+    def fail(R):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr("sketchgs.bench._leading_eigs", fail)
+    monkeypatch.setattr("sketchgs.bench._leading_svals", fail)
     rc = main([command, "--n", "300", "--m", "8", "--k", "32",
                "--variants", "rgs", "--out", str(tmp_path / "l.csv")])
     assert rc == EXIT_BREAKDOWN
-    assert "numerical breakdown: eigenvalues" in capsys.readouterr().err
+    assert "numerical breakdown: SVD" in capsys.readouterr().err
     assert not (tmp_path / "l.csv").exists()
 
 
@@ -197,7 +197,7 @@ def test_metadata_n_of_matrix_source(tmp_path, command):
 
 
 def test_import_leaves_scipy_io_unloaded():
-    # the Matrix Market functions import scipy.io on use, so the library's
+    # the Matrix Market reader imports scipy.io on use, so the library's
     # import time does not carry it
     code = "import sys, sketchgs; print('scipy.io' in sys.modules)"
     src = pathlib.Path(sketchgs.__file__).resolve().parents[1]

@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against the installed API."""
+"""Each demo script, and the README's python blocks, run to completion
+against the installed API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,14 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the README's python blocks, in order and in one namespace, as a reader
+    # pastes them: a public name the docs use must still exist
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -105,7 +105,7 @@ def test_push_block_of_one_column_is_push(rng, variant, kind, policy):
         assert np.array_equal(getattr(by_block, name), value), name
 
 
-def test_rgs_push_stream_P_within_a_priori_bound(rng):
+def test_rgs_push_stream_P_within_a_priori_bound(rng, dense_sketch):
     # a Rademacher block apply sums in another order than a per-column
     # apply, so a push stream's P and rgs_factorize's P need not share bits;
     # both are held to the bound of test_sketch.py's
@@ -118,7 +118,7 @@ def test_rgs_push_stream_P_within_a_priori_bound(rng):
     for j in range(m):
         state.push(W[:, j])
     scale = 1.0 / math.sqrt(k)
-    signs = np.sign(theta.materialize())
+    signs = np.sign(dense_sketch(theta))
     u = 2.0**-53
     gamma = n * u / (1.0 - n * u)
     for j in range(m):
@@ -609,8 +609,8 @@ def _gamma(j, u):
        policy=st.sampled_from([UNIFIED64, MIXED32_64, UNIFIED32]),
        kind=st.sampled_from([SketchKind.PSRHT, SketchKind.RADEMACHER]),
        seed=st.integers(0, 2**32 - 1))
-def test_rgs_invariants_within_certificate(m, k_extra, n_extra, log_cond,
-                                           policy, kind, seed):
+def test_rgs_invariants_within_certificate(dense_sketch, m, k_extra, n_extra,
+                                           log_cond, policy, kind, seed):
     # Delta_m and Delta~_m are read from the stored sketches S and P. The
     # sketches of the returned Q and of W must satisfy S^T S ~ I and P ~ S R
     # within those values, up to what separates stored from recomputed
@@ -629,7 +629,7 @@ def test_rgs_invariants_within_certificate(m, k_extra, n_extra, log_cond,
     S, P = f.S.astype(np.float64), f.P.astype(np.float64)
     SQ, PW = theta.apply_block(Q), theta.apply_block(W)
     e_apply = _gamma(2 * n, u64) * math.sqrt(n) + u64
-    theta_2 = np.linalg.norm(theta.materialize(), 2)
+    theta_2 = np.linalg.norm(dense_sketch(theta), 2)
     q_norms = np.linalg.norm(Q, axis=0) / (1 - uc)
     # ||SQ - S||_F <= eta, column by column
     eta = 1.01 * np.linalg.norm(q_norms * (theta_2 * (uc + 2 * uf)

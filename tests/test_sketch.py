@@ -158,15 +158,15 @@ def test_sketch_determinism(kind):
 
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
-def test_sketch_entries_are_pm_scaled(kind):
+def test_sketch_entries_are_pm_scaled(kind, dense_sketch):
     th = make_sketch(kind, 16, 24, seed=0)
-    M = th.materialize()
+    M = dense_sketch(th)
     assert M.shape == (16, 24)
     assert np.allclose(np.abs(M), 1.0 / math.sqrt(16))
 
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
-def test_apply_block_matches_apply(kind, rng):
+def test_apply_block_matches_apply(kind, rng, dense_sketch):
     if kind is SketchKind.PSRHT:
         # each column is transformed alone: the bits of its own apply
         th = make_sketch(kind, 20, 50, seed=5)
@@ -183,7 +183,7 @@ def test_apply_block_matches_apply(kind, rng):
     X = rng.standard_normal((n, 4))
     blk = th.apply_block(X)
     scale = 1.0 / math.sqrt(k)
-    signs = np.sign(th.materialize())
+    signs = np.sign(dense_sketch(th))
     u = 2.0**-53
     gamma = n * u / (1.0 - n * u)
     for j in range(4):
@@ -231,7 +231,7 @@ def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
 @example(3, 4096, 1)
 @example(5, 8193, 2)
 @example(64, 9000, 0)
-def test_rademacher_blocks_property(k, n, seed):
+def test_rademacher_blocks_property(dense_sketch, k, n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
     kept = make_sketch(SketchKind.RADEMACHER, k, n, seed)
     y = kept.apply(x)
@@ -242,7 +242,7 @@ def test_rademacher_blocks_property(k, n, seed):
         assert np.array_equal(regenerated.apply(x), y)
     finally:
         sk._MATERIALIZE_LIMIT = old
-    M = kept.materialize()
+    M = dense_sketch(kept)
     assert np.array_equal(np.abs(M), np.full((k, n), 1.0 / math.sqrt(k)))
     # both sum n terms of size |x_j|/sqrt(k), in different orders
     tol = 2 * n * np.finfo(np.float64).eps * np.sum(np.abs(x)) / math.sqrt(k)
