@@ -2,8 +2,8 @@
 embeddings, emulated multi-precision arithmetic, a-posteriori embedding
 certification, and a sketched GMRES built on top."""
 
-from .precision import (MIXED32_64, U_BINARY32, U_BINARY64, UNIFIED32,
-                        UNIFIED64, PrecisionPolicy, policy_from_name)
+from .precision import (MIXED32_64, UNIFIED32, UNIFIED64, PrecisionPolicy,
+                        policy_from_name)
 from .sketch import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
                      fwht, make_sketch, required_sketch_dim,
                      rounding_sketch_trial, vector_certificate_dim)

@@ -30,7 +30,7 @@ __all__ = ["RunConfig", "run_qr_bench", "run_gmres_bench", "run_certify",
 
 @dataclass
 class RunConfig:
-    """Parsed experiment configuration shared by all subcommands."""
+    """Experiment settings; `COMMAND_FIELDS` says what each command reads."""
 
     n: int = 100_000
     m: int = 300
@@ -53,6 +53,30 @@ class RunConfig:
     def phi_dim(self) -> int:
         """Rows of the certification sketch Phi: k_phi, or k when unset."""
         return self.k_phi or self.k
+
+
+# The RunConfig fields each command reads: its CLI options, and the settings
+# its reports record.
+COMMAND_FIELDS = {
+    "qr-bench": ("n", "m", "k", "sketch_kind", "seed", "policy", "variants",
+                 "matrix", "eps_star", "k_phi", "phi_seed"),
+    "gmres-bench": ("m", "k", "sketch_kind", "seed", "policy", "variants",
+                    "matrix", "precond", "tol"),
+    "certify": ("n", "m", "k", "sketch_kind", "seed", "policy", "matrix",
+                "eps_star", "k_phi", "phi_seed"),
+}
+
+
+def _metadata(config: RunConfig, command: str, n: int, variant: GsVariant,
+              wall: float) -> dict:
+    """The settings a report's rows depend on: the fields `command` reads, the
+    sketch by name, k_phi as Phi's rows, the n and the variant actually run."""
+    meta = {f: getattr(config, f) for f in COMMAND_FIELDS[command]
+            if f not in ("sketch_kind", "variants")}
+    if "k_phi" in meta:
+        meta["k_phi"] = config.phi_dim()
+    return {**meta, "n": n, "variant": variant.value,
+            "sketch": config.sketch_kind.value, "wall_time": f"{wall:.3f}"}
 
 
 def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
@@ -133,14 +157,6 @@ def _traces(Q, S=None, theta: SketchOperator | None = None,
     return out
 
 
-def _qr_metadata(config: RunConfig, n: int, variant: GsVariant,
-                 wall: float) -> dict:
-    return {"seed": config.seed, "k": config.k, "n": n, "m": config.m,
-            "policy": config.policy, "variant": variant.value,
-            "sketch": config.sketch_kind.value, "matrix": config.matrix,
-            "wall_time": f"{wall:.3f}"}
-
-
 def _bench_columns(config: RunConfig) -> np.ndarray:
     if config.matrix == "synthetic":
         return synthetic_matrix(config.n, config.m)
@@ -184,8 +200,8 @@ def run_qr_bench(config: RunConfig) -> dict:
         for i in range(W.shape[1]):
             report.add_row(i + 1, cond_W=cond_w[i],
                            **{c: v[i] for c, v in cols.items()})
-        report.metadata.update(_qr_metadata(config, W.shape[0], variant,
-                                            wall))
+        report.metadata.update(_metadata(config, "qr-bench", W.shape[0],
+                                         variant, wall))
         reports[variant.value] = report
     return reports
 
@@ -203,7 +219,7 @@ def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy):
     return f, _traces(f.Q, f.S, theta, phi, config.eps_star)
 
 
-def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
+def run_gmres_bench(config: RunConfig) -> dict:
     """GMRES on the configured sparse system under every requested variant.
 
     The right-hand side is b = A y / ||A y|| with y the all-ones vector.
@@ -211,8 +227,6 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
     estimated residual and cond(Q_i) per iteration, under every variant.
     Without a tolerance the report's metadata has no `converged` entry.
     """
-    if m is None:
-        m = config.m
     A = load_matrix_source(config.matrix, config.seed)
     y = np.ones(A.n)
     ay = A.matvec(y)
@@ -225,19 +239,18 @@ def run_gmres_bench(config: RunConfig, m: int | None = None) -> dict:
         theta = None
         if variant is GsVariant.RGS:
             theta = SketchOperator(config.sketch_kind, config.k, A.n, config.seed)
-        result = gmres(A, b, m, variant=variant, theta=theta, policy=policy,
-                       preconditioner=precond, tol=config.tol)
+        result = gmres(A, b, config.m, variant=variant, theta=theta,
+                       policy=policy, preconditioner=precond, tol=config.tol)
         report = ExperimentReport()
         history = result.residual_history
         cond_q = _traces(result.factors.Q[:, :len(history)])["cond_Q"]
         for i, est in enumerate(history):
             report.add_row(i + 1, residual_norm=float(est), cond_Q=cond_q[i])
-        report.metadata.update(_qr_metadata(config, A.n, variant,
-                                            time.perf_counter() - t0))
-        report.metadata.update({"m": m, "precond": config.precond,
-                                "final_residual": f"{result.final_residual:.17g}",
-                                "tol": config.tol, "iterations": result.iterations,
-                                "breakdown": result.breakdown})
+        report.metadata.update(
+            _metadata(config, "gmres-bench", A.n, variant,
+                      time.perf_counter() - t0),
+            final_residual=f"{result.final_residual:.17g}",
+            iterations=result.iterations, breakdown=result.breakdown)
         if result.converged is not None:  # absent without a tolerance
             report.metadata["converged"] = result.converged
         out[variant.value] = (report, result)
@@ -258,10 +271,6 @@ def run_certify(config: RunConfig) -> ExperimentReport:
     for i in range(W.shape[1]):
         report.add_row(i + 1, **{c: cols[c][i]
                                  for c in ("omega", "omega_bar", "cond_S")})
-    report.metadata.update(_qr_metadata(config, W.shape[0], GsVariant.RGS,
-                                        time.perf_counter() - t0))
-    report.metadata.update({"eps_star": config.eps_star,
-                            "delta_star": config.delta_star,
-                            "k_phi": config.phi_dim(),
-                            "phi_seed": config.phi_seed})
+    report.metadata.update(_metadata(config, "certify", W.shape[0],
+                                     GsVariant.RGS, time.perf_counter() - t0))
     return report

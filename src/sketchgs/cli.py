@@ -10,11 +10,13 @@ algebra routine), 4 I/O failure.
 """
 
 import argparse
+import os
 import sys
 
 from numpy.linalg import LinAlgError
 
-from .bench import RunConfig, run_certify, run_gmres_bench, run_qr_bench
+from .bench import (COMMAND_FIELDS, RunConfig, run_certify, run_gmres_bench,
+                    run_qr_bench)
 from .gram_schmidt import BreakdownError, GsVariant, NonFiniteError
 from .io import write_report
 from .sketch import (EmbeddingParams, SketchKind, required_sketch_dim,
@@ -24,50 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
 EXIT_IO = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sketchgs",
-                                description="Sketched Gram-Schmidt benchmarks")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, gmres=False):
-        sp.add_argument("--n", type=int, default=100_000)
-        sp.add_argument("--m", type=int, default=300)
-        sp.add_argument("--k", type=int, default=5000)
-        sp.add_argument("--sketch", choices=["rademacher", "psrht"],
-                        default="psrht")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--policy", choices=["f32", "f64", "mixed"],
-                        default="mixed")
-        sp.add_argument("--variants", default="cgs,mgs,cgs2,rgs")
-        sp.add_argument("--matrix",
-                        default="laplacian:100" if gmres else "synthetic",
-                        help="synthetic | PATH.mtx | laplacian:SIZE | "
-                             "randsparse:N[:NNZ_PER_ROW]")
-        sp.add_argument("--eps-star", type=float, default=0.05)
-        sp.add_argument("--delta-star", type=float, default=1e-3)
-        sp.add_argument("--out", required=True,
-                        help="output CSV path (per-variant suffix added when "
-                             "several variants run)")
-        sp.add_argument("--k-phi", type=int, default=None)
-        sp.add_argument("--phi-seed", type=int, default=0x0F1A)
-        sp.add_argument("--precond", action="store_true")
-        sp.add_argument("--tol", type=float, default=None)
-
-    common(sub.add_parser("qr-bench", help="QR stability benchmark"))
-    common(sub.add_parser("gmres-bench", help="GMRES benchmark"), gmres=True)
-    common(sub.add_parser("certify", help="embedding certification sweep"))
-
-    si = sub.add_parser("sketch-info", help="print required sketch dimensions")
-    si.add_argument("--n", type=int, default=100_000)
-    si.add_argument("--sketch", choices=["rademacher", "psrht"], default="psrht")
-    si.add_argument("--eps", type=float, default=0.5)
-    si.add_argument("--delta", type=float, default=0.01)
-    si.add_argument("--d", type=int, default=10)
-    si.add_argument("--eps-star", type=float, default=0.05)
-    si.add_argument("--delta-star", type=float, default=1e-3)
-    return p
 
 
 def _parse_variants(text: str):
@@ -85,40 +43,72 @@ def _parse_variants(text: str):
     return tuple(out)
 
 
-def _config_from_args(args):
-    return RunConfig(
-        n=args.n, m=args.m, k=args.k,
-        sketch_kind=SketchKind(args.sketch),
-        seed=args.seed, policy=args.policy,
-        variants=_parse_variants(args.variants),
-        matrix=args.matrix,
-        eps_star=args.eps_star, delta_star=args.delta_star,
-        k_phi=args.k_phi, phi_seed=args.phi_seed,
-        precond=args.precond, tol=args.tol)
+# argparse keywords of each RunConfig field; the defaults come from RunConfig
+_OPTIONS = {
+    **{f: {"type": int} for f in ("n", "m", "k", "seed", "k_phi", "phi_seed")},
+    "eps_star": {"type": float}, "tol": {"type": float},
+    "sketch_kind": {"type": SketchKind, "metavar": "KIND",
+                    "help": " | ".join(kind.value for kind in SketchKind)},
+    "policy": {"choices": ["f32", "f64", "mixed"]},
+    "variants": {"type": _parse_variants,
+                 "help": "comma-separated: cgs,mgs,cgs2,rgs"},
+    "matrix": {"help": "synthetic | PATH.mtx | laplacian:SIZE | "
+                       "randsparse:N[:NNZ_PER_ROW]"},
+    "precond": {"action": "store_true"},
+}
+
+
+def _add_settings(sp, fields) -> None:
+    for field in fields:
+        flag = "sketch" if field == "sketch_kind" else field.replace("_", "-")
+        sp.add_argument(f"--{flag}", dest=field,
+                        default=getattr(RunConfig, field), **_OPTIONS[field])
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="sketchgs",
+                                description="Sketched Gram-Schmidt benchmarks")
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    for command, text in (("qr-bench", "QR stability benchmark"),
+                          ("gmres-bench", "GMRES benchmark"),
+                          ("certify", "embedding certification sweep")):
+        sp = sub.add_parser(command, help=text)
+        _add_settings(sp, COMMAND_FIELDS[command])
+        sp.add_argument("--out", required=True,
+                        help="output CSV path (per-variant suffix added when "
+                             "several variants run)")
+        if command == "gmres-bench":
+            sp.set_defaults(matrix="laplacian:100")
+
+    si = sub.add_parser("sketch-info", help="print required sketch dimensions")
+    _add_settings(si, ("n", "sketch_kind", "eps_star"))
+    si.add_argument("--eps", type=float, default=0.5)
+    si.add_argument("--delta", type=float, default=0.01)
+    si.add_argument("--d", type=int, default=10)
+    si.add_argument("--delta-star", type=float, default=1e-3)
+    return p
 
 
 def _out_path(base: str, variant: str, multi: bool) -> str:
     if not multi:
         return base
-    root, dot, ext = base.rpartition(".")
-    if dot:
-        return f"{root}.{variant}.{ext}"
-    return f"{base}.{variant}"
+    root, ext = os.path.splitext(base)
+    return f"{root}.{variant}{ext}"
 
 
 def _run(args) -> int:
     if args.subcommand == "sketch-info":
-        kind = SketchKind(args.sketch)
         params = EmbeddingParams(args.eps, args.delta, args.d)
-        k = required_sketch_dim(kind, params, n=args.n)
+        k = required_sketch_dim(args.sketch_kind, params, n=args.n)
         k_phi = vector_certificate_dim(args.eps_star, args.delta_star)
-        print(f"sketch {kind.value}: k >= {k} for "
+        print(f"sketch {args.sketch_kind.value}: k >= {k} for "
               f"(eps={args.eps}, delta={args.delta}, d={args.d}, n={args.n})")
         print(f"certification sketch: k_phi >= {k_phi} for "
               f"(eps*={args.eps_star}, delta*={args.delta_star})")
         return EXIT_OK
 
-    config = _config_from_args(args)
+    config = RunConfig(**{f: getattr(args, f)
+                          for f in COMMAND_FIELDS[args.subcommand]})
     if args.subcommand == "qr-bench":
         reports = run_qr_bench(config)
         multi = len(reports) > 1

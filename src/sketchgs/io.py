@@ -108,7 +108,8 @@ REPORT_COLUMNS = ("iteration", "cond_Q", "cond_S", "cond_W",
 
 @dataclass
 class ExperimentReport:
-    """Per-iteration experiment traces plus the metadata to re-run them."""
+    """Per-iteration experiment traces plus the metadata to re-run them: a
+    runner's report records every setting its rows depend on."""
 
     metadata: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)  # dicts keyed by REPORT_COLUMNS

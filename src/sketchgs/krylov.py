@@ -24,6 +24,8 @@ __all__ = [
     "ArnoldiDecomposition", "GmresResult", "best_attainable_residual",
 ]
 
+PIVOT_TOL = 1e-30  # ILU(0) pivots below this magnitude raise
+
 
 @dataclass
 class SparseMatrix:
@@ -175,7 +177,7 @@ def _eliminate(indptr: np.ndarray, indices: np.ndarray,
     return diag
 
 
-def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
+def ilu0(A: SparseMatrix) -> Ilu0Preconditioner:
     """ILU(0): incomplete LU with fill restricted to the pattern of A.
 
     IKJ elimination on a copy of the CSR values: row i takes its strictly
@@ -186,12 +188,12 @@ def ilu0(A: SparseMatrix, pivot_tol: float = 1e-30) -> Ilu0Preconditioner:
     rows of a level take their r-th lower entry in one vectorized step, so
     each value sees the operations of a row-by-row loop in the same order.
     Raises ValueError on a structural zero diagonal and ZeroDivisionError on
-    a pivot below `pivot_tol`, naming the lowest such row.
+    a pivot below `PIVOT_TOL`, naming the lowest such row.
     """
     n = A.n
     data = A.csr.data.copy()
     diag = _eliminate(A.csr.indptr, A.csr.indices, data)
-    small = np.flatnonzero(np.abs(data[diag]) < pivot_tol)
+    small = np.flatnonzero(np.abs(data[diag]) < PIVOT_TOL)
     if small.size:
         raise ZeroDivisionError(f"ILU(0) pivot too small at row {small[0]}")
     full = scipy.sparse.csr_matrix((data, A.csr.indices.copy(),
@@ -284,13 +286,13 @@ class GmresResult:
     factors: QrFactors
 
 
-def _operator_norm_estimate(matvec, n: int, iters: int = 20) -> float:
-    """Magnitude of the dominant eigenvalue by power iteration with a fixed
-    start vector; used only to normalize the operator to unit scale."""
+def _operator_norm_estimate(matvec, n: int) -> float:
+    """Magnitude of the dominant eigenvalue by 20 power-iteration steps
+    from a fixed start vector, only to normalize the operator to unit scale."""
     v = np.cos(np.arange(n, dtype=np.float64) + 1.0)
     v /= np.linalg.norm(v)
     sigma = 1.0
-    for _ in range(iters):
+    for _ in range(20):
         w = matvec(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:

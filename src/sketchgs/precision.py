@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-U_BINARY32 = 2.0**-24
-U_BINARY64 = 2.0**-53
-
 
 @dataclass(frozen=True)
 class PrecisionPolicy:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import sketchgs
-from sketchgs import read_report
+from sketchgs import GsVariant, SketchKind, read_report, write_report
+from sketchgs.bench import RunConfig, run_certify, run_qr_bench
 from sketchgs.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           _out_path, _parse_variants, main)
 
 
 def test_parse_variants():
-    from sketchgs import GsVariant
     assert _parse_variants("rgs") == (GsVariant.RGS,)
     assert _parse_variants("cgs, mgs") == (GsVariant.CGS, GsVariant.MGS)
     with pytest.raises(ValueError):
@@ -27,6 +27,9 @@ def test_out_path():
     assert _out_path("a.csv", "rgs", multi=False) == "a.csv"
     assert _out_path("a.csv", "rgs", multi=True) == "a.rgs.csv"
     assert _out_path("noext", "mgs", multi=True) == "noext.mgs"
+    # a dot in a directory name is not an extension
+    assert _out_path("./qr", "rgs", multi=True) == "./qr.rgs"
+    assert _out_path("runs.v2/qr", "rgs", multi=True) == "runs.v2/qr.rgs"
 
 
 def test_sketch_info(capsys):
@@ -163,8 +166,9 @@ def test_exit_code_linalg_failure(tmp_path, capsys, monkeypatch, command):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr("sketchgs.bench._leading_svals", fail)
-    rc = main([command, "--n", "300", "--m", "8", "--k", "32",
-               "--variants", "rgs", "--out", str(tmp_path / "l.csv")])
+    only_rgs = ["--variants", "rgs"] if command == "qr-bench" else []
+    rc = main([command, "--n", "300", "--m", "8", "--k", "32", *only_rgs,
+               "--out", str(tmp_path / "l.csv")])
     assert rc == EXIT_BREAKDOWN
     assert "numerical breakdown: SVD" in capsys.readouterr().err
     assert not (tmp_path / "l.csv").exists()
@@ -175,8 +179,9 @@ def test_rank_deficient_sketch_writes_full_report(tmp_path, command):
     # in binary32 the basis loses rank, so S^T S is far from the identity;
     # the run still writes every row, omega_bar above omega in each
     out = tmp_path / "f.csv"
+    only_rgs = ["--variants", "rgs"] if command == "qr-bench" else []
     rc = main([command, "--n", "300", "--m", "250", "--k", "260",
-               "--policy", "f32", "--variants", "rgs", "--out", str(out)])
+               "--policy", "f32", *only_rgs, "--out", str(out)])
     assert rc == EXIT_OK
     rep = read_report(out)
     om, ob = rep.column("omega"), rep.column("omega_bar")
@@ -185,15 +190,74 @@ def test_rank_deficient_sketch_writes_full_report(tmp_path, command):
     assert np.all(om <= ob)
 
 
+_OWN_OPTIONS = {"qr-bench": ["--k-phi", "32", "--variants", "rgs"],
+                "gmres-bench": ["--variants", "rgs"],
+                "certify": ["--k-phi", "32"]}
+
+
 @pytest.mark.parametrize("command", ["qr-bench", "gmres-bench", "certify"])
 def test_metadata_n_of_matrix_source(tmp_path, command):
-    # the system has grid^2 = 36 unknowns, whatever --n (default 1e5) says
+    # the system has grid^2 = 36 unknowns, whatever RunConfig's n (1e5) says
     out = tmp_path / "n.csv"
     rc = main([command, "--matrix", "laplacian:6", "--m", "8", "--k", "32",
-               "--k-phi", "32", "--policy", "f64", "--variants", "rgs",
-               "--out", str(out)])
+               "--policy", "f64", *_OWN_OPTIONS[command], "--out", str(out)])
     assert rc == EXIT_OK
     assert read_report(out).metadata["n"] == "36"
+
+
+_SMALL_RUN = {
+    "qr-bench": ["--n", "300", "--m", "4", "--k", "32"],
+    "gmres-bench": ["--matrix", "laplacian:6", "--m", "4", "--k", "32"],
+    "certify": ["--n", "300", "--m", "4", "--k", "32"]}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("qr-bench", ["--delta-star", "0.01"]), ("qr-bench", ["--precond"]),
+    ("qr-bench", ["--tol", "1e-8"]),
+    ("gmres-bench", ["--n", "100"]), ("gmres-bench", ["--eps-star", "0.1"]),
+    ("gmres-bench", ["--delta-star", "0.01"]),
+    ("gmres-bench", ["--k-phi", "32"]), ("gmres-bench", ["--phi-seed", "1"]),
+    ("certify", ["--variants", "cgs"]), ("certify", ["--delta-star", "0.01"]),
+    ("certify", ["--precond"]), ("certify", ["--tol", "3"]),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_option_a_command_does_not_read_is_rejected(tmp_path, capsys,
+                                                    command, option):
+    # a setting the run would ignore is a configuration error, not a no-op
+    out = tmp_path / "u.csv"
+    rc = main([command, *_SMALL_RUN[command], *option, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qr-bench", "certify"])
+def test_report_metadata_reruns_its_rows(tmp_path, command):
+    # every setting the rows depend on is in the `#` lines: a RunConfig
+    # rebuilt from them alone writes the same rows, omega_bar included
+    out = tmp_path / "r.csv"
+    rc = main([command, "--n", "400", "--m", "12", "--k", "64",
+               "--sketch", "rademacher", "--seed", "5", "--eps-star", "0.3",
+               "--k-phi", "40", "--phi-seed", "99",
+               *(["--variants", "rgs"] if command == "qr-bench" else []),
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    meta = read_report(out).metadata
+    assert (meta["eps_star"], meta["k_phi"], meta["phi_seed"]) == (
+        "0.3", "40", "99")
+    config = RunConfig(
+        n=int(meta["n"]), m=int(meta["m"]), k=int(meta["k"]),
+        sketch_kind=SketchKind(meta["sketch"]), seed=int(meta["seed"]),
+        policy=meta["policy"], variants=(GsVariant(meta["variant"]),),
+        matrix=meta["matrix"], eps_star=float(meta["eps_star"]),
+        k_phi=int(meta["k_phi"]), phi_seed=int(meta["phi_seed"]))
+    again = tmp_path / "again.csv"
+    write_report(run_qr_bench(config)["rgs"] if command == "qr-bench"
+                 else run_certify(config), again)
+
+    def rows(path):
+        return [l for l in path.read_text().splitlines()
+                if not l.startswith("#")]
+    assert rows(again) == rows(out)
 
 
 def test_import_leaves_scipy_io_unloaded():

@@ -1,8 +1,9 @@
 """Each demo script, and the README's python blocks, run to completion
-against the installed API."""
+against the installed API, and the README's command lines parse."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,21 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_command_lines_parse():
+    # every `sketchgs ...` line of the README's sh blocks, continuations
+    # joined, is one the CLI accepts: the docs show no option a command
+    # rejects
+    from sketchgs.cli import _build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("sketchgs ")]
+    assert len(commands) >= 4
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
