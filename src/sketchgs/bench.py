@@ -52,7 +52,7 @@ class RunConfig:
 
     def phi_dim(self) -> int:
         """Rows of the certification sketch Phi: k_phi, or k when unset."""
-        return self.k_phi or self.k
+        return self.k if self.k_phi is None else self.k_phi
 
 
 # The RunConfig fields each command reads: its CLI options, and the settings

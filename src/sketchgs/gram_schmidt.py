@@ -5,10 +5,10 @@ certificates.
 The randomized process orthonormalizes with respect to the sketched inner
 product <Theta., Theta.>: projection coefficients come from a small k x i
 least-squares problem on sketches, solved by Householder QR of the sketched
-basis kept in compact WY form and grown one column per step (backward
-stable in the fine precision, as the stability analysis assumes); the
-expensive n-dimensional projection update runs at the coarse roundoff, and
-everything else runs fine.
+basis kept in LAPACK's geqrf format and grown one column per step by LAPACK's
+own kernels (backward stable in the fine precision, as the stability
+analysis assumes); the expensive n-dimensional projection update runs at
+the coarse roundoff, and everything else runs fine.
 
 Step 1 (p = Theta w) needs no earlier column, so `push_block` sketches a
 block of columns at once: under P-SRHT with the bits of one `push` per column,
@@ -107,72 +107,65 @@ class StabilityCertificate:
 
 
 class _IncrementalHouseholderQR:
-    """QR of a tall matrix grown one column at a time.
-
-    The reflectors I - tau_j v_j v_j^T are kept in compact WY form, their
-    product being I - V T V^T with T upper triangular, so Q^T z costs two
-    gemvs and a small triangular product. Everything is stored in the given
-    dtype, so running this in float32 emulates a unified low-precision solve.
-    Appending column i costs O(k*i). The arrays double from a fixed initial
-    width, so results do not depend on how many columns the caller expects.
+    """QR of a tall matrix grown one column at a time, in LAPACK's `geqrf`
+    format: R on and above the diagonal of the k-row array `_V`, the
+    Householder vectors below it (their unit leading entries implied), and
+    the reflector scalars in `_tau`, so that Q = H_1 ... H_i with
+    H_j = I - tau_j v_j v_j^T. The format is extended only by LAPACK's
+    `ormqr`, which applies the stored reflectors, and `larfg`, which forms
+    the next one, both in the given dtype, so running this in float32
+    emulates a unified low-precision solve. Appending column i costs
+    O(k*i). `_V` keeps leading dimension k and doubles its width from a fixed
+    initial width, so results do not depend on how many columns the caller
+    expects.
     """
 
     def __init__(self, k: int, dtype):
         self.k = k
-        self.dtype = np.dtype(dtype)
         self.ncols = 0
-        cap = min(16, k)
-        self._V = np.zeros((k, cap), dtype=self.dtype, order="F")
-        self._T = np.zeros((cap, cap), dtype=self.dtype, order="F")
-        self._R = np.zeros((cap, cap), dtype=self.dtype, order="F")
+        self._V = np.zeros((k, min(16, k)), dtype=dtype, order="F")
+        self._tau = np.zeros(self._V.shape[1], dtype=dtype)
+        self._ormqr, self._larfg = scipy.linalg.lapack.get_lapack_funcs(
+            ("ormqr", "larfg"), dtype=self._V.dtype)
 
-    def _wy(self, z: np.ndarray) -> np.ndarray:
-        """T^T V^T z, so that Q^T z = z - V (T^T V^T z)."""
+    def _qt(self, z) -> np.ndarray:
+        """Q^T z for a length-k vector z, in the stored dtype."""
+        z = np.asarray(z, dtype=self._V.dtype).reshape(-1, 1)
         i = self.ncols
-        return self._T[:i, :i].T @ (self._V[:, :i].T @ z)
+        if i == 0:
+            return z[:, 0]
+        # lwork = 1 selects LAPACK's unblocked path, one reflector at a time
+        z, _, info = self._ormqr("L", "T", self._V[:, :i], self._tau[:i], z, 1)
+        if info:
+            raise np.linalg.LinAlgError(f"ormqr failed with info={info}")
+        return z[:, 0]
 
     def append(self, col) -> None:
-        z = np.asarray(col, dtype=self.dtype)
-        if z.shape != (self.k,):
+        if np.shape(col) != (self.k,):
             raise ValueError("column length mismatch")
         i = self.ncols
         if i >= self.k:
             raise ValueError("cannot append more columns than rows")
         if i == self._V.shape[1]:
-            cap = min(2 * i, self.k)
-            self._V = _widened(self._V, (self.k, cap), "F")
-            self._T = _widened(self._T, (cap, cap), "F")
-            self._R = _widened(self._R, (cap, cap), "F")
-        z = z - self._V[:, :i] @ self._wy(z)
-        v = z[i:].copy()
-        normx = np.linalg.norm(v)
-        alpha = -np.copysign(normx, v[0]) if v[0] != 0 else -normx
-        v[0] -= alpha
-        vn2 = v @ v
-        if vn2 == 0.0:  # exactly zero tail: column already in span
-            v[:] = 0.0
-            v[0] = vn2 = 1.0
-        tau = 2.0 / vn2
-        self._V[i:, i] = v
-        self._T[:i, i] = -tau * (self._T[:i, :i] @ (self._V[i:, :i].T @ v))
-        self._T[i, i] = tau
-        self._R[:i, i] = z[:i]
-        self._R[i, i] = alpha
+            self._V = _widened(self._V, (self.k, min(2 * i, self.k)), "F")
+            self._tau = _widened(self._tau, self._V.shape[1:])
+        z = self._qt(col)
+        self._V[:i, i] = z[:i]
+        self._V[i, i], self._V[i + 1:, i], self._tau[i] = self._larfg(
+            self.k - i, z[i], z[i + 1:])
         self.ncols = i + 1
 
     def triangular(self) -> np.ndarray:
-        return self._R[:self.ncols, :self.ncols]
+        return np.triu(self._V[:self.ncols, :self.ncols])
 
     def solve(self, p) -> np.ndarray:
         """Least-squares solution against the appended columns."""
         i = self.ncols
-        p = np.asarray(p, dtype=self.dtype)
-        z = p[:i] - self._V[:i, :i] @ self._wy(p)  # leading i rows of Q^T p
-        R = self.triangular()
+        R = self._V[:i, :i]  # solve_triangular reads only the upper triangle
         diag = np.abs(np.diag(R))
         if np.min(diag) < 1e-8 * max(np.max(diag), 1.0):
             raise np.linalg.LinAlgError("sketched basis numerically rank deficient")
-        return scipy.linalg.solve_triangular(R, z, lower=False)
+        return scipy.linalg.solve_triangular(R, self._qt(p)[:i], lower=False)
 
 
 def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:

@@ -97,7 +97,7 @@ def generate_random_sparse(n: int, nnz_per_row: int, seed: int,
         offdiag_abs[i] = np.abs(v).sum()
     for i in range(n):
         rows.append(i); cols.append(i); vals.append(offdiag_abs[i] + diag_shift)
-    return SparseMatrix.from_coo(n, rows, cols, vals)
+    return SparseMatrix(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 # Fixed CSV column order; absent quantities are left empty.

@@ -45,20 +45,6 @@ class SparseMatrix:
     def n(self) -> int:
         return self.csr.shape[0]
 
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
-        """Build from coordinate triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("coordinate arrays have mismatched lengths")
-        if rows.size and (rows.min() < 0 or rows.max() >= n
-                          or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("coordinate index out of range")
-        m = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(csr=m)
-
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return self.csr
 

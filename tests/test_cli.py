@@ -231,6 +231,16 @@ def test_option_a_command_does_not_read_is_rejected(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["qr-bench", "certify"])
+def test_zero_k_phi_is_rejected(tmp_path, capsys, command):
+    # an explicit --k-phi 0 is not "unset": like a negative value, it exits 2
+    rc = main([command, *_SMALL_RUN[command], "--k-phi", "0",
+               "--out", str(tmp_path / "z.csv")])
+    assert rc == EXIT_CONFIG
+    assert "k and n must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["qr-bench", "certify"])
 def test_report_metadata_reruns_its_rows(tmp_path, command):
     # every setting the rows depend on is in the `#` lines: a RunConfig
     # rebuilt from them alone writes the same rows, omega_bar included

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -264,6 +265,27 @@ def test_householder_lsq_property(ki, log_cond, dtype, seed):
         R64 = R.astype(np.float64)
         gram_err = np.linalg.norm(R64.T @ R64 - Sj.T @ Sj, 2)
         assert gram_err <= (2 * eps + eps**2 + 4 * j * u64) * sv[0]**2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k, m", [(200, 40), (24, 24)])  # m = k fills every row
+def test_householder_keeps_geqrf_format(rng, dtype, k, m):
+    # appended one column at a time, the state is LAPACK's geqrf of S: R on
+    # and above the diagonal of _V, the reflectors below it, tau in _tau
+    S = rng.standard_normal((k, m)).astype(dtype)
+    qr = _householder(S, dtype)
+    (ref, tau), R = scipy.linalg.qr(S, mode="raw")
+    # Each run is the exact QR of some S + dS with ||dS|| <= gamma ||S||
+    # (Higham, Thm 19.4), so to first order their factors differ by
+    # cond_2(S) gamma; gamma is taken as m u times sqrt(k), the probabilistic
+    # size of the rounding in a k-term inner product.
+    u = np.finfo(dtype).eps / 2
+    tol = np.linalg.cond(S.astype(np.float64)) * math.sqrt(k) * m * u
+    V = qr._V[:, :m]
+    assert V.dtype == qr._tau.dtype == dtype
+    assert np.abs(np.triu(V - ref)).max() <= tol * np.abs(R).max()
+    assert np.abs(np.tril(V - ref, -1)).max() <= tol
+    assert np.abs(qr._tau[:m] - tau).max() <= tol
 
 
 @pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])

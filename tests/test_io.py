@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -92,8 +93,9 @@ def test_matrix_market_roundtrip(tmp_path_factory, case):
     # any finite binary64 value, subnormals, signed zeros and the largest
     # exponents included, comes back bit for bit in the same CSR layout
     n, entries = case
-    A = SparseMatrix.from_coo(n, [i for i, _ in entries],
-                              [j for _, j in entries], list(entries.values()))
+    rows, cols = [i for i, _ in entries], [j for _, j in entries]
+    A = SparseMatrix(scipy.sparse.coo_matrix(
+        (list(entries.values()), (rows, cols)), shape=(n, n)))
     p = tmp_path_factory.mktemp("mm") / "rt.mtx"
     # symmetry="general": detecting symmetry would fold (i, j) and (j, i)
     # into one entry, losing -0.0 against 0.0

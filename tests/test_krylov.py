@@ -16,15 +16,15 @@ def _dense(A):
     return A.to_scipy().toarray()
 
 
-def test_from_coo_duplicates_summed():
-    A = SparseMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
+def _coo(n, rows, cols, vals):
+    return SparseMatrix(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def test_coo_duplicates_summed():
+    A = _coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
+    assert A.csr.nnz == 2  # the duplicate (0, 1) is one stored entry
     D = _dense(A)
     assert D[0, 1] == 5.0 and D[1, 0] == 4.0 and D[0, 0] == 0.0
-
-
-def test_from_coo_bounds():
-    with pytest.raises(ValueError):
-        SparseMatrix.from_coo(2, [0], [2], [1.0])
 
 
 def test_matvec_matches_scipy(rng):
@@ -85,7 +85,7 @@ def test_ilu0_canonicalizes_unsorted_rows():
 
 
 def test_ilu0_rejects_zero_diagonal():
-    A = SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
+    A = _coo(2, [0, 1], [1, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
         ilu0(A)
 
@@ -101,7 +101,7 @@ def test_ilu0_rejects_zero_diagonal():
     ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], 1),
 ])
 def test_ilu0_checks_every_pivot(rows, cols, vals, bad_row):
-    A = SparseMatrix.from_coo(max(rows) + 1, rows, cols, vals)
+    A = _coo(max(rows) + 1, rows, cols, vals)
     with pytest.raises(ZeroDivisionError, match=rf"at row {bad_row}$"):
         ilu0(A)
 
