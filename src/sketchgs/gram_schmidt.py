@@ -115,16 +115,15 @@ class _IncrementalHouseholderQR:
     `ormqr`, which applies the stored reflectors, and `larfg`, which forms
     the next one, both in the given dtype, so running this in float32
     emulates a unified low-precision solve. Appending column i costs
-    O(k*i). `_V` keeps leading dimension k and doubles its width from a fixed
-    initial width, so results do not depend on how many columns the caller
-    expects.
+    O(k*i). `_V` is allocated once, k x `capacity` with leading dimension k,
+    for at most `capacity <= k` columns; the caller keeps to that width.
     """
 
-    def __init__(self, k: int, dtype):
+    def __init__(self, k: int, capacity: int, dtype):
         self.k = k
         self.ncols = 0
-        self._V = np.zeros((k, min(16, k)), dtype=dtype, order="F")
-        self._tau = np.zeros(self._V.shape[1], dtype=dtype)
+        self._V = np.zeros((k, capacity), dtype=dtype, order="F")
+        self._tau = np.zeros(capacity, dtype=dtype)
         self._ormqr, self._larfg = scipy.linalg.lapack.get_lapack_funcs(
             ("ormqr", "larfg"), dtype=self._V.dtype)
 
@@ -144,19 +143,11 @@ class _IncrementalHouseholderQR:
         if np.shape(col) != (self.k,):
             raise ValueError("column length mismatch")
         i = self.ncols
-        if i >= self.k:
-            raise ValueError("cannot append more columns than rows")
-        if i == self._V.shape[1]:
-            self._V = _widened(self._V, (self.k, min(2 * i, self.k)), "F")
-            self._tau = _widened(self._tau, self._V.shape[1:])
         z = self._qt(col)
         self._V[:i, i] = z[:i]
         self._V[i, i], self._V[i + 1:, i], self._tau[i] = self._larfg(
             self.k - i, z[i], z[i + 1:])
         self.ncols = i + 1
-
-    def triangular(self) -> np.ndarray:
-        return np.triu(self._V[:self.ncols, :self.ncols])
 
     def solve(self, p) -> np.ndarray:
         """Least-squares solution against the appended columns."""
@@ -168,19 +159,13 @@ class _IncrementalHouseholderQR:
         return scipy.linalg.solve_triangular(R, self._qt(p)[:i], lower=False)
 
 
-def _widened(a: np.ndarray, shape: tuple, order: str = "C") -> np.ndarray:
-    """Zeros of the given shape and order, with `a` in the leading block."""
-    out = np.zeros(shape, dtype=a.dtype, order=order)
-    out[tuple(map(slice, a.shape))] = a
-    return out
-
-
 class _GsState:
     """What every Gram-Schmidt variant shares: Q (laid out in `_Q_ORDER`) and
-    R, doubled when full, the input checks, the breakdown guard, the store,
-    `push_block` and `factors`. A variant's `push` runs its projection pass
-    between `_next_column` and `_store`; a push that raises leaves the
-    trimmed views as they were. A stored column is never written again, so
+    R, allocated once for `capacity` columns, the input checks, the breakdown
+    guard, the store, `push_block` and `factors`. A variant's `push` runs its
+    projection pass between `_next_column` and `_store`; a push that raises,
+    a push into a full state included, leaves the trimmed views as they were.
+    The arrays never move and a stored column is never written again, so
     `factors()` hands over views that keep their values."""
 
     S = P = None  # the sketches, kept by the randomized process only
@@ -206,16 +191,10 @@ class _GsState:
     def R(self):
         return self._R[:self.m, :self.m]
 
-    def _grow(self):
-        cap = self._Q.shape[1]
-        if self.m < cap:
-            return
-        self._Q = _widened(self._Q, (self.n, 2 * cap), self._Q_ORDER)
-        self._R = _widened(self._R, (2 * cap, 2 * cap))
-
     def _next_column(self, w) -> np.ndarray:
-        """Room for one more column, and w as a checked binary64 vector."""
-        self._grow()
+        """w as a checked binary64 vector, if the state has room for it."""
+        if self.m == self._Q.shape[1]:
+            raise ValueError(f"state is full: capacity {self.m} columns")
         # one contiguous copy, so a strided column of W is read only once
         w64 = np.ascontiguousarray(w, dtype=np.float64)
         if w64.shape != (self.n,):
@@ -243,9 +222,10 @@ class _GsState:
 
     def push_block(self, Wb) -> np.ndarray:
         """`push` each column of an n x b block; returns their r_ii. A
-        non-finite entry pushes no column; a later failure keeps the columns
-        before it. RGS runs Step 1 as one `theta.apply_block`, with the bits
-        of b `push` calls under P-SRHT or for b = 1 (see `apply_block`)."""
+        non-finite entry pushes no column; a later failure, a full state
+        included, keeps the columns before it. RGS runs Step 1 as one
+        `theta.apply_block`, with the bits of b `push` calls under P-SRHT or
+        for b = 1 (see `apply_block`)."""
         Wb = np.asarray(Wb, dtype=np.float64, order="F")  # contiguous columns
         if Wb.ndim != 2 or Wb.shape[0] != self.n:
             raise ValueError("block must be a matrix with n rows")
@@ -267,20 +247,25 @@ class RgsState(_GsState):
     """Streaming state of the randomized factorizer; one column per `push`.
 
     Exposed so a Krylov iteration can generate w_{i+1} = A q_i between steps.
+    Q, R, S, P and the sketched QR are allocated once for `capacity` columns;
+    the sketched QR needs a row of theta per column, so `capacity <= theta.k`.
     Q is column-major, so the update Q r sees leading dimension n whatever
-    `capacity` is, a new column is one contiguous write, and unused columns
-    are never touched.
+    `capacity` is, the bits do not depend on it, a new column is one
+    contiguous write, and unused columns are never touched.
     """
 
     _Q_ORDER = "F"
 
     def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
-                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
+                 *, capacity: int, breakdown_factor: float = BREAKDOWN_FACTOR):
+        if capacity > theta.k:  # the sketched QR needs a row per column
+            raise ValueError(f"need k >= {capacity} sketch rows, one per "
+                             f"column, got k={theta.k}")
         super().__init__(theta.n, policy, capacity, breakdown_factor)
         self.theta = theta
         self._S = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
-        self._qr = _IncrementalHouseholderQR(theta.k, policy.fine_dtype)
+        self._qr = _IncrementalHouseholderQR(theta.k, capacity, policy.fine_dtype)
 
     @property
     def S(self):
@@ -289,12 +274,6 @@ class RgsState(_GsState):
     @property
     def P(self):
         return self._P[:, :self.m]
-
-    def _grow(self):
-        if self.m == self._Q.shape[1]:  # full: S and P double with Q and R
-            self._S, self._P = (_widened(a, (a.shape[0], 2 * self.m))
-                                for a in (self._S, self._P))
-        super()._grow()
 
     def push(self, w) -> float:
         """Run one iteration on the next column; returns the diagonal r_ii.
@@ -335,18 +314,16 @@ class RgsState(_GsState):
         return iter(P.T)
 
 
-def _factorize(W, new_state, k: int | None = None) -> QrFactors:
-    """The one factorization loop: check the n x m matrix W (and k >= m
-    sketch rows), push it in blocks of `_PUSH_BLOCK` columns into
-    `new_state(n, m)` and hand over the state's factors."""
+def _factorize(W, new_state) -> QrFactors:
+    """The one factorization loop: check the n x m matrix W, push it in
+    blocks of `_PUSH_BLOCK` columns into `new_state(n, m)` and hand over the
+    state's factors."""
     W = np.asarray(W)
     if W.ndim != 2:
         raise ValueError("W must be a matrix")
     n, m = W.shape
     if not n >= m >= 1:
         raise ValueError(f"need n >= m >= 1, got n={n}, m={m}")
-    if k is not None and k < m:
-        raise ValueError(f"need k >= m sketch rows, got k={k}, m={m}")
     state = new_state(n, m)
     for j in range(0, m, _PUSH_BLOCK):
         state.push_block(W[:, j:j + _PUSH_BLOCK])
@@ -363,7 +340,7 @@ def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64
     Returns (QrFactors, StabilityCertificate or None).
     """
     factors = _factorize(W, lambda n, m: RgsState(
-        theta, policy, capacity=m, breakdown_factor=breakdown_factor), theta.k)
+        theta, policy, capacity=m, breakdown_factor=breakdown_factor))
     return factors, certificates(factors) if with_certificate else None
 
 
@@ -385,14 +362,15 @@ class ClassicalGsState(_GsState):
     column in place; a strided `sdot` may accumulate in binary64 (OpenBLAS
     0.3.31 does), more accurately than the baseline's arithmetic. CGS and CGS2
     keep Q row-major: their `sgemv` on a column-major Q fails criterion 7 (see
-    the CHANGES.md `FOUND:` line on summation order and ROADMAP item 4). A
-    grown Q changes their leading dimension and low-order bits, so only a
-    fixed `capacity` matches a batch run; MGS does not depend on `capacity`.
+    the CHANGES.md `FOUND:` line on summation order and ROADMAP item 4). Q and
+    R are allocated once for `capacity` columns. Q's row stride is `capacity`,
+    so the low-order bits of CGS and CGS2 depend on it and only the same
+    `capacity` matches a batch run; MGS, like RGS, does not depend on it.
     `factors()` hands over views in these layouts.
     """
 
     def __init__(self, n: int, variant: GsVariant, policy: PrecisionPolicy,
-                 capacity: int = 16, breakdown_factor: float = BREAKDOWN_FACTOR):
+                 capacity: int, breakdown_factor: float = BREAKDOWN_FACTOR):
         if variant not in (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2):
             raise ValueError(f"classical Gram-Schmidt got {variant}")
         self._Q_ORDER = "F" if variant is GsVariant.MGS else "C"

@@ -195,9 +195,6 @@ def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
     if variant is GsVariant.RGS:
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
-        if theta.k < ncols:  # the sketched QR needs a row per basis vector
-            raise ValueError(f"need k >= m + 1 sketch rows, got "
-                             f"k={theta.k}, m={ncols - 1}")
         return RgsState(theta, policy, capacity=ncols)
     return ClassicalGsState(n, variant, policy, capacity=ncols)
 
@@ -398,6 +395,6 @@ def best_attainable_residual(A: SparseMatrix, Q, b) -> float:
         Q = Q[:, None]
     if Q.shape[1] == 0:
         return 1.0
-    AQ = np.column_stack([A.matvec(Q[:, j]) for j in range(Q.shape[1])])
+    AQ = A.csr @ Q
     y, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     return float(np.linalg.norm(b - AQ @ y) / bn)

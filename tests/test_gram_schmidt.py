@@ -75,11 +75,11 @@ def test_rgs_mixed_precision_storage(rng):
 
 def test_rgs_streaming_matches_batch(rng):
     # the same column blocks streamed through push_block, a full and a
-    # partial one, into a state that grows from the default capacity
+    # partial one, into a state with room for more columns than it gets
     W = _problem(rng, n=300, m=40)
     theta = make_sketch(SketchKind.RADEMACHER, 80, 300, seed=2)
     batch, _ = rgs_factorize(W, theta, MIXED32_64, with_certificate=False)
-    state = RgsState(theta, MIXED32_64)
+    state = RgsState(theta, MIXED32_64, capacity=64)
     for j in range(0, 40, _PUSH_BLOCK):
         state.push_block(W[:, j:j + _PUSH_BLOCK])
     f = state.factors()
@@ -115,7 +115,7 @@ def test_rgs_push_stream_P_within_a_priori_bound(rng, dense_sketch):
     W = rng.standard_normal((n, m))
     theta = make_sketch(SketchKind.RADEMACHER, k, n, seed=6)
     batch, _ = rgs_factorize(W, theta, UNIFIED64, with_certificate=False)
-    state = RgsState(theta, UNIFIED64)
+    state = RgsState(theta, UNIFIED64, capacity=m)
     for j in range(m):
         state.push(W[:, j])
     scale = 1.0 / math.sqrt(k)
@@ -130,16 +130,15 @@ def test_rgs_push_stream_P_within_a_priori_bound(rng, dense_sketch):
 
 
 @pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64])
-def test_rgs_capacity_growth_bit_identical(rng, policy):
-    # the default capacity 16 makes every backing array grow twice, while
-    # rgs_factorize preallocates all 40 columns; the bits must not change
+def test_rgs_bits_independent_of_capacity(rng, policy):
+    # a stream into room for 64 columns and rgs_factorize, which allocates
+    # exactly its 40, must give the same bits
     W = _problem(rng, n=3000, m=40, cond=1e6)
     theta = make_sketch(SketchKind.PSRHT, 100, 3000, seed=4)
     batch, _ = rgs_factorize(W, theta, policy, with_certificate=False)
-    state = RgsState(theta, policy)
+    state = RgsState(theta, policy, capacity=64)
     for j in range(40):
         state.push(W[:, j])
-    assert state._Q.shape[1] == 64
     f = state.factors()
     for name in ("Q", "R", "S", "P"):
         assert np.array_equal(getattr(batch, name), getattr(f, name)), name
@@ -168,6 +167,10 @@ def test_rgs_input_validation(rng):
     theta = make_sketch(SketchKind.RADEMACHER, 8, 100, seed=0)
     with pytest.raises(ValueError):
         rgs_factorize(rng.standard_normal((100, 12)), theta)  # k < m
+    # the sketched QR needs a row per column: the state checks k >= capacity
+    with pytest.raises(ValueError, match=r"k >= 9 sketch rows.*k=8"):
+        RgsState(theta, capacity=theta.k + 1)
+    assert RgsState(theta, capacity=theta.k).m == 0
     with pytest.raises(ValueError):
         rgs_factorize(rng.standard_normal(100), theta)  # not a matrix
     # a stream of columns goes to RgsState.push; rgs_factorize takes a matrix
@@ -177,7 +180,7 @@ def test_rgs_input_validation(rng):
 
 def _householder(S, dtype=np.float64):
     """The incremental QR of the columns of S, appended one at a time."""
-    qr = _IncrementalHouseholderQR(S.shape[0], dtype)
+    qr = _IncrementalHouseholderQR(*S.shape, dtype)
     for j in range(S.shape[1]):
         qr.append(S[:, j])
     return qr
@@ -230,7 +233,7 @@ def _householder_lsq_bound(k, i, u, kappa, rho):
 @given(st.integers(1, 80).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
        st.floats(0.0, 2.0), st.sampled_from([np.float64, np.float32]),
        st.integers(0, 2**32 - 1))
-# the arrays grow past 16, 32 and 64 columns, and fill all k rows
+# (17, 17) and (80, 80) fill all k rows
 @example((17, 17), 1.0, np.float32, 0)
 @example((65, 40), 2.0, np.float64, 1)
 @example((80, 80), 2.0, np.float32, 2)
@@ -242,7 +245,7 @@ def test_householder_lsq_property(ki, log_cond, dtype, seed):
     S = ((U * np.logspace(0, -log_cond, i)) @ V.T).astype(dtype)
     p = rng.standard_normal(k).astype(dtype)
     u = np.finfo(dtype).eps / 2
-    qr = _IncrementalHouseholderQR(k, dtype)
+    qr = _IncrementalHouseholderQR(k, i, dtype)
     for j in range(1, i + 1):
         qr.append(S[:, j - 1])
         # binary64 oracle on the same rounded data; a column block of S is
@@ -258,9 +261,8 @@ def test_householder_lsq_property(ki, log_cond, dtype, seed):
         y = qr.solve(p)
         assert y.dtype == dtype
         assert np.linalg.norm(y - x) <= bound * np.linalg.norm(x)
-        R = qr.triangular()
-        assert R.dtype == dtype and R.shape == (j, j)
-        assert np.array_equal(R, np.triu(R))
+        R = np.triu(qr._V[:j, :j])
+        assert R.dtype == dtype
         # R^T R = (S + dS)^T (S + dS), evaluated in binary64
         R64 = R.astype(np.float64)
         gram_err = np.linalg.norm(R64.T @ R64 - Sj.T @ Sj, 2)
@@ -321,14 +323,13 @@ def test_classical_streaming_bit_identical_to_batch(rng, variant):
 
 
 def test_classical_mgs_binary32_independent_of_capacity(rng):
-    # the default capacity 16 makes Q grow twice; binary32 MGS reads each
-    # column unit-stride whatever the capacity, so the bits must not change
+    # binary32 MGS reads each column unit-stride whatever the capacity, so
+    # room for 64 columns gives the bits of a batch run that allocates 40
     W = _problem(rng, n=3000, m=40, cond=1e6)
     f = classical_factorize(W, GsVariant.MGS, policy=MIXED32_64)
-    st = ClassicalGsState(3000, GsVariant.MGS, MIXED32_64)
+    st = ClassicalGsState(3000, GsVariant.MGS, MIXED32_64, capacity=64)
     for j in range(40):
         st.push(W[:, j])
-    assert st._Q.shape[1] == 64
     assert np.array_equal(f.Q, st.Q)
     assert np.array_equal(f.R, st.R)
 
@@ -358,14 +359,13 @@ def _mgs_copying_columns(W, policy):
                          ids=lambda p: p.mode)
 def test_classical_mgs_bits_equal_copying_loop(rng, policy):
     # reading the columns of a column-major Q in place keeps every bit of the
-    # copying loop, in a batch and in a stream that grows from capacity 16
+    # copying loop, in a batch and in a stream into room for 64 columns
     W = _problem(rng, n=1001, m=40, cond=1e6)
     Q, R = _mgs_copying_columns(W, policy)
     f = classical_factorize(W, GsVariant.MGS, policy=policy)
-    st = ClassicalGsState(1001, GsVariant.MGS, policy)
+    st = ClassicalGsState(1001, GsVariant.MGS, policy, capacity=64)
     for j in range(40):
         st.push(W[:, j])
-    assert st._Q.shape[1] == 64
     for got in (f, st):
         assert np.array_equal(got.Q, Q)
         assert np.array_equal(got.R, R)
@@ -374,12 +374,11 @@ def test_classical_mgs_bits_equal_copying_loop(rng, policy):
 @pytest.mark.parametrize("variant", [GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2])
 def test_classical_q_layout(rng, variant):
     # MGS reads columns of Q, CGS and CGS2 multiply by it as a row-major
-    # matrix; the layout survives growth, and the factors hand it over
+    # matrix, whatever the capacity, and the factors hand that layout over
     W = _problem(rng, n=300, m=20)
-    st = ClassicalGsState(300, variant, MIXED32_64)
+    st = ClassicalGsState(300, variant, MIXED32_64, capacity=32)
     for j in range(20):
         st.push(W[:, j])
-    assert st._Q.shape[1] == 32
     Q = classical_factorize(W, variant, MIXED32_64).Q
     for a in (st._Q, Q):
         if variant is GsVariant.MGS:
@@ -426,35 +425,36 @@ def test_nonfinite_column_raises(rng, variant, fault):
 
 
 @_VARIANTS
-@pytest.mark.parametrize("error", [BreakdownError, NonFiniteError],
+@pytest.mark.parametrize("error", [BreakdownError, NonFiniteError, ValueError],
                          ids=lambda e: e.__name__)
 def test_failed_push_leaves_state_unchanged(rng, variant, error):
     # the Krylov loop catches a failed push and goes on with the same state.
-    # The fifth push fails on a full capacity of 4, so the state grows in it.
+    # The fifth push fails: a breakdown, an overflow, or (ValueError) a
+    # column that does not fit in a full capacity of 4.
     W = _problem(rng, n=200, m=7)
-    state = _state(variant, 200, capacity=4)
+    capacity = 4 if error is ValueError else 7
+    state = _state(variant, 200, capacity)
     for j in range(4):
         state.push(W[:, j])
     if error is BreakdownError:
         bad = np.zeros(200)  # r_ii = 0 trips the guard in every variant
-    else:
+    elif error is NonFiniteError:
         bad = W[:, 4] * 1e40  # overflows binary32 when stored
+    else:
+        bad = W[:, 4]
     before = _snapshot(state)
-    pushes = [state.push]
-    if variant is GsVariant.RGS:  # and a block of that one column
-        pushes.append(lambda w: state.push_block(w[:, None]))
-    for push in pushes:
+    # push, and push_block of that one column
+    for push in (state.push, lambda w: state.push_block(w[:, None])):
         with pytest.raises(error), np.errstate(all="ignore"):
             push(bad)
         after = _snapshot(state)
         for name, value in before.items():
             assert np.array_equal(after[name], value), name
-    for j in range(4, 7):
+    for j in range(4, capacity):
         state.push(W[:, j])
-    clean = _state(variant, 200, capacity=4)
-    for j in range(7):
+    clean = _state(variant, 200, capacity)
+    for j in range(capacity):
         clean.push(W[:, j])
-    assert state._Q.shape == clean._Q.shape
     for name, value in _snapshot(clean).items():
         assert np.array_equal(getattr(state, name), value), name
 
@@ -465,16 +465,16 @@ def test_failed_push_leaves_state_unchanged(rng, variant, error):
     *(pytest.param(v, e, id=f"{v.value}-{e.__name__}")
       for v in _CLASSICAL for e in (BreakdownError, NonFiniteError))])
 def test_failed_push_block_keeps_earlier_columns(rng, variant, error):
-    # a block whose second column fails keeps its first column pushed, with
-    # the state growing in it, and the state stays usable
+    # a block whose second column fails keeps its first column pushed, and
+    # the state stays usable
     W = _problem(rng, n=200, m=7)
-    state = _state(variant, 200, capacity=4)
+    state = _state(variant, 200, capacity=7)
     state.push_block(W[:, :4])
     bad = np.zeros(200) if error is BreakdownError else W[:, 5] * 1e40
     with pytest.raises(error) as exc, np.errstate(all="ignore"):
         state.push_block(np.column_stack([W[:, 4], bad, W[:, 5]]))
     assert exc.value.column == 6
-    clean = _state(variant, 200, capacity=4)
+    clean = _state(variant, 200, capacity=7)
     for j in range(5):
         clean.push(W[:, j])
     for name, value in _snapshot(clean).items():
@@ -482,6 +482,22 @@ def test_failed_push_block_keeps_earlier_columns(rng, variant, error):
     state.push(W[:, 5])  # runs its own Step 1 after the failed block
     state.push_block(W[:, 6:])
     for j in range(5, 7):
+        clean.push(W[:, j])
+    for name, value in _snapshot(clean).items():
+        assert np.array_equal(getattr(state, name), value), name
+
+
+@_VARIANTS
+def test_push_block_past_capacity_keeps_the_columns_that_fit(rng, variant):
+    # a block of 3 columns into room for 2 more pushes those 2 and raises
+    # at the third, which leaves the state as 2 pushes would
+    W = _problem(rng, n=200, m=5)
+    state = _state(variant, 200, capacity=4)
+    state.push_block(W[:, :2])
+    with pytest.raises(ValueError, match="state is full: capacity 4"):
+        state.push_block(W[:, 2:])
+    clean = _state(variant, 200, capacity=4)
+    for j in range(4):
         clean.push(W[:, j])
     for name, value in _snapshot(clean).items():
         assert np.array_equal(getattr(state, name), value), name
@@ -508,11 +524,11 @@ def test_nonfinite_block_pushes_nothing(rng, variant):
 
 @_VARIANTS
 def test_factors_taken_mid_stream_keep_their_bits(rng, variant):
-    # factors are views of the state's arrays: a pushed column is never
-    # written again, and a growth copies the arrays, so factors taken at a
-    # partial and at a full capacity keep every bit through later pushes
+    # factors are views of the state's arrays, which never move, and a
+    # pushed column is never written again, so factors taken after 3 and 4
+    # columns keep every bit through the pushes that fill the state
     W = _problem(rng, n=200, m=12)
-    state = _state(variant, 200, capacity=4)
+    state = _state(variant, 200, capacity=12)
     state.push_block(W[:, :3])
     partial = state.factors()
     assert np.shares_memory(partial.Q, state._Q)
@@ -521,8 +537,7 @@ def test_factors_taken_mid_stream_keep_their_bits(rng, variant):
     full = state.factors()
     taken = [(f, {name: np.copy(a) for name, a in vars(f).items()
                   if a is not None}) for f in (partial, full)]
-    state.push_block(W[:, 4:])  # grows 4 -> 8 -> 16
-    assert state._Q.shape[1] == 16
+    state.push_block(W[:, 4:])
     for f, before in taken:
         for name, value in before.items():
             assert np.array_equal(getattr(f, name), value), name
@@ -560,10 +575,7 @@ def test_push_leaves_the_callers_column_unchanged(rng, variant, policy, dtype):
     # under UNIFIED64 a contiguous binary64 column passes the input checks
     # as the caller's own array; MGS updates q' in place, in its own copy
     W = _problem(rng, n=200, m=6).astype(dtype)
-    if variant is GsVariant.RGS:
-        state = RgsState(make_sketch(SketchKind.PSRHT, 64, 200, seed=5), policy)
-    else:
-        state = ClassicalGsState(200, variant, policy)
+    state = _state(variant, 200, 6, policy)
     for j in range(6):
         w = W[:, j].copy()
         state.push(w)
@@ -577,7 +589,8 @@ def test_classical_breakdown_tolerance_reads_input_norm(rng, variant, policy):
     # the guard compares r_ii with ||w||, not with the norm of the buffer
     # that MGS has updated in place into q'
     W = _problem(rng, n=100, m=3, cond=10.0)
-    state = ClassicalGsState(100, variant, policy, breakdown_factor=1e4)
+    state = ClassicalGsState(100, variant, policy, capacity=4,
+                             breakdown_factor=1e4)
     for j in range(3):
         state.push(W[:, j])
     w = W[:, 0] - 2.0 * W[:, 2]  # in the span, up to rounding
