@@ -408,8 +408,8 @@ def certificates(factors: QrFactors) -> StabilityCertificate:
     """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64."""
     if factors.S is None or factors.P is None:
         raise ValueError("certificates need the sketches S and P (randomized factors)")
-    S = factors.S.astype(np.float64)
-    P = factors.P.astype(np.float64)
+    S = factors.S.astype(np.float64, copy=False)
+    P = factors.P.astype(np.float64, copy=False)
     R = factors.R
     delta_tilde = float(np.linalg.norm(P - S @ R) / np.linalg.norm(P))
     return StabilityCertificate(delta_m=loss_of_orthogonality(S),

@@ -42,6 +42,9 @@ def read_matrix_market(path) -> SparseMatrix:
         raise MatrixMarketError(f"{path}: {exc}") from exc
 
 
+_BLOCK_BYTES = 1 << 20  # work block of synthetic_matrix
+
+
 def synthetic_matrix(n: int, m: int) -> np.ndarray:
     """Parametric-function snapshot matrix with entries
 
@@ -49,15 +52,26 @@ def synthetic_matrix(n: int, m: int) -> np.ndarray:
 
     on inclusive grids x_i = i/(n-1), mu_j = j/(m-1) (zero-based i, j).
     Columns become increasingly linearly dependent, so the trailing part of
-    the matrix is numerically singular at binary32 resolution. Binary64.
+    the matrix is numerically singular at binary32 resolution.
+
+    Binary64 and C-ordered, built in place one row block at a time with one
+    work block of about 1 MiB (at least one row), so set-up allocates no
+    n-length temporary per column. Every entry equals, bit for bit, the
+    closed form evaluated one column at a time with the same operations.
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
-    x = np.arange(n, dtype=np.float64) / (n - 1)
+    x = np.arange(n, dtype=np.float64)[:, None] / (n - 1)
+    mu = np.arange(m, dtype=np.float64) / (m - 1)
     W = np.empty((n, m))
-    for j in range(m):
-        mu = j / (m - 1)
-        W[:, j] = np.sin(10.0 * (mu + x)) / (np.cos(100.0 * (mu - x)) + 1.1)
+    rows = min(n, max(1, _BLOCK_BYTES // W[0].nbytes))
+    work = np.empty((rows, m))
+    for r0 in range(0, n, rows):
+        w, xb = W[r0:r0 + rows], x[r0:r0 + rows]
+        t = work[:len(w)]
+        np.sin(np.multiply(10.0, np.add(mu, xb, out=w), out=w), out=w)
+        np.cos(np.multiply(100.0, np.subtract(mu, xb, out=t), out=t), out=t)
+        np.divide(w, np.add(t, 1.1, out=t), out=w)
     return W
 
 

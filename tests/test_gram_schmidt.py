@@ -634,6 +634,21 @@ def test_certificates_oracle(rng):
     assert lo <= sv[-1] and sv[0] <= hi
 
 
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64, UNIFIED32],
+                         ids=lambda p: p.mode)
+def test_certificates_leave_the_sketches_unchanged(rng, policy):
+    # under the binary64 policies certificates reads the state's S and P
+    # without a copy, so it must not write to them: on read-only views any
+    # in-place edit would raise, and the values keep their bits
+    theta = make_sketch(SketchKind.PSRHT, 64, 400, seed=3)
+    f, cert = rgs_factorize(_problem(rng), theta, policy)
+    f.S.setflags(write=False)
+    f.P.setflags(write=False)
+    frozen = certificates(f)
+    assert [frozen.delta_m, frozen.delta_tilde_m, frozen.cond_S] == [
+        cert.delta_m, cert.delta_tilde_m, cert.cond_S]
+
+
 def _gamma(j, u):
     return j * u / (1 - j * u)
 

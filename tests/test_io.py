@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sketchgs import (ExperimentReport, REPORT_COLUMNS, SparseMatrix,
                       generate_laplacian_2d, generate_random_sparse,
                       read_matrix_market, read_report, synthetic_matrix,
                       write_report)
-from sketchgs.io import MatrixMarketError
+from sketchgs.io import _BLOCK_BYTES, MatrixMarketError
 
 
 def test_read_matrix_market_general(tmp_path):
@@ -120,6 +121,48 @@ def test_synthetic_matrix_values():
         math.sin(10 * (mu + x)) / (math.cos(100 * (mu - x)) + 1.1), rel=1e-15)
     with pytest.raises(ValueError):
         synthetic_matrix(1, 50)
+
+
+def _synthetic_by_columns(n, m):
+    # reference: the closed form evaluated one column at a time
+    x = np.arange(n, dtype=np.float64) / (n - 1)
+    W = np.empty((n, m))
+    for j in range(m):
+        mu = j / (m - 1)
+        W[:, j] = np.sin(10.0 * (mu + x)) / (np.cos(100.0 * (mu - x)) + 1.1)
+    return W
+
+
+_BLOCK_ROWS = _BLOCK_BYTES // (8 * 300)  # rows of the work block at m = 300
+_WIDE = _BLOCK_BYTES // 8 + 1  # a work block of one row
+
+
+@pytest.mark.parametrize("n,m", [
+    (2, 2), (100, 50), (_BLOCK_ROWS - 1, 300), (_BLOCK_ROWS, 300),
+    (_BLOCK_ROWS + 1, 300), (3 * _BLOCK_ROWS + 17, 300), (3, _WIDE)])
+def test_synthetic_matrix_bits_equal_column_loop(n, m):
+    # built in row blocks, every entry keeps the bits of the column loop,
+    # across block edges, a partial last block and one-row blocks
+    W = synthetic_matrix(n, m)
+    assert W.dtype == np.float64 and W.flags.c_contiguous
+    assert np.array_equal(W.view(np.uint64),
+                          _synthetic_by_columns(n, m).view(np.uint64))
+
+
+@pytest.mark.parametrize("n,m", [(2048, 2048), (3, 200_000)])
+def test_synthetic_matrix_memory_beyond_w(n, m):
+    # beyond W itself: one work block (about 1 MiB, at least one row), the
+    # two grids with their temporaries, and the iteration buffers (bufsize
+    # elements per operand) numpy's ufuncs take for a broadcast operation
+    tracemalloc.start()
+    try:
+        W = synthetic_matrix(n, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = (max(_BLOCK_BYTES, 8 * m) + 2 * 8 * (n + m)
+              + 2 * 8 * np.getbufsize())
+    assert peak - W.nbytes <= budget
 
 
 def test_synthetic_matrix_trailing_singularity():
