@@ -12,8 +12,7 @@ from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            StabilityCertificate, certificates,
                            classical_factorize, loss_of_orthogonality,
                            rgs_factorize)
-from .certification import (CertificationResult, certify_factorization,
-                            omega_bar)
+from .certification import omega_bar
 from .krylov import (ArnoldiDecomposition, GmresResult, Ilu0Preconditioner,
                      SparseMatrix, arnoldi, best_attainable_residual, gmres,
                      ilu0)

@@ -17,15 +17,10 @@ from the two small sketches of V, never touching the n-dimensional basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .gram_schmidt import QrFactors
-from .sketch import SketchOperator
-
-__all__ = ["CertificationResult", "omega_bar", "certify_factorization"]
+__all__ = ["omega_bar"]
 
 
 def _triangular(X) -> np.ndarray:
@@ -72,45 +67,3 @@ def omega_bar(V_theta, V_phi, eps_star: float) -> float:
         raise np.linalg.LinAlgError("Theta-sketch is numerically rank deficient")
     return _embedding_error(np.linalg.svd(B, compute_uv=False), eps_star)
 
-
-@dataclass
-class CertificationResult:
-    eps_star: float
-    omega_bar_q: float
-    omega_bar_w: float
-    margin_q: float
-    margin_w: float
-    margin_ok_q: bool
-    margin_ok_w: bool
-
-
-def certify_factorization(factors: QrFactors, W, phi: SketchOperator,
-                          eps_star: float) -> CertificationResult:
-    """Certify the embedding of Theta on range(Q) and range(W).
-
-    `factors` come from the randomized process (they hold S = Theta Q and
-    P = Theta W); Phi is applied here to the stored Q and to W. The
-    rounding-margin check requires u_crs * cond(V_phi) to be small relative
-    to the certified quantity, with u_crs the unit roundoff of the format Q
-    is stored in; `margin_ok_*` is False when the finite-precision slack
-    could dominate the bound.
-    """
-    if factors.S is None or factors.P is None:
-        raise ValueError("certification needs the sketches S and P "
-                         "(randomized factors)")
-    if phi.n != factors.Q.shape[0]:
-        raise ValueError("certification sketch has mismatched ambient dimension")
-    phi_q = phi.apply_block(factors.Q)
-    phi_w = phi.apply_block(W)
-    ob_q = omega_bar(factors.S, phi_q, eps_star)
-    ob_w = omega_bar(factors.P, phi_w, eps_star)
-    u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
-    margin_q = u_crs * float(np.linalg.cond(phi_q))
-    margin_w = u_crs * float(np.linalg.cond(phi_w))
-    return CertificationResult(
-        eps_star=eps_star,
-        omega_bar_q=ob_q, omega_bar_w=ob_w,
-        margin_q=margin_q, margin_w=margin_w,
-        margin_ok_q=margin_q <= 0.1 * max(abs(ob_q), eps_star),
-        margin_ok_w=margin_w <= 0.1 * max(abs(ob_w), eps_star),
-    )

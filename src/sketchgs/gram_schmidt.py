@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from .certification import omega_bar
 from .precision import MIXED32_64, UNIFIED64, PrecisionPolicy
 from .sketch import SketchOperator
 
@@ -89,21 +90,27 @@ class QrFactors:
 
 @dataclass
 class StabilityCertificate:
-    """Computable a-posteriori stability data for a sketched factorization."""
+    """A-posteriori stability data of a sketched factorization, built by
+    `certificates`; given a certification sketch Phi also omega_bar, the
+    certified bound on Theta's embedding error, and the rounding margin
+    u_crs * cond(Phi V) with its check, on range(Q) and, given W, range(W),
+    and sigma_q = (lo, hi) around the singular values of Q; else None."""
 
     delta_m: float
     delta_tilde_m: float
     cond_S: float
+    eps_star: float | None = None
+    omega_bar_q: float | None = None
+    margin_q: float | None = None
+    margin_ok_q: bool | None = None
+    sigma_q: tuple[float, float] | None = None
+    omega_bar_w: float | None = None
+    margin_w: float | None = None
+    margin_ok_w: bool | None = None
 
     def passes_gate(self) -> bool:
         """The Delta_m, Delta~_m <= 0.1 hypothesis of the stability theorem."""
         return self.delta_m <= 0.1 and self.delta_tilde_m <= 0.1
-
-    def sigma_enclosure(self, eps: float, u_crs: float) -> tuple[float, float]:
-        """Implied [sigma_min, sigma_max] enclosure for the computed Q."""
-        lo = (1.0 + eps)**-0.5 * (1.0 - self.delta_m - 0.1 * u_crs)
-        hi = (1.0 - eps)**-0.5 * (1.0 + self.delta_m + 0.1 * u_crs)
-        return lo, hi
 
 
 class _IncrementalHouseholderQR:
@@ -404,17 +411,55 @@ class ClassicalGsState(_GsState):
         return r_ii
 
 
-def certificates(factors: QrFactors) -> StabilityCertificate:
-    """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64."""
+def _certify_range(V_theta, V, phi, eps_star, u_crs):
+    """omega_bar on range(V), the rounding margin u_crs * cond(Phi V), and
+    whether the margin is at most a tenth of the certified quantity."""
+    V_phi = phi.apply_block(V)
+    ob = omega_bar(V_theta, V_phi, eps_star)
+    margin = u_crs * float(np.linalg.cond(V_phi))
+    return ob, margin, bool(margin <= 0.1 * max(abs(ob), eps_star))
+
+
+def certificates(factors: QrFactors, W=None, phi: SketchOperator | None = None,
+                 eps_star: float | None = None) -> StabilityCertificate:
+    """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64.
+
+    Given Phi, a sketch independent of Theta that embeds single vectors to
+    accuracy `eps_star`, applied here to the stored Q (and to W), also the
+    omega_bar fields, with u_crs the unit roundoff of the format of Q, and
+    sigma_q from Delta_m and eps = omega_bar_q alone. Neither end is
+    clipped: hi is inf when omega_bar_q >= 1, and lo <= 0 (Delta_m near 1
+    or above) bounds nothing.
+    """
     if factors.S is None or factors.P is None:
         raise ValueError("certificates need the sketches S and P (randomized factors)")
+    if factors.S.shape[1] == 0:
+        raise ValueError("certificates need a factorization with at least one column")
+    if phi is not None and eps_star is None:
+        raise ValueError("a certification sketch phi needs its eps_star")
+    if phi is not None and phi.n != factors.Q.shape[0]:
+        raise ValueError("certification sketch has mismatched ambient dimension")
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
-    R = factors.R
-    delta_tilde = float(np.linalg.norm(P - S @ R) / np.linalg.norm(P))
-    return StabilityCertificate(delta_m=loss_of_orthogonality(S),
+    delta_tilde = float(np.linalg.norm(P - S @ factors.R) / np.linalg.norm(P))
+    cert = StabilityCertificate(delta_m=loss_of_orthogonality(S),
                                 delta_tilde_m=delta_tilde,
                                 cond_S=float(np.linalg.cond(S)))
+    if phi is None:
+        return cert
+    u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
+    cert.eps_star = eps_star
+    cert.omega_bar_q, cert.margin_q, cert.margin_ok_q = _certify_range(
+        factors.S, factors.Q, phi, eps_star, u_crs)
+    if W is not None:
+        cert.omega_bar_w, cert.margin_w, cert.margin_ok_w = _certify_range(
+            factors.P, W, phi, eps_star, u_crs)
+    eps, d = cert.omega_bar_q, cert.delta_m
+    # (1 - eps)^-1/2 has no real value for eps >= 1
+    cert.sigma_q = ((1.0 + eps)**-0.5 * (1.0 - d - 0.1 * u_crs),
+                    (1.0 - eps)**-0.5 * (1.0 + d + 0.1 * u_crs)
+                    if eps < 1.0 else np.inf)
+    return cert
 
 
 def loss_of_orthogonality(Q) -> float:

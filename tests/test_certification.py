@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
-                      UNIFIED64, certify_factorization, classical_factorize,
+                      UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       epsilon_of, make_sketch, omega_bar, rgs_factorize,
-                      vector_certificate_dim)
+                      synthetic_matrix, vector_certificate_dim)
 
 
 def _phi(n, seed=0x0F1A):
@@ -75,14 +75,14 @@ def test_omega_bar_rank_deficient_raises():
 @pytest.mark.parametrize("policy, u", [(MIXED32_64, 2.0**-24),
                                        (UNIFIED64, 2.0**-53)],
                          ids=["mixed", "f64"])
-def test_certify_factorization(rng, policy, u):
+def test_certificates_certify_q_and_w(rng, policy, u):
     # the rounding margin takes u_crs from the format Q is stored in
     n, m = 1024, 10
     W = rng.standard_normal((n, m))
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
     phi = _phi(n)
     f, _ = rgs_factorize(W, theta, policy)
-    res = certify_factorization(f, W, phi, eps_star=0.25)
+    res = certificates(f, W, phi, eps_star=0.25)
     assert res.margin_q == u * np.linalg.cond(phi.apply_block(f.Q))
     om_q = epsilon_of(theta, f.Q)
     om_w = epsilon_of(theta, W)
@@ -97,9 +97,75 @@ def test_certify_rejects_invalid_inputs(rng):
     f, _ = rgs_factorize(W, theta, UNIFIED64)
     phi_short = make_sketch(SketchKind.RADEMACHER, 32, 255, seed=1)
     with pytest.raises(ValueError, match="ambient dimension"):
-        certify_factorization(f, W, phi_short, eps_star=0.25)
+        certificates(f, W, phi_short, eps_star=0.25)
     # classical factors carry no sketches S and P to certify against
     phi = make_sketch(SketchKind.RADEMACHER, 32, 256, seed=1)
     classical = classical_factorize(W, GsVariant.MGS)
     with pytest.raises(ValueError, match="sketches S and P"):
-        certify_factorization(classical, W, phi, eps_star=0.25)
+        certificates(classical, W, phi, eps_star=0.25)
+    # Phi certifies only at a stated single-vector accuracy eps*
+    with pytest.raises(ValueError, match="eps_star"):
+        certificates(f, W, phi)
+
+
+_PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q",
+               "omega_bar_w", "margin_w", "margin_ok_w")
+
+
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64, UNIFIED32],
+                         ids=lambda p: p.mode)
+def test_certificates_with_phi_add_fields_and_change_none(rng, policy):
+    n, m = 1024, 10
+    W = rng.standard_normal((n, m))
+    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
+    f, cert = rgs_factorize(W, theta, policy)
+    assert all(getattr(cert, name) is None for name in _PHI_FIELDS)
+    on_w = certificates(f, W, _phi(n), eps_star=0.25)
+    on_q = certificates(f, phi=_phi(n), eps_star=0.25)
+    for res in (on_w, on_q):
+        # Delta_m, Delta~_m and cond(S) keep their bits
+        assert [res.delta_m, res.delta_tilde_m, res.cond_S] == [
+            cert.delta_m, cert.delta_tilde_m, cert.cond_S]
+        assert res.passes_gate() == cert.passes_gate()
+        assert res.eps_star == 0.25
+    # W only adds the fields on range(W); the flags are Python bools
+    assert all(getattr(on_w, name) is not None for name in _PHI_FIELDS)
+    assert type(on_w.margin_ok_q) is bool and type(on_w.margin_ok_w) is bool
+    assert [getattr(on_q, name) for name in _PHI_FIELDS[:5]] == [
+        getattr(on_w, name) for name in _PHI_FIELDS[:5]]
+    assert [on_q.omega_bar_w, on_q.margin_w, on_q.margin_ok_w] == [None] * 3
+
+
+def _sigma_q_case(name, k):
+    """Factors, W, and a Phi with at most n rows with its eps*."""
+    if name == "synthetic-f32":
+        # the binary32 basis loses rank (as in the CLI's rank-deficient
+        # sketch test): Delta_m is far above 1
+        n, W, policy, eps_star = 300, synthetic_matrix(300, 250), UNIFIED32, 0.4
+    else:
+        n, policy, eps_star = 1024, MIXED32_64, 0.25
+        W = np.random.default_rng(12345).standard_normal((n, 10))
+    theta = make_sketch(SketchKind.PSRHT, k, n, seed=0)
+    f, _ = rgs_factorize(W, theta, policy, breakdown_factor=0.0)
+    phi = SketchOperator(SketchKind.RADEMACHER,
+                         vector_certificate_dim(eps_star, 1e-3), n, 0x0F1A)
+    return f, W, phi, eps_star
+
+
+@pytest.mark.parametrize("case, k, bounded", [
+    ("gaussian", 512, (True, True)),
+    ("gaussian", 128, (True, False)),  # omega_bar_q >= 1
+    ("synthetic-f32", 260, (False, False)),  # and Delta_m >= 1
+], ids=["gaussian-k512", "gaussian-k128", "synthetic-f32"])
+def test_sigma_q_encloses_sigma_of_q_and_is_vacuous_where_it_must_be(
+        case, k, bounded):
+    f, W, phi, eps_star = _sigma_q_case(case, k)
+    res = certificates(f, W, phi, eps_star=eps_star)
+    lo, hi = res.sigma_q
+    sv = np.linalg.svd(f.Q.astype(np.float64), compute_uv=False)
+    assert lo <= sv[-1] and sv[0] <= hi
+    # (1 - omega_bar_q)^-1/2 has no real value from omega_bar_q = 1 on, and
+    # a lower end <= 0 bounds nothing; neither end is clipped
+    assert (lo > 0.0, hi < np.inf) == bounded
+    assert (hi == np.inf) == (res.omega_bar_q >= 1.0)
+    assert (lo < 0.0) == (res.delta_m > 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
                       MIXED32_64, NonFiniteError, SketchKind,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
-                      loss_of_orthogonality, make_sketch, rgs_factorize)
+                      generate_laplacian_2d, gmres, loss_of_orthogonality,
+                      make_sketch, rgs_factorize, vector_certificate_dim)
 from sketchgs.gram_schmidt import (RgsState, _IncrementalHouseholderQR,
                                    _PUSH_BLOCK)
 
@@ -28,6 +30,16 @@ def _state(variant, n, capacity, policy=MIXED32_64, kind=SketchKind.PSRHT, k=64)
 def _snapshot(state):
     names = ("m", "Q", "R") + (("S", "P") if isinstance(state, RgsState) else ())
     return {name: np.copy(getattr(state, name)) for name in names}
+
+
+# a certification sketch Phi with no more rows than the n = 400 of
+# `_problem`, sized by the single-vector bound for eps* = 0.35
+_EPS_STAR = 0.35
+
+
+def _phi(n):
+    return make_sketch(SketchKind.RADEMACHER,
+                       vector_certificate_dim(_EPS_STAR, 1e-3), n, seed=0x0F1A)
 
 
 def _problem(rng, n=400, m=12, cond=1e4):
@@ -626,10 +638,9 @@ def test_certificates_oracle(rng):
     assert cert.delta_tilde_m == pytest.approx(
         np.linalg.norm(P - S @ f.R) / np.linalg.norm(P), rel=1e-12)
     assert cert.passes_gate()
-    # the enclosure holds for the exact embedding accuracy of theta on range(Q)
-    from sketchgs import epsilon_of
-    eps = epsilon_of(theta, f.Q.astype(np.float64))
-    lo, hi = cert.sigma_enclosure(eps, MIXED32_64.u_crs)
+    # sigma_q, certified by omega_bar_q from the sketches S and Phi Q alone,
+    # encloses the singular values of Q
+    lo, hi = certificates(f, phi=_phi(400), eps_star=_EPS_STAR).sigma_q
     sv = np.linalg.svd(f.Q.astype(np.float64), compute_uv=False)
     assert lo <= sv[-1] and sv[0] <= hi
 
@@ -638,15 +649,33 @@ def test_certificates_oracle(rng):
                          ids=lambda p: p.mode)
 def test_certificates_leave_the_sketches_unchanged(rng, policy):
     # under the binary64 policies certificates reads the state's S and P
-    # without a copy, so it must not write to them: on read-only views any
-    # in-place edit would raise, and the values keep their bits
+    # without a copy, so it must not write to them, nor to Q and W on the
+    # Phi path: on read-only views any in-place edit would raise, and the
+    # values keep their bits
     theta = make_sketch(SketchKind.PSRHT, 64, 400, seed=3)
-    f, cert = rgs_factorize(_problem(rng), theta, policy)
-    f.S.setflags(write=False)
-    f.P.setflags(write=False)
+    W = _problem(rng)
+    f, cert = rgs_factorize(W, theta, policy)
+    full = certificates(f, W, _phi(400), eps_star=_EPS_STAR)
+    for a in (f.Q, f.S, f.P, W):
+        a.setflags(write=False)
     frozen = certificates(f)
     assert [frozen.delta_m, frozen.delta_tilde_m, frozen.cond_S] == [
         cert.delta_m, cert.delta_tilde_m, cert.cond_S]
+    frozen = certificates(f, W, _phi(400), eps_star=_EPS_STAR)
+    assert dataclasses.astuple(frozen) == dataclasses.astuple(full)
+
+
+def test_certificates_reject_a_factorization_with_no_column():
+    # before any arithmetic: Delta~_m would be 0/0 and cond(S) undefined
+    theta = make_sketch(SketchKind.PSRHT, 64, 400, seed=3)
+    empty = RgsState(theta, MIXED32_64, capacity=4).factors()
+    A = generate_laplacian_2d(6)
+    solved = gmres(A, np.zeros(A.n), m=4,
+                   theta=make_sketch(SketchKind.PSRHT, 16, A.n, seed=3))
+    for f in (empty, solved.factors):
+        assert f.S.shape[1] == 0
+        with pytest.raises(ValueError, match="at least one column"):
+            certificates(f)
 
 
 def _gamma(j, u):
