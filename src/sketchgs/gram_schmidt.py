@@ -413,10 +413,15 @@ class ClassicalGsState(_GsState):
 
 def _certify_range(V_theta, V, phi, eps_star, u_crs):
     """omega_bar on range(V), the rounding margin u_crs * cond(Phi V), and
-    whether the margin is at most a tenth of the certified quantity."""
+    whether the margin is at most a tenth of the certified quantity. A
+    numerically rank deficient Theta V certifies nothing: omega_bar is inf
+    and the check fails, as in the traces."""
     V_phi = phi.apply_block(V)
-    ob = omega_bar(V_theta, V_phi, eps_star)
     margin = u_crs * float(np.linalg.cond(V_phi))
+    try:
+        ob = omega_bar(V_theta, V_phi, eps_star)
+    except np.linalg.LinAlgError:
+        return np.inf, margin, False
     return ob, margin, bool(margin <= 0.1 * max(abs(ob), eps_star))
 
 

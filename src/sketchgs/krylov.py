@@ -269,22 +269,6 @@ class GmresResult:
     factors: QrFactors
 
 
-def _operator_norm_estimate(matvec, n: int) -> float:
-    """Magnitude of the dominant eigenvalue by 20 power-iteration steps
-    from a fixed start vector, only to normalize the operator to unit scale."""
-    v = np.cos(np.arange(n, dtype=np.float64) + 1.0)
-    v /= np.linalg.norm(v)
-    sigma = 1.0
-    for _ in range(20):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma = nw
-        v = w / nw
-    return float(sigma)
-
-
 def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
           theta: SketchOperator | None = None,
           policy: PrecisionPolicy = MIXED32_64,
@@ -292,11 +276,13 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
           tol: float | None = None) -> GmresResult:
     """Single-cycle GMRES(m) with progressive Givens rotations.
 
-    The system is normalized internally so the effective operator and right
-    hand side both have unit scale, and right preconditioning keeps the true
-    residual of the original system observable. No restarting. The sketched
-    residual estimate can read below `tol` while the true residual is still
-    above it, so the iteration stops only once the true residual is <= tol.
+    The Krylov basis starts from b / ||b|| and the operator is not rescaled
+    (GMRES is scale invariant), so under a binary32 coarse format an A q
+    that overflows it raises `NonFiniteError`. Right preconditioning keeps
+    the true residual of the original system observable. No restarting. The
+    sketched residual estimate can read below `tol` while the true residual
+    is still above it, so the iteration stops only once the true residual
+    is <= tol.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n,):
@@ -314,10 +300,6 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     else:
         def eff_matvec(v):
             return A.matvec(preconditioner.solve(v))
-    # Normalize: work with (A_eff / alpha) z = b / ||b||.
-    alpha = _operator_norm_estimate(eff_matvec, A.n)
-    if alpha == 0.0:
-        raise np.linalg.LinAlgError("operator norm estimate is zero")
 
     state.push(b / b_norm)
     beta = float(state.R[0, 0])  # ~1 in the sketched norm
@@ -337,15 +319,15 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
         """x from the first k Arnoldi steps (0 for k = 0), and its true
         relative residual."""
         y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
-        # z solves the normalized system; undo preconditioning and scaling.
+        # z solves the system for b / ||b||; undo that and the preconditioning
         z = state.Q[:, :k].astype(np.float64, copy=False) @ y
-        x_tilde = (b_norm / alpha) * z
+        x_tilde = b_norm * z
         x = (preconditioner.solve(x_tilde) if preconditioner is not None
              else x_tilde)
         return x, float(np.linalg.norm(b - A.matvec(x)) / b_norm)
 
     solved_at = None
-    steps = _arnoldi_steps(lambda v: eff_matvec(v) / alpha, state, m)
+    steps = _arnoldi_steps(eff_matvec, state, m)
     for i, hcol in enumerate(steps):
         for j in range(i):
             t = cs[j] * hcol[j] + sn[j] * hcol[j + 1]

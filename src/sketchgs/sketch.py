@@ -2,9 +2,10 @@
 
 Two sketch families are provided: rescaled Rademacher matrices (i.i.d.
 +-1/sqrt(k) entries, drawn in blocks of columns, one counter-based Philox
-stream per block, kept or regenerated by size, and read once per apply of a
-vector or a block) and the partial subsampled randomized Hadamard transform
-(P-SRHT: sign flip, fast Walsh-Hadamard transform on the padded power-of-two
+stream per block, read once per apply of a vector or a block, and kept from
+the second apply on if they fit, so a sketch applied once holds one block at
+a time) and the partial subsampled randomized Hadamard transform (P-SRHT:
+sign flip, fast Walsh-Hadamard transform on the padded power-of-two
 dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
 `apply` and `apply_block` run one body; `apply_block` says how they differ.
 
@@ -35,8 +36,10 @@ __all__ = [
 # so the block width is part of each operator's definition: changing it
 # changes every Rademacher matrix.
 _COLUMN_BLOCK = 4096
-# Keep the +-1 blocks when k*n entries fit in ~128 MB; regenerate them on
-# every apply otherwise. Both give the same bits.
+# From the second apply on, keep the +-1 blocks when k*n entries fit in
+# ~128 MB; regenerate them on every apply otherwise. The first apply keeps
+# none, so a sketch applied once (a certification sketch) never holds more
+# than one block. Every way gives the same bits.
 _MATERIALIZE_LIMIT = 1 << 24
 
 _PSRHT_SIGN_STREAM = 0x5149
@@ -150,6 +153,7 @@ class SketchOperator:
         self.n = int(n)
         self.seed = int(seed)
         self._blocks = []  # kept Rademacher column blocks, in order
+        self._applied = False  # blocks are kept only once they are reused
         if kind is SketchKind.PSRHT:
             s = _next_pow2(n)
             if s >= 1 << 62:
@@ -174,7 +178,7 @@ class SketchOperator:
 
     def _sign_block(self, b: int) -> np.ndarray:
         """Column block b of the unscaled +-1 matrix, drawn from Philox stream
-        b; kept after its first draw when k*n <= _MATERIALIZE_LIMIT."""
+        b; kept when drawn by a second apply and k*n <= _MATERIALIZE_LIMIT."""
         if b < len(self._blocks):
             return self._blocks[b]
         width = min(_COLUMN_BLOCK, self.n - b * _COLUMN_BLOCK)
@@ -183,7 +187,7 @@ class SketchOperator:
         block = bits.astype(np.float64)  # the one binary64 array; then in place
         block *= 2.0
         block -= 1.0
-        if self.k * self.n <= _MATERIALIZE_LIMIT:
+        if self._applied and self.k * self.n <= _MATERIALIZE_LIMIT:
             self._blocks.append(block)
         return block
 
@@ -216,6 +220,7 @@ class SketchOperator:
             # a gemv or a gemm: each sign block is read or drawn once per call
             for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
                 acc += self._sign_block(b) @ X[j0:j0 + _COLUMN_BLOCK]
+            self._applied = True
         else:
             # one column at a time, as fwht takes one: no s x N padded block
             out = acc.reshape(self.k, -1)  # a view: columns land in acc

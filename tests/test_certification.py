@@ -136,6 +136,23 @@ def test_certificates_with_phi_add_fields_and_change_none(rng, policy):
     assert [on_q.omega_bar_w, on_q.margin_w, on_q.margin_ok_w] == [None] * 3
 
 
+def test_certificates_keep_range_q_when_theta_w_is_rank_deficient():
+    # W's column 3 appended again makes Theta W exactly rank deficient; the
+    # guard is off, so Q gets a column for it and range(Q) stays certifiable
+    W = np.random.default_rng(0).standard_normal((2000, 20))
+    W = np.hstack([W, W[:, 3:4]])
+    theta = make_sketch(SketchKind.PSRHT, 200, 2000, seed=3)
+    f, _ = rgs_factorize(W, theta, MIXED32_64, breakdown_factor=0.0)
+    on_w = certificates(f, W, _phi(2000, seed=5), eps_star=0.25)
+    on_q = certificates(f, phi=_phi(2000, seed=5), eps_star=0.25)
+    assert on_w.omega_bar_w == np.inf and on_w.margin_ok_w is False
+    assert on_w.margin_w == 2.0**-24 * np.linalg.cond(
+        _phi(2000, seed=5).apply_block(W))
+    assert [getattr(on_w, name) for name in _PHI_FIELDS[:5]] == [
+        getattr(on_q, name) for name in _PHI_FIELDS[:5]]
+    assert np.isfinite(on_q.omega_bar_q)
+
+
 def _sigma_q_case(name, k):
     """Factors, W, and a Phi with at most n rows with its eps*."""
     if name == "synthetic-f32":

@@ -6,10 +6,10 @@ import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sketchgs import (GsVariant, MIXED32_64, SketchKind, SparseMatrix,
-                      UNIFIED64, arnoldi, best_attainable_residual,
-                      generate_laplacian_2d, generate_random_sparse, gmres,
-                      ilu0, make_sketch)
+from sketchgs import (GsVariant, MIXED32_64, NonFiniteError, SketchKind,
+                      SparseMatrix, UNIFIED64, arnoldi,
+                      best_attainable_residual, generate_laplacian_2d,
+                      generate_random_sparse, gmres, ilu0, make_sketch)
 
 
 def _dense(A):
@@ -405,6 +405,19 @@ def test_gmres_mixed_precision_reaches_coarse_accuracy(rng):
     theta = make_sketch(SketchKind.PSRHT, 140, A.n, seed=0)
     res = gmres(A, b, m=120, theta=theta, policy=MIXED32_64)
     assert res.final_residual < 1e-4  # binary32-scale plateau
+
+
+@pytest.mark.parametrize("variant", [GsVariant.RGS, GsVariant.MGS],
+                         ids=lambda v: v.value)
+def test_gmres_operator_overflowing_binary32_raises(rng, variant):
+    # GMRES does not rescale the operator: A q = 1e39 q overflows the
+    # binary32 format that the mixed policy stores the basis in
+    A = SparseMatrix(csr=scipy.sparse.eye(50, format="csr") * 1e39)
+    theta = make_sketch(SketchKind.PSRHT, 20, A.n, seed=0)
+    with pytest.raises(NonFiniteError) as exc, np.errstate(all="ignore"):
+        gmres(A, rng.standard_normal(A.n), m=10, variant=variant, theta=theta,
+              policy=MIXED32_64, tol=1e-8)
+    assert exc.value.column == 2  # b / ||b|| is stored, A q_1 is not
 
 
 def test_best_attainable_residual(rng):

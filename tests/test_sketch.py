@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,11 +201,19 @@ def test_apply_block_matches_apply(kind, rng, dense_sketch):
             assert abs(col[i] - ref) <= tol
 
 
+def _kept(theta, x):
+    """theta applied a third time, when it reads the blocks it kept."""
+    for _ in range(2):
+        theta.apply_block(x)
+    assert len(theta._blocks) == -(-theta.n // sk._COLUMN_BLOCK)
+    return theta.apply(x)
+
+
 def test_rademacher_streamed_matches_dense(rng, monkeypatch):
     # n = 9000 spans three column blocks, the last one partial; a zero
     # materialization limit makes the second operator regenerate its blocks
     x = rng.standard_normal(9000)
-    dense = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
+    dense = _kept(make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2), x)
     monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
     streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
     assert np.array_equal(dense, streamed)
@@ -224,6 +233,47 @@ def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
     assert draws == [0, 1, 2]  # each sign block once, not once per column
 
 
+def test_rademacher_keeps_its_blocks_from_the_second_apply(rng, monkeypatch):
+    # n = 9000 spans three column blocks, the last one partial
+    X = rng.standard_normal((9000, 5))
+    draws = []
+    philox = sk._philox
+    monkeypatch.setattr(sk, "_philox", lambda seed, stream:
+                        draws.append(stream) or philox(seed, stream))
+    theta = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2)
+    log, vectors, blocks = [], [], []
+    for _ in range(3):
+        vectors.append(theta.apply(X[:, 0]))
+        log.append(draws[:])
+        draws.clear()
+    theta = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2)
+    for _ in range(3):
+        blocks.append(theta.apply_block(X))
+    assert log == [[0, 1, 2], [0, 1, 2], []]
+    assert draws == [0, 1, 2, 0, 1, 2]  # the same per apply_block
+    # a block is a pure function of (seed, stream): every apply has its bits
+    for got in (vectors, blocks):
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+
+def test_rademacher_applied_once_holds_one_block(rng):
+    # a one-shot apply_block keeps no block, and its peak allocation is one
+    # k x 4096 binary64 block, its int8 draw, and the k x N result and
+    # accumulator (never the k x n matrix)
+    k, n, N = 64, 3 * sk._COLUMN_BLOCK, 4
+    X = rng.standard_normal((n, N))
+    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed=2)
+    tracemalloc.start()
+    try:
+        theta.apply_block(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta._blocks == []
+    bound = k * sk._COLUMN_BLOCK * (8 + 1) + 2 * k * N * 8
+    assert peak <= bound + 16384  # slack for the Philox generator objects
+
+
 @pytest.mark.filterwarnings("ignore:sketch dimension")
 @settings(max_examples=25)
 @given(st.integers(1, 64), st.integers(1, 9000), st.integers(0, 2**32 - 1))
@@ -234,7 +284,7 @@ def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
 def test_rademacher_blocks_property(dense_sketch, k, n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
     kept = make_sketch(SketchKind.RADEMACHER, k, n, seed)
-    y = kept.apply(x)
+    y = _kept(kept, x)
     old = sk._MATERIALIZE_LIMIT
     sk._MATERIALIZE_LIMIT = 0
     try:
