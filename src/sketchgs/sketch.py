@@ -1,10 +1,10 @@
 """Oblivious l2-subspace embeddings applied matrix-free.
 
 Two sketch families are provided: rescaled Rademacher matrices (i.i.d.
-+-1/sqrt(k) entries, drawn in blocks of columns, one counter-based Philox
-stream per block, read once per apply of a vector or a block, and kept from
-the second apply on if they fit, so a sketch applied once holds one block at
-a time) and the partial subsampled randomized Hadamard transform (P-SRHT:
++-1/sqrt(k) entries in blocks of columns, each the raw bits of one Philox
+stream, read once per apply of a vector or a block, and kept from the
+second apply on if they fit, so a sketch applied once holds one block at a
+time) and the partial subsampled randomized Hadamard transform (P-SRHT:
 sign flip, fast Walsh-Hadamard transform on the padded power-of-two
 dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
 `apply` and `apply_block` run one body; `apply_block` says how they differ.
@@ -32,9 +32,10 @@ __all__ = [
 ]
 
 # Width of the Rademacher column blocks. Block b holds columns
-# [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK) and is drawn from Philox stream b,
-# so the block width is part of each operator's definition: changing it
-# changes every Rademacher matrix.
+# [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK): its k*width signs, row by row, are
+# the leading bits of Philox stream b's raw 64-bit words, least significant
+# first, a set bit +1. The width and that bit order are part of each
+# operator's definition: changing either changes every Rademacher matrix.
 _COLUMN_BLOCK = 4096
 # From the second apply on, keep the +-1 blocks when k*n entries fit in
 # ~128 MB; regenerate them on every apply otherwise. The first apply keeps
@@ -110,8 +111,10 @@ def fwht(v):
 
     Sylvester (natural) ordering, O(s log s). The length s must be a power
     of two. Input dtype is preserved. H_s is applied as the Kronecker
-    product of Hadamard factors of order at most 2**6, each one BLAS matmul
-    on the vector reshaped to a matrix (Andoni et al., arXiv:1509.02897).
+    product of nf = ceil(b / 4) balanced Hadamard factors, b = log2(s):
+    factor f has order 2**(b(f+1)//nf - bf//nf), at most 2**4, and is one
+    BLAS matmul on the vector reshaped to a matrix (Andoni et al.,
+    arXiv:1509.02897). An entry costs the sum of the orders in multiply-adds.
     """
     x = np.asarray(v)
     s = x.shape[0] if x.ndim == 1 else 0
@@ -119,16 +122,17 @@ def fwht(v):
         raise ValueError(f"shape {x.shape} is not a power-of-two length vector")
     x = np.ascontiguousarray(x)  # BLAS path whatever the stride
     bits = s.bit_length() - 1
+    nf = max(1, -(-bits // 4))  # one factor, of order 1, when s = 1
     lead = 1
-    for b in range(0, bits, 6):
+    for f in range(nf):
         # H acts on the middle axis of x viewed as (lead, d, trail)
-        H = _hadamard(min(6, bits - b), x.dtype)
+        H = _hadamard(bits * (f + 1) // nf - bits * f // nf, x.dtype)
         d = H.shape[0]
         trail = s // (lead * d)
         x = (x.reshape(lead, d) @ H if trail == 1
              else np.matmul(H, x.reshape(lead, d, trail)))
         lead *= d
-    return x.reshape(s) if bits else x.copy()
+    return x.reshape(s)  # a matmul's output, never v
 
 
 def _next_pow2(n: int) -> int:
@@ -182,11 +186,14 @@ class SketchOperator:
         if b < len(self._blocks):
             return self._blocks[b]
         width = min(_COLUMN_BLOCK, self.n - b * _COLUMN_BLOCK)
-        bits = _philox(self.seed, b).integers(0, 2, size=(self.k, width),
-                                              dtype=np.int8)
-        block = bits.astype(np.float64)  # the one binary64 array; then in place
-        block *= 2.0
-        block -= 1.0
+        count = self.k * width
+        words = _philox(self.seed, b).bit_generator.random_raw(-(-count // 64))
+        signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                              count=count, bitorder="little").view(np.int8)
+        del words  # freed before the binary64 block is allocated
+        signs *= 2  # 0/1 -> -1/+1 in place, then one cast
+        signs -= 1
+        block = signs.reshape(self.k, width).astype(np.float64)
         if self._applied and self.k * self.n <= _MATERIALIZE_LIMIT:
             self._blocks.append(block)
         return block

@@ -4,6 +4,7 @@ import scipy.io
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
                       epsilon_of, make_sketch, rgs_factorize, synthetic_matrix)
+from sketchgs import bench
 from sketchgs.bench import (RunConfig, _traces, load_matrix_source,
                             run_certify, run_gmres_bench, run_qr_bench)
 from sketchgs.certification import omega_bar
@@ -120,6 +121,26 @@ def test_run_certify_matches_run_qr_bench():
     config = _small_config(variants=(GsVariant.RGS,), eps_star=0.25)
     qr = run_qr_bench(config)["rgs"]
     cert = run_certify(config)
+    for colname in ("omega", "omega_bar", "cond_S"):
+        assert np.array_equal(qr.column(colname), cert.column(colname))
+
+
+def test_run_certify_reads_only_the_traces_it_reports(monkeypatch):
+    # run_certify reports omega, omega_bar and cond_S: three leading-block
+    # SVD traces, of R_S and the two whitened sketches, and none of R_Q for
+    # cond_Q or the loss of orthogonality; the three keep the bits of the
+    # same Rademacher run under qr-bench, which traces all four
+    config = _small_config(variants=(GsVariant.RGS,), eps_star=0.25,
+                           sketch_kind=SketchKind.RADEMACHER)
+    calls = []
+    leading_svals = bench._leading_svals
+    monkeypatch.setattr(bench, "_leading_svals", lambda R:
+                        calls.append(R.shape) or leading_svals(R))
+    cert = run_certify(config)
+    assert len(calls) == 3
+    calls.clear()
+    qr = run_qr_bench(config)["rgs"]
+    assert len(calls) == 5  # the four traces and cond_W
     for colname in ("omega", "omega_bar", "cond_S"):
         assert np.array_equal(qr.column(colname), cert.column(colname))
 

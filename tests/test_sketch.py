@@ -77,9 +77,10 @@ def _fwht_radix2(v):
 
 @pytest.mark.parametrize("bits", range(18))
 def test_fwht_matches_radix2_oracle(bits):
-    # every remainder of log2(s) mod 6, i.e. every shape of the last
-    # Kronecker factor; both orders of summation are backward stable, so
-    # they agree to a few ulps per stage relative to the largest output
+    # every log2(s) up to 17, i.e. every split into balanced Kronecker
+    # factors of order <= 16, from one factor to five; both orders of
+    # summation are backward stable, so they agree to a few ulps per stage
+    # relative to the largest output
     x = np.random.default_rng(bits).standard_normal(1 << bits)
     ref = _fwht_radix2(x)
     tol = 4 * (bits + 1) * np.finfo(np.float64).eps * np.max(np.abs(ref))
@@ -99,7 +100,7 @@ def test_fwht_exact_on_integers(x):
 
 @pytest.mark.parametrize("bits", [7, 11, 13, 17])
 def test_fwht_involution_partial_factor(bits, rng):
-    # sizes whose log2 is not a multiple of 6 end on a smaller factor
+    # sizes whose log2 is not a multiple of 4 mix factors of two orders
     s = 1 << bits
     x = rng.standard_normal(s)
     assert np.allclose(fwht(fwht(x)) / s, x, rtol=0,
@@ -217,6 +218,30 @@ def test_rademacher_streamed_matches_dense(rng, monkeypatch):
     monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
     streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
     assert np.array_equal(dense, streamed)
+
+
+def _rademacher_signs(k, n, seed):
+    """The unscaled +-1 matrix from its definition: column block b is the
+    first k*width bits of the raw 64-bit words of Philox stream (seed, b),
+    least significant bit first, filled row by row; a set bit is +1."""
+    blocks = []
+    for b, j0 in enumerate(range(0, n, sk._COLUMN_BLOCK)):
+        width = min(sk._COLUMN_BLOCK, n - j0)
+        words = np.random.Philox(key=(seed << 64) | b).random_raw(
+            -(-k * width // 64))
+        shifts = np.arange(64, dtype=np.uint64)
+        bits = (words[:, None] >> shifts) & np.uint64(1)
+        blocks.append(bits.reshape(-1)[:k * width].reshape(k, width))
+    return np.where(np.hstack(blocks) == 1, 1.0, -1.0)
+
+
+# k*width is a multiple of 64 in the first two blocks of (7, 9000) and not in
+# its last (7 x 808), nor in (3, 5)
+@pytest.mark.parametrize("k, n, seed", [(7, 9000, 2), (3, 5, 2**40 + 3)])
+def test_rademacher_signs_are_philox_bits(dense_sketch, k, n, seed):
+    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+    assert np.array_equal(np.sign(dense_sketch(theta)),
+                          _rademacher_signs(k, n, seed))
 
 
 def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
