@@ -4,15 +4,15 @@ certification, and a sketched GMRES built on top."""
 
 from .precision import (MIXED32_64, UNIFIED32, UNIFIED64, PrecisionPolicy,
                         policy_from_name)
-from .sketch import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
-                     fwht, make_sketch, required_sketch_dim,
-                     rounding_sketch_trial, vector_certificate_dim)
+from .sketch import (EmbeddingParams, SketchKind, SketchOperator, fwht,
+                     make_sketch, required_sketch_dim, rounding_sketch_trial,
+                     vector_certificate_dim)
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            NonFiniteError, QrFactors, RgsState,
                            StabilityCertificate, certificates,
                            classical_factorize, loss_of_orthogonality,
                            rgs_factorize)
-from .certification import omega_bar
+from .certification import epsilon_of, omega_bar
 from .krylov import (ArnoldiDecomposition, GmresResult, Ilu0Preconditioner,
                      SparseMatrix, arnoldi, best_attainable_residual, gmres,
                      ilu0)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import _embedding_error, _triangular, _whiten
+from .certification import (_cond, _embedding_error, _loss, _triangular,
+                            _whiten)
 from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
@@ -101,11 +102,6 @@ def _leading_svals(R) -> list:
             for i in range(1, R.shape[1] + 1)]
 
 
-def _cond(svals) -> np.ndarray:
-    return np.array([sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-                     for sv in svals])
-
-
 def _embedding_trace(B, eps_star: float, m: int) -> np.ndarray:
     """Embedding error of the leading i columns of the whitened sketch B,
     i = 1 .. m; the rows past B's last column read inf."""
@@ -124,8 +120,7 @@ def _traces(Q, S=None, theta: SketchOperator | None = None,
     Householder QR, and row i is read from the singular values of the
     leading i x i block of its triangular factor:
 
-    - cond_Q, and the loss of orthogonality ||I - Q_i^T Q_i||_F as
-      ||1 - sigma^2||_2, from R_Q (with cond_q);
+    - cond_Q and the loss of orthogonality from R_Q (with cond_q);
     - cond_S from R_S (with S);
     - omega_bar from B = (Phi Q) R_S^-1 (with S, phi); its rows from a
       numerically dependent column of S onward read inf;
@@ -141,21 +136,18 @@ def _traces(Q, S=None, theta: SketchOperator | None = None,
     out = {}
     if cond_q:
         svals = _leading_svals(R_Q)
-        out = {"cond_Q": _cond(svals),
-               "loss_of_orthogonality": np.array(
-                   [np.linalg.norm(1.0 - sv**2) for sv in svals])}
+        out = {"cond_Q": np.array([_cond(sv) for sv in svals]),
+               "loss_of_orthogonality": np.array([_loss(sv) for sv in svals])}
     if S is not None:
         R_S = _triangular(np.array(S, dtype=np.float64, order="F"))
-        out["cond_S"] = _cond(_leading_svals(R_S))
+        out["cond_S"] = np.array([_cond(sv) for sv in _leading_svals(R_S)])
         if phi_q is not None:
             out["omega_bar"] = _embedding_trace(_whiten(R_S, phi_q),
                                                 eps_star, m)
     if theta_q is not None:
         SU = _whiten(R_Q, theta_q)
         if SU.shape[1] < m:
-            raise np.linalg.LinAlgError(
-                f"column {SU.shape[1] + 1} of Q is numerically dependent "
-                "on the columns before it")
+            raise np.linalg.LinAlgError(f"column {SU.shape[1] + 1} of Q is dependent")
         out["omega"] = _embedding_trace(SU, 0.0, m)
     return out
 
@@ -195,8 +187,8 @@ def run_qr_bench(config: RunConfig) -> dict:
         runs.append((variant, cols, time.perf_counter() - t0))
     # cond(W_i) is variant independent, read once the factorizations have
     # rejected a non-finite W
-    cond_w = _cond(_leading_svals(
-        _triangular(np.array(W, dtype=np.float64, order="F"))))
+    cond_w = [_cond(sv) for sv in _leading_svals(
+        _triangular(np.array(W, dtype=np.float64, order="F")))]
     reports = {}
     for variant, cols, wall in runs:
         report = ExperimentReport()

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .certification import omega_bar
+from .certification import _cond, _loss, _triangular, _whitened_error
 from .precision import MIXED32_64, UNIFIED64, PrecisionPolicy
 from .sketch import SketchOperator
 
@@ -411,15 +411,15 @@ class ClassicalGsState(_GsState):
         return r_ii
 
 
-def _certify_range(V_theta, V, phi, eps_star, u_crs):
-    """omega_bar on range(V), the rounding margin u_crs * cond(Phi V), and
-    whether the margin is at most a tenth of the certified quantity. A
-    numerically rank deficient Theta V certifies nothing: omega_bar is inf
-    and the check fails, as in the traces."""
+def _certify_range(R, V, phi, eps_star, u_crs):
+    """omega_bar on range(V), Phi V whitened by the factor R of Theta V, the
+    rounding margin u_crs * cond(Phi V), and whether the margin is at most a
+    tenth of the certified quantity. A numerically rank deficient Theta V
+    certifies nothing: omega_bar is inf and the check fails, as in the traces."""
     V_phi = phi.apply_block(V)
-    margin = u_crs * float(np.linalg.cond(V_phi))
+    margin = u_crs * _cond(np.linalg.svd(V_phi, compute_uv=False))
     try:
-        ob = omega_bar(V_theta, V_phi, eps_star)
+        ob = _whitened_error(R, V_phi, eps_star)
     except np.linalg.LinAlgError:
         return np.inf, margin, False
     return ob, margin, bool(margin <= 0.1 * max(abs(ob), eps_star))
@@ -427,14 +427,15 @@ def _certify_range(V_theta, V, phi, eps_star, u_crs):
 
 def certificates(factors: QrFactors, W=None, phi: SketchOperator | None = None,
                  eps_star: float | None = None) -> StabilityCertificate:
-    """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64.
+    """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64,
+    Delta_m and cond(S) from one binary64 QR of S under every policy.
 
     Given Phi, a sketch independent of Theta that embeds single vectors to
     accuracy `eps_star`, applied here to the stored Q (and to W), also the
-    omega_bar fields, with u_crs the unit roundoff of the format of Q, and
-    sigma_q from Delta_m and eps = omega_bar_q alone. Neither end is
-    clipped: hi is inf when omega_bar_q >= 1, and lo <= 0 (Delta_m near 1
-    or above) bounds nothing.
+    omega_bar fields, Phi Q whitened by that QR, with u_crs the unit roundoff
+    of Q's format, and sigma_q from Delta_m and eps = omega_bar_q alone.
+    Neither end is clipped: hi is inf when omega_bar_q >= 1, and lo <= 0
+    (Delta_m near 1 or above) bounds nothing.
     """
     if factors.S is None or factors.P is None:
         raise ValueError("certificates need the sketches S and P (randomized factors)")
@@ -447,18 +448,19 @@ def certificates(factors: QrFactors, W=None, phi: SketchOperator | None = None,
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
     delta_tilde = float(np.linalg.norm(P - S @ factors.R) / np.linalg.norm(P))
-    cert = StabilityCertificate(delta_m=loss_of_orthogonality(S),
-                                delta_tilde_m=delta_tilde,
-                                cond_S=float(np.linalg.cond(S)))
+    R_S = _triangular(np.array(S, order="F"))  # copies: S may be the state's
+    sv = np.linalg.svd(R_S, compute_uv=False)
+    cert = StabilityCertificate(delta_m=_loss(sv), delta_tilde_m=delta_tilde,
+                                cond_S=_cond(sv))
     if phi is None:
         return cert
     u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
     cert.eps_star = eps_star
     cert.omega_bar_q, cert.margin_q, cert.margin_ok_q = _certify_range(
-        factors.S, factors.Q, phi, eps_star, u_crs)
+        R_S, factors.Q, phi, eps_star, u_crs)
     if W is not None:
         cert.omega_bar_w, cert.margin_w, cert.margin_ok_w = _certify_range(
-            factors.P, W, phi, eps_star, u_crs)
+            _triangular(np.array(P, order="F")), W, phi, eps_star, u_crs)
     eps, d = cert.omega_bar_q, cert.delta_m
     # (1 - eps)^-1/2 has no real value for eps >= 1
     cert.sigma_q = ((1.0 + eps)**-0.5 * (1.0 - d - 0.1 * u_crs),
@@ -467,8 +469,8 @@ def certificates(factors: QrFactors, W=None, phi: SketchOperator | None = None,
     return cert
 
 
-def loss_of_orthogonality(Q) -> float:
-    """||I - Q^T Q||_F in binary64, whatever the storage format of Q."""
-    Q = np.asarray(Q, dtype=np.float64)
-    m = Q.shape[1]
-    return float(np.linalg.norm(np.eye(m) - Q.T @ Q))
+def loss_of_orthogonality(X) -> float:
+    """||I - X^T X||_F from one binary64 QR of X, whatever X's format."""
+    R = _triangular(np.array(X, dtype=np.float64, order="F"))
+    sv = np.linalg.svd(R, compute_uv=False)
+    return _loss(np.pad(sv, (0, R.shape[1] - sv.size)))  # a wide X's zero ones

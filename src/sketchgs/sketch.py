@@ -11,7 +11,7 @@ dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
 
 All randomness is a pure function of (kind, k, n, seed); equal parameters
 produce bit-identical operators. Sketch-dimension bounds use natural
-logarithms throughout.
+logarithms throughout; `certification` measures a sketch's embedding error.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-__all__ = [
-    "SketchKind", "EmbeddingParams", "SketchOperator",
-    "make_sketch", "required_sketch_dim", "vector_certificate_dim",
-    "fwht", "epsilon_of", "rounding_sketch_trial",
-]
+__all__ = ["SketchKind", "EmbeddingParams", "SketchOperator", "make_sketch",
+           "required_sketch_dim", "vector_certificate_dim", "fwht",
+           "rounding_sketch_trial"]
 
 # Width of the Rademacher column blocks. Block b holds columns
 # [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK): its k*width signs, row by row, are
@@ -240,24 +238,6 @@ class SketchOperator:
 
 def make_sketch(kind: SketchKind, k: int, n: int, seed: int) -> SketchOperator:
     return SketchOperator(kind, k, n, seed)
-
-
-def epsilon_of(theta: SketchOperator, V) -> float:
-    """Smallest epsilon for which theta embeds range(V), measured exactly.
-
-    An orthonormal basis U of range(V) is computed by binary64 Householder QR;
-    the result is max{1 - sigma_min(Theta U)^2, sigma_max(Theta U)^2 - 1}.
-    Values above 1 signal that no epsilon < 1 embedding holds.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim == 1:
-        V = V[:, None]
-    sv_v = np.linalg.svd(V, compute_uv=False)
-    if sv_v[-1] <= 1e-12 * sv_v[0]:
-        raise np.linalg.LinAlgError("V is numerically rank deficient")
-    U, _ = np.linalg.qr(V)
-    sv = np.linalg.svd(theta.apply_block(U), compute_uv=False)
-    return max(1.0 - sv[-1]**2, sv[0]**2 - 1.0)
 
 
 def rounding_sketch_trial(theta: SketchOperator, gamma, trials: int, seed: int,

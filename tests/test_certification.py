@@ -5,6 +5,7 @@ from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       epsilon_of, make_sketch, omega_bar, rgs_factorize,
                       synthetic_matrix, vector_certificate_dim)
+from sketchgs.bench import _traces
 
 
 def _phi(n, seed=0x0F1A):
@@ -134,6 +135,22 @@ def test_certificates_with_phi_add_fields_and_change_none(rng, policy):
     assert [getattr(on_q, name) for name in _PHI_FIELDS[:5]] == [
         getattr(on_w, name) for name in _PHI_FIELDS[:5]]
     assert [on_q.omega_bar_w, on_q.margin_w, on_q.margin_ok_w] == [None] * 3
+
+
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64, UNIFIED32],
+                         ids=lambda p: p.mode)
+def test_certificates_read_the_traces_one_factor(rng, policy):
+    # Delta_m, cond(S) and omega_bar_q come from one binary64 QR of S, the
+    # factor the traces take, so they equal the traces' last rows bit for bit
+    n, m = 1024, 10
+    W = rng.standard_normal((n, m)) * np.logspace(0.0, -4.0, m)
+    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
+    f, _ = rgs_factorize(W, theta, policy)
+    phi = _phi(n)
+    res = certificates(f, phi=phi, eps_star=0.25)
+    assert res.delta_m == _traces(f.S)["loss_of_orthogonality"][-1]
+    assert res.cond_S == _traces(f.Q, f.S)["cond_S"][-1]
+    assert res.omega_bar_q == omega_bar(f.S, phi.apply_block(f.Q), 0.25)
 
 
 def test_certificates_keep_range_q_when_theta_w_is_rank_deficient():

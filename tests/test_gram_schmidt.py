@@ -731,3 +731,11 @@ def test_rgs_invariants_within_certificate(dense_sketch, m, k_extra, n_extra,
 
 def test_loss_of_orthogonality_identity():
     assert loss_of_orthogonality(np.eye(5)) == 0.0
+
+
+def test_loss_of_orthogonality_counts_a_wide_matrix_zero_singular_values(rng):
+    # a 3 x 5 X has 3 singular values; I - X^T X also has 1 twice for the
+    # two absent ones, which the Frobenius norm counts
+    X = rng.standard_normal((3, 5))
+    assert loss_of_orthogonality(X) == pytest.approx(
+        np.linalg.norm(np.eye(5) - X.T @ X), rel=1e-12)

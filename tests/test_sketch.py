@@ -377,8 +377,14 @@ def test_epsilon_of_detects_distortion(rng):
     eps = epsilon_of(th, V)
     # k=30 for d=4 distorts noticeably but embeds reasonably
     assert 0.0 < eps < 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        epsilon_of(th, np.zeros((256, 2)))
+    # range(V), and so its embedding error, does not depend on the scale of
+    # V's columns, however uneven
+    assert epsilon_of(th, V * [1.0, 1e-14, 1.0, 1e3]) == pytest.approx(
+        eps, rel=1e-12)
+    # a zero or a repeated column leaves range(V) short of V's width
+    for bad in (np.zeros((256, 2)), np.hstack([V, V[:, 1:2]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            epsilon_of(th, bad)
 
 
 def test_rounding_sketch_trial_rates():
