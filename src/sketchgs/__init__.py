@@ -9,10 +9,9 @@ from .sketch import (EmbeddingParams, SketchKind, SketchOperator, fwht,
                      vector_certificate_dim)
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            NonFiniteError, QrFactors, RgsState,
-                           StabilityCertificate, certificates,
-                           classical_factorize, loss_of_orthogonality,
-                           rgs_factorize)
-from .certification import epsilon_of, omega_bar
+                           classical_factorize, rgs_factorize)
+from .certification import (StabilityCertificate, certificates, epsilon_of,
+                            loss_of_orthogonality, omega_bar)
 from .krylov import (ArnoldiDecomposition, GmresResult, Ilu0Preconditioner,
                      SparseMatrix, arnoldi, best_attainable_residual, gmres,
                      ilu0)

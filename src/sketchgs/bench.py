@@ -2,11 +2,8 @@
 embedding certification sweeps, all emitting `ExperimentReport`s.
 
 Each runner factorizes first and then reads every per-iteration trace
-(condition numbers, loss of orthogonality, omega, omega_bar) from the
-singular values of the leading blocks of triangular factors: each traced
-matrix gets one binary64 Householder QR, backward stable, so a trace is
-accurate to about u64 cond, not u64 cond^2 as from a Gram matrix, and no
-large-matrix SVD is ever taken.
+(condition numbers, loss of orthogonality, omega, omega_bar) from
+`certification.traces`.
 """
 
 from __future__ import annotations
@@ -16,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import (_cond, _embedding_error, _loss, _triangular,
-                            _whiten)
+from .certification import traces
 from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
 from .io import (ExperimentReport, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
@@ -94,64 +90,6 @@ def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
     raise ValueError(f"unrecognized matrix source {spec!r}")
 
 
-def _leading_svals(R) -> list:
-    """Singular values, descending, of each leading i x i block of the
-    triangular factor R of an n x m matrix X: those of X[:, :i], i = 1 .. m
-    (min(n, i) of them)."""
-    return [np.linalg.svd(R[:i, :i], compute_uv=False)
-            for i in range(1, R.shape[1] + 1)]
-
-
-def _embedding_trace(B, eps_star: float, m: int) -> np.ndarray:
-    """Embedding error of the leading i columns of the whitened sketch B,
-    i = 1 .. m; the rows past B's last column read inf."""
-    errs = [_embedding_error(sv, eps_star)
-            for sv in _leading_svals(_triangular(B))]
-    return np.array(errs + [np.inf] * (m - len(errs)))
-
-
-def _traces(Q, S=None, theta: SketchOperator | None = None,
-            phi: SketchOperator | None = None, eps_star: float = 0.0,
-            cond_q: bool = True) -> dict:
-    """Per-iteration traces of a finished factorization, as report columns.
-
-    A column of Q or S never changes once written, so row i of each trace
-    depends only on the leading i columns. Each matrix gets one binary64
-    Householder QR, and row i is read from the singular values of the
-    leading i x i block of its triangular factor:
-
-    - cond_Q and the loss of orthogonality from R_Q (with cond_q);
-    - cond_S from R_S (with S);
-    - omega_bar from B = (Phi Q) R_S^-1 (with S, phi); its rows from a
-      numerically dependent column of S onward read inf;
-    - the exact omega from Theta U = (Theta Q) R_Q^-1 (with theta), whose
-      leading i columns sketch an orthonormal basis U_i of span Q_i. U is
-      never formed.
-    """
-    Q64 = np.array(Q, dtype=np.float64, order="F")  # the one binary64 copy
-    phi_q = phi.apply_block(Q64) if phi is not None and S is not None else None
-    theta_q = theta.apply_block(Q64) if theta is not None else None
-    R_Q = _triangular(Q64)  # overwrites Q64 with its factorization
-    m = R_Q.shape[1]
-    out = {}
-    if cond_q:
-        svals = _leading_svals(R_Q)
-        out = {"cond_Q": np.array([_cond(sv) for sv in svals]),
-               "loss_of_orthogonality": np.array([_loss(sv) for sv in svals])}
-    if S is not None:
-        R_S = _triangular(np.array(S, dtype=np.float64, order="F"))
-        out["cond_S"] = np.array([_cond(sv) for sv in _leading_svals(R_S)])
-        if phi_q is not None:
-            out["omega_bar"] = _embedding_trace(_whiten(R_S, phi_q),
-                                                eps_star, m)
-    if theta_q is not None:
-        SU = _whiten(R_Q, theta_q)
-        if SU.shape[1] < m:
-            raise np.linalg.LinAlgError(f"column {SU.shape[1] + 1} of Q is dependent")
-        out["omega"] = _embedding_trace(SU, 0.0, m)
-    return out
-
-
 def _bench_columns(config: RunConfig) -> np.ndarray:
     if config.matrix == "synthetic":
         return synthetic_matrix(config.n, config.m)
@@ -179,7 +117,7 @@ def run_qr_bench(config: RunConfig) -> dict:
         else:
             # guard off, as for the randomized run
             f = classical_factorize(W, variant, policy, breakdown_factor=0.0)
-            cols = _traces(f.Q)
+            cols = traces(f.Q)
         E = f.Q.astype(np.float64) @ f.R
         E -= W
         cols["factorization_error"] = np.sqrt(
@@ -187,8 +125,7 @@ def run_qr_bench(config: RunConfig) -> dict:
         runs.append((variant, cols, time.perf_counter() - t0))
     # cond(W_i) is variant independent, read once the factorizations have
     # rejected a non-finite W
-    cond_w = [_cond(sv) for sv in _leading_svals(
-        _triangular(np.array(W, dtype=np.float64, order="F")))]
+    cond_w = traces(W)["cond_Q"]
     reports = {}
     for variant, cols, wall in runs:
         report = ExperimentReport()
@@ -211,7 +148,7 @@ def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy, cond_q=True):
     # columns (breakdown guard off), like the experiments being traced
     f, _ = rgs_factorize(W, theta, policy, with_certificate=False,
                          breakdown_factor=0.0)
-    return f, _traces(f.Q, f.S, theta, phi, config.eps_star, cond_q)
+    return f, traces(f.Q, f.S, theta, phi, config.eps_star, cond_q)
 
 
 def run_gmres_bench(config: RunConfig) -> dict:
@@ -238,7 +175,7 @@ def run_gmres_bench(config: RunConfig) -> dict:
                        policy=policy, preconditioner=precond, tol=config.tol)
         report = ExperimentReport()
         history = result.residual_history
-        cond_q = _traces(result.factors.Q[:, :len(history)])["cond_Q"]
+        cond_q = traces(result.factors.Q[:, :len(history)])["cond_Q"]
         for i, est in enumerate(history):
             report.add_row(i + 1, residual_norm=float(est), cond_Q=cond_q[i])
         report.metadata.update(

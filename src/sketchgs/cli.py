@@ -46,7 +46,7 @@ def _parse_variants(text: str):
 # argparse keywords of each RunConfig field; the defaults come from RunConfig
 _OPTIONS = {
     **{f: {"type": int} for f in ("n", "m", "k", "seed", "k_phi", "phi_seed")},
-    "eps_star": {"type": float}, "tol": {"type": float},
+    **{f: {"type": float} for f in ("eps_star", "delta_star", "tol")},
     "sketch_kind": {"type": SketchKind, "metavar": "KIND",
                     "help": " | ".join(kind.value for kind in SketchKind)},
     "policy": {"choices": ["f32", "f64", "mixed"]},
@@ -81,11 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.set_defaults(matrix="laplacian:100")
 
     si = sub.add_parser("sketch-info", help="print required sketch dimensions")
-    _add_settings(si, ("n", "sketch_kind", "eps_star"))
+    _add_settings(si, ("n", "sketch_kind", "eps_star", "delta_star"))
     si.add_argument("--eps", type=float, default=0.5)
     si.add_argument("--delta", type=float, default=0.01)
     si.add_argument("--d", type=int, default=10)
-    si.add_argument("--delta-star", type=float, default=1e-3)
     return p
 
 

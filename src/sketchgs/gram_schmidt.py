@@ -1,6 +1,6 @@
 """Gram-Schmidt factorizers: the sketched (randomized) process and the
-classical CGS/MGS/CGS2 baselines, plus the computable stability
-certificates.
+classical CGS/MGS/CGS2 baselines. `rgs_factorize` hands its factors to
+`certification.certificates` for their stability certificate.
 
 The randomized process orthonormalizes with respect to the sketched inner
 product <Theta., Theta.>: projection coefficients come from a small k x i
@@ -23,15 +23,13 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .certification import _cond, _loss, _triangular, _whitened_error
+from .certification import StabilityCertificate, certificates
 from .precision import MIXED32_64, UNIFIED64, PrecisionPolicy
 from .sketch import SketchOperator
 
 __all__ = [
-    "GsVariant", "QrFactors", "StabilityCertificate", "BreakdownError",
-    "NonFiniteError", "RgsState", "ClassicalGsState", "rgs_factorize",
-    "classical_factorize",
-    "certificates", "loss_of_orthogonality",
+    "GsVariant", "QrFactors", "BreakdownError", "NonFiniteError", "RgsState",
+    "ClassicalGsState", "rgs_factorize", "classical_factorize",
 ]
 
 # A column whose sketched norm falls below this multiple of u_crs*||p_i||
@@ -86,31 +84,6 @@ class QrFactors:
     R: np.ndarray
     S: np.ndarray | None = None
     P: np.ndarray | None = None
-
-
-@dataclass
-class StabilityCertificate:
-    """A-posteriori stability data of a sketched factorization, built by
-    `certificates`; given a certification sketch Phi also omega_bar, the
-    certified bound on Theta's embedding error, and the rounding margin
-    u_crs * cond(Phi V) with its check, on range(Q) and, given W, range(W),
-    and sigma_q = (lo, hi) around the singular values of Q; else None."""
-
-    delta_m: float
-    delta_tilde_m: float
-    cond_S: float
-    eps_star: float | None = None
-    omega_bar_q: float | None = None
-    margin_q: float | None = None
-    margin_ok_q: bool | None = None
-    sigma_q: tuple[float, float] | None = None
-    omega_bar_w: float | None = None
-    margin_w: float | None = None
-    margin_ok_w: bool | None = None
-
-    def passes_gate(self) -> bool:
-        """The Delta_m, Delta~_m <= 0.1 hypothesis of the stability theorem."""
-        return self.delta_m <= 0.1 and self.delta_tilde_m <= 0.1
 
 
 class _IncrementalHouseholderQR:
@@ -339,12 +312,11 @@ def _factorize(W, new_state) -> QrFactors:
 
 def rgs_factorize(W, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
                   with_certificate: bool = True,
-                  breakdown_factor: float = BREAKDOWN_FACTOR):
+                  breakdown_factor: float = BREAKDOWN_FACTOR
+                  ) -> tuple[QrFactors, StabilityCertificate | None]:
     """Randomized Gram-Schmidt QR of the columns of the n x m matrix W,
     pushed in blocks by `push_block`; a stream of columns goes to
     `RgsState.push` instead.
-
-    Returns (QrFactors, StabilityCertificate or None).
     """
     factors = _factorize(W, lambda n, m: RgsState(
         theta, policy, capacity=m, breakdown_factor=breakdown_factor))
@@ -410,67 +382,3 @@ class ClassicalGsState(_GsState):
         self.m += 1
         return r_ii
 
-
-def _certify_range(R, V, phi, eps_star, u_crs):
-    """omega_bar on range(V), Phi V whitened by the factor R of Theta V, the
-    rounding margin u_crs * cond(Phi V), and whether the margin is at most a
-    tenth of the certified quantity. A numerically rank deficient Theta V
-    certifies nothing: omega_bar is inf and the check fails, as in the traces."""
-    V_phi = phi.apply_block(V)
-    margin = u_crs * _cond(np.linalg.svd(V_phi, compute_uv=False))
-    try:
-        ob = _whitened_error(R, V_phi, eps_star)
-    except np.linalg.LinAlgError:
-        return np.inf, margin, False
-    return ob, margin, bool(margin <= 0.1 * max(abs(ob), eps_star))
-
-
-def certificates(factors: QrFactors, W=None, phi: SketchOperator | None = None,
-                 eps_star: float | None = None) -> StabilityCertificate:
-    """Delta_m, Delta~_m and cond(S) of a sketched factorization, in binary64,
-    Delta_m and cond(S) from one binary64 QR of S under every policy.
-
-    Given Phi, a sketch independent of Theta that embeds single vectors to
-    accuracy `eps_star`, applied here to the stored Q (and to W), also the
-    omega_bar fields, Phi Q whitened by that QR, with u_crs the unit roundoff
-    of Q's format, and sigma_q from Delta_m and eps = omega_bar_q alone.
-    Neither end is clipped: hi is inf when omega_bar_q >= 1, and lo <= 0
-    (Delta_m near 1 or above) bounds nothing.
-    """
-    if factors.S is None or factors.P is None:
-        raise ValueError("certificates need the sketches S and P (randomized factors)")
-    if factors.S.shape[1] == 0:
-        raise ValueError("certificates need a factorization with at least one column")
-    if phi is not None and eps_star is None:
-        raise ValueError("a certification sketch phi needs its eps_star")
-    if phi is not None and phi.n != factors.Q.shape[0]:
-        raise ValueError("certification sketch has mismatched ambient dimension")
-    S = factors.S.astype(np.float64, copy=False)
-    P = factors.P.astype(np.float64, copy=False)
-    delta_tilde = float(np.linalg.norm(P - S @ factors.R) / np.linalg.norm(P))
-    R_S = _triangular(np.array(S, order="F"))  # copies: S may be the state's
-    sv = np.linalg.svd(R_S, compute_uv=False)
-    cert = StabilityCertificate(delta_m=_loss(sv), delta_tilde_m=delta_tilde,
-                                cond_S=_cond(sv))
-    if phi is None:
-        return cert
-    u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
-    cert.eps_star = eps_star
-    cert.omega_bar_q, cert.margin_q, cert.margin_ok_q = _certify_range(
-        R_S, factors.Q, phi, eps_star, u_crs)
-    if W is not None:
-        cert.omega_bar_w, cert.margin_w, cert.margin_ok_w = _certify_range(
-            _triangular(np.array(P, order="F")), W, phi, eps_star, u_crs)
-    eps, d = cert.omega_bar_q, cert.delta_m
-    # (1 - eps)^-1/2 has no real value for eps >= 1
-    cert.sigma_q = ((1.0 + eps)**-0.5 * (1.0 - d - 0.1 * u_crs),
-                    (1.0 - eps)**-0.5 * (1.0 + d + 0.1 * u_crs)
-                    if eps < 1.0 else np.inf)
-    return cert
-
-
-def loss_of_orthogonality(X) -> float:
-    """||I - X^T X||_F from one binary64 QR of X, whatever X's format."""
-    R = _triangular(np.array(X, dtype=np.float64, order="F"))
-    sv = np.linalg.svd(R, compute_uv=False)
-    return _loss(np.pad(sv, (0, R.shape[1] - sv.size)))  # a wide X's zero ones

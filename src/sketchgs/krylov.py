@@ -191,12 +191,15 @@ def ilu0(A: SparseMatrix) -> Ilu0Preconditioner:
 
 
 def _make_gs_state(n: int, variant: GsVariant, policy: PrecisionPolicy,
-                   theta: SketchOperator | None, ncols: int):
+                   theta: SketchOperator | None, m: int):
+    """A state with room for the m + 1 basis columns of m Arnoldi steps."""
+    if m < 0:
+        raise ValueError(f"need m >= 0 Arnoldi steps, got m={m}")
     if variant is GsVariant.RGS:
         if theta is None:
             raise ValueError("the randomized variant needs a sketch operator")
-        return RgsState(theta, policy, capacity=ncols)
-    return ClassicalGsState(n, variant, policy, capacity=ncols)
+        return RgsState(theta, policy, capacity=m + 1)
+    return ClassicalGsState(n, variant, policy, capacity=m + 1)
 
 
 def _arnoldi_steps(matvec, state, m: int):
@@ -236,7 +239,7 @@ def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     Stops early on a lucky breakdown (exhausted Krylov subspace).
     """
     b = np.asarray(b, dtype=np.float64)
-    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
+    state = _make_gs_state(A.n, variant, policy, theta, m)
     state.push(b)
     H = np.zeros((m + 1, m))
     j = 0
@@ -288,7 +291,7 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     if b.shape != (A.n,):
         raise ValueError("right-hand side length mismatch")
     b_norm = float(np.linalg.norm(b))
-    state = _make_gs_state(A.n, variant, policy, theta, m + 1)
+    state = _make_gs_state(A.n, variant, policy, theta, m)
     if b_norm == 0.0:
         return GmresResult(x=np.zeros(A.n), residual_history=np.zeros(0),
                            final_residual=0.0, iterations=0,
@@ -368,10 +371,12 @@ def best_attainable_residual(A: SparseMatrix, Q, b) -> float:
     """Exact min over the span of Q of ||b - A Q y|| / ||b||, in binary64.
 
     The yardstick for judging whether an iteration extracted all the accuracy
-    its basis supports. Empty basis gives 1.
+    its basis supports. Empty basis gives 1, b = 0 gives 0 as in `gmres`.
     """
     b = np.asarray(b, dtype=np.float64)
     bn = float(np.linalg.norm(b))
+    if bn == 0.0:
+        return 0.0
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim == 1:
         Q = Q[:, None]

@@ -149,7 +149,7 @@ class SketchOperator:
             raise ValueError("k and n must be positive")
         if k > n:
             warnings.warn(f"sketch dimension k={k} exceeds ambient dimension n={n}",
-                          stacklevel=3)
+                          stacklevel=2)
         self.kind = kind
         self.k = int(k)
         self.n = int(n)
@@ -236,8 +236,7 @@ class SketchOperator:
         return (1.0 / math.sqrt(self.k)) * acc
 
 
-def make_sketch(kind: SketchKind, k: int, n: int, seed: int) -> SketchOperator:
-    return SketchOperator(kind, k, n, seed)
+make_sketch = SketchOperator  # the same class, under a function's name
 
 
 def rounding_sketch_trial(theta: SketchOperator, gamma, trials: int, seed: int,

@@ -25,7 +25,8 @@ from sketchgs import (EmbeddingParams, GsVariant, MIXED32_64, SketchKind,
                       required_sketch_dim, rgs_factorize,
                       rounding_sketch_trial, synthetic_matrix,
                       vector_certificate_dim)
-from sketchgs.bench import RunConfig, _traces, run_qr_bench
+from sketchgs.bench import RunConfig, run_qr_bench
+from sketchgs.certification import traces
 from sketchgs.io import write_report
 
 N, M, K = 100_000, 300, 5000
@@ -41,7 +42,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _omega_trace_max(Q, theta, from_iter=None):
-    omega = _traces(Q, theta=theta)["omega"]
+    omega = traces(Q, theta=theta)["omega"]
     otail = omega[from_iter - 1:].max() if from_iter is not None else 0.0
     return float(omega.max()), float(otail)
 
@@ -79,7 +80,7 @@ def test_criterion_1_conditioning(big_run):
             for name in ("rgs", "cgs", "mgs", "rgs32")}
     # onset of the classical instability: first iteration with cond >= 1e3,
     # from the same trace the benchmarks use
-    cond_cgs = _traces(big_run["cgs"].Q)["cond_Q"]
+    cond_cgs = traces(big_run["cgs"].Q)["cond_Q"]
     above = np.flatnonzero(cond_cgs >= 1e3)
     onset = int(above[0]) + 1 if above.size else None
     ok = (cond["rgs"] <= 2.0
@@ -149,7 +150,7 @@ def test_criterion_4_certification_bound():
         theta = make_sketch(SketchKind.PSRHT, k, n, seed=trial)
         phi = make_sketch(SketchKind.RADEMACHER, k_phi, n, seed=5000 + trial)
         f, _ = rgs_factorize(W, theta, UNIFIED64)
-        rows = _traces(f.Q, f.S, theta, phi, eps_star)
+        rows = traces(f.Q, f.S, theta, phi, eps_star)
         om, ob = rows["omega"], rows["omega_bar"]
         violations += int(np.count_nonzero(ob < om))
         ratios.extend(ob / om)

@@ -4,10 +4,10 @@ import scipy.io
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
                       epsilon_of, make_sketch, rgs_factorize, synthetic_matrix)
-from sketchgs import bench
-from sketchgs.bench import (RunConfig, _traces, load_matrix_source,
-                            run_certify, run_gmres_bench, run_qr_bench)
-from sketchgs.certification import omega_bar
+from sketchgs import certification
+from sketchgs.bench import (RunConfig, load_matrix_source, run_certify,
+                            run_gmres_bench, run_qr_bench)
+from sketchgs.certification import omega_bar, traces
 
 
 def _small_config(**kw):
@@ -133,8 +133,8 @@ def test_run_certify_reads_only_the_traces_it_reports(monkeypatch):
     config = _small_config(variants=(GsVariant.RGS,), eps_star=0.25,
                            sketch_kind=SketchKind.RADEMACHER)
     calls = []
-    leading_svals = bench._leading_svals
-    monkeypatch.setattr(bench, "_leading_svals", lambda R:
+    leading_svals = certification._leading_svals
+    monkeypatch.setattr(certification, "_leading_svals", lambda R:
                         calls.append(R.shape) or leading_svals(R))
     cert = run_certify(config)
     assert len(calls) == 3
@@ -155,7 +155,7 @@ def test_omega_bar_trace_matches_one_shot_oracle():
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=1)
     phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=2)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
-    trace = _traces(f.Q, f.S, phi=phi, eps_star=eps_star)["omega_bar"]
+    trace = traces(f.Q, f.S, phi=phi, eps_star=eps_star)["omega_bar"]
     S_phi = phi.apply_block(f.Q)
     for i in range(m):
         assert trace[i] == pytest.approx(
@@ -184,8 +184,8 @@ def test_traces_match_one_shot_oracles(policy, log_cond):
     theta = make_sketch(SketchKind.PSRHT, 128, n, seed=5)
     phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=6)
     f, _ = rgs_factorize(W, theta, policy)
-    rows = _traces(f.Q, f.S, theta, phi, eps_star)
-    cond_w = _traces(W)["cond_Q"]
+    rows = traces(f.Q, f.S, theta, phi, eps_star)
+    cond_w = traces(W)["cond_Q"]
     Q = f.Q.astype(np.float64)
     u64 = 2.0**-53
     for i in range(1, m + 1):
@@ -229,7 +229,7 @@ def test_omega_bar_trace_is_inf_past_dependent_column_of_S():
     theta = make_sketch(SketchKind.PSRHT, 64, n, seed=10)
     phi = make_sketch(SketchKind.RADEMACHER, 48, n, seed=11)
     S = theta.apply_block(Q)
-    rows = _traces(Q, S, phi=phi, eps_star=eps_star)
+    rows = traces(Q, S, phi=phi, eps_star=eps_star)
     S_phi = phi.apply_block(Q)
     for i in (1, 2, 3):
         assert rows["omega_bar"][i - 1] == pytest.approx(
@@ -244,4 +244,4 @@ def test_traces_reject_dependent_column():
     Q = np.column_stack([W[:, 0], W[:, 1], W[:, 0]])  # repeated column
     theta = make_sketch(SketchKind.PSRHT, 64, n, seed=8)
     with pytest.raises(np.linalg.LinAlgError, match="column 3"):
-        _traces(Q, theta=theta)
+        traces(Q, theta=theta)

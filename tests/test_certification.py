@@ -5,7 +5,7 @@ from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       epsilon_of, make_sketch, omega_bar, rgs_factorize,
                       synthetic_matrix, vector_certificate_dim)
-from sketchgs.bench import _traces
+from sketchgs.certification import traces
 
 
 def _phi(n, seed=0x0F1A):
@@ -148,8 +148,8 @@ def test_certificates_read_the_traces_one_factor(rng, policy):
     f, _ = rgs_factorize(W, theta, policy)
     phi = _phi(n)
     res = certificates(f, phi=phi, eps_star=0.25)
-    assert res.delta_m == _traces(f.S)["loss_of_orthogonality"][-1]
-    assert res.cond_S == _traces(f.Q, f.S)["cond_S"][-1]
+    assert res.delta_m == traces(f.S)["loss_of_orthogonality"][-1]
+    assert res.cond_S == traces(f.Q, f.S)["cond_S"][-1]
     assert res.omega_bar_q == omega_bar(f.S, phi.apply_block(f.Q), 0.25)
 
 

@@ -109,6 +109,10 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     rc = main(["not-a-subcommand"])
     assert rc == EXIT_CONFIG
+    rc = main(["gmres-bench", "--matrix", "laplacian:4", "--m", "-1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert "got m=-1" in capsys.readouterr().err
 
 
 def test_removed_solver_flag_is_rejected(tmp_path, capsys):
@@ -165,7 +169,7 @@ def test_exit_code_linalg_failure(tmp_path, capsys, monkeypatch, command):
     def fail(R):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr("sketchgs.bench._leading_svals", fail)
+    monkeypatch.setattr("sketchgs.certification._leading_svals", fail)
     only_rgs = ["--variants", "rgs"] if command == "qr-bench" else []
     rc = main([command, "--n", "300", "--m", "8", "--k", "32", *only_rgs,
                "--out", str(tmp_path / "l.csv")])

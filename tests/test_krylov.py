@@ -429,3 +429,19 @@ def test_best_attainable_residual(rng):
     # GMRES extracts (nearly) all the accuracy its basis supports
     assert res.final_residual <= 10.0 * max(tau, 1e-15)
     assert best_attainable_residual(A, np.zeros((A.n, 0)), b) == 1.0
+
+
+def test_best_attainable_residual_of_zero_rhs_is_zero():
+    # what gmres reports as final_residual for b = 0, with no 0/0 warning
+    A = generate_laplacian_2d(4)
+    b = np.zeros(A.n)
+    res = gmres(A, b, m=5, variant=GsVariant.CGS, policy=UNIFIED64)
+    assert res.final_residual == 0.0
+    assert best_attainable_residual(A, np.eye(A.n, 3), b) == 0.0
+
+
+@pytest.mark.parametrize("method", [gmres, arnoldi])
+def test_krylov_rejects_negative_m(method):
+    A = generate_laplacian_2d(4)
+    with pytest.raises(ValueError, match=r"m >= 0 .* got m=-1"):
+        method(A, np.ones(A.n), -1, variant=GsVariant.CGS, policy=UNIFIED64)

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import sketchgs
 from sketchgs import bench, certification, gram_schmidt, io, krylov, sketch
 
@@ -17,3 +20,15 @@ def test_every_public_name_has_one_module_and_the_package_exports_it():
     for name, module in home.items():
         if module is not bench:
             assert getattr(sketchgs, name) is getattr(module, name), name
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private helper is used where it is defined; a module that needs
+    # one from another module is reading a quantity it should not own
+    found = []
+    for path in pathlib.Path(sketchgs.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -324,6 +324,14 @@ def test_rademacher_blocks_property(dense_sketch, k, n, seed):
     assert np.max(np.abs(M @ x - y)) <= tol
 
 
+@pytest.mark.parametrize("build", [SketchOperator, make_sketch],
+                         ids=["SketchOperator", "make_sketch"])
+def test_k_above_n_warning_names_the_callers_line(build):
+    with pytest.warns(UserWarning, match="k=20 exceeds") as record:
+        build(SketchKind.RADEMACHER, 20, 10, seed=0)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_psrht_consistent_with_definition(rng):
     # oracle: dense D (signs), dense Hadamard, explicit row sampling
     th = make_sketch(SketchKind.PSRHT, 10, 24, seed=9)
