@@ -19,8 +19,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np
 
 from sketchgs import (SketchKind, SketchOperator, UNIFIED64, certificates,
-                      epsilon_of, make_sketch, rgs_factorize,
-                      vector_certificate_dim)
+                      epsilon_of, rgs_factorize, vector_certificate_dim)
 
 N, M = 4096, 20
 EPS_STAR, DELTA_STAR = 0.25, 1e-3
@@ -31,7 +30,7 @@ def main():
     W = rng.standard_normal((N, M))
 
     for k in (96, 256, 1024):
-        theta = make_sketch(SketchKind.PSRHT, k, N, seed=0)
+        theta = SketchOperator(SketchKind.PSRHT, k, N, seed=0)
         # Phi only has to embed single vectors, so its rows depend on the
         # certification levels, not on M
         phi = SketchOperator(SketchKind.RADEMACHER,

@@ -15,8 +15,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 
-from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
-                      generate_laplacian_2d, gmres, ilu0, make_sketch)
+from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
+                      UNIFIED64, generate_laplacian_2d, gmres, ilu0)
 
 GRID = 60  # 3600 unknowns
 
@@ -26,7 +26,7 @@ def main():
     rng = np.random.default_rng(3)
     x_star = rng.standard_normal(A.n)
     b = A.matvec(x_star)
-    theta = make_sketch(SketchKind.PSRHT, 500, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 500, A.n, seed=0)
 
     res = gmres(A, b, m=200, theta=theta, policy=UNIFIED64, tol=1e-10)
     pre = gmres(A, b, m=200, theta=theta, policy=UNIFIED64, tol=1e-10,

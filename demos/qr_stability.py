@@ -17,16 +17,16 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 
-from sketchgs import (GsVariant, MIXED32_64, SketchKind, classical_factorize,
-                      loss_of_orthogonality, make_sketch, rgs_factorize,
-                      synthetic_matrix)
+from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
+                      classical_factorize, loss_of_orthogonality,
+                      rgs_factorize, synthetic_matrix)
 
 N, M, K = 20_000, 120, 1500
 
 
 def main():
     W = synthetic_matrix(N, M)
-    theta = make_sketch(SketchKind.PSRHT, K, N, seed=1)
+    theta = SketchOperator(SketchKind.PSRHT, K, N, seed=1)
     print(f"synthetic matrix: {N} x {M}, sketch k={K} ({theta.kind.value})")
     print(f"{'variant':8s} {'cond(Q)':>12s} {'||I-QtQ||_F':>12s} "
           f"{'rel err (F)':>12s}")

@@ -15,10 +15,10 @@ import numpy as np
 
 from .certification import traces
 from .gram_schmidt import GsVariant, classical_factorize, rgs_factorize
-from .io import (ExperimentReport, generate_laplacian_2d,
+from .io import (ExperimentReport, SparseMatrix, generate_laplacian_2d,
                  generate_random_sparse, read_matrix_market, synthetic_matrix)
-from .krylov import SparseMatrix, gmres, ilu0
-from .precision import PrecisionPolicy, policy_from_name
+from .krylov import gmres, ilu0
+from .precision import policy_from_name
 from .sketch import SketchKind, SketchOperator
 
 __all__ = ["RunConfig", "run_qr_bench", "run_gmres_bench", "run_certify",
@@ -27,7 +27,8 @@ __all__ = ["RunConfig", "run_qr_bench", "run_gmres_bench", "run_certify",
 
 @dataclass
 class RunConfig:
-    """Experiment settings; `COMMAND_FIELDS` says what each command reads."""
+    """Experiment settings; `COMMAND_FIELDS` says what each command reads.
+    An unset k_phi, the rows of the certification sketch Phi, is k."""
 
     n: int = 100_000
     m: int = 300
@@ -44,12 +45,9 @@ class RunConfig:
     precond: bool = False
     tol: float | None = None
 
-    def policy_obj(self) -> PrecisionPolicy:
-        return policy_from_name(self.policy)
-
-    def phi_dim(self) -> int:
-        """Rows of the certification sketch Phi: k_phi, or k when unset."""
-        return self.k if self.k_phi is None else self.k_phi
+    def __post_init__(self):
+        if self.k_phi is None:
+            self.k_phi = self.k
 
 
 # The RunConfig fields each command reads: its CLI options, and the settings
@@ -67,13 +65,19 @@ COMMAND_FIELDS = {
 def _metadata(config: RunConfig, command: str, n: int, variant: GsVariant,
               wall: float) -> dict:
     """The settings a report's rows depend on: the fields `command` reads, the
-    sketch by name, k_phi as Phi's rows, the n and the variant actually run."""
+    sketch by name, the n and the variant actually run."""
     meta = {f: getattr(config, f) for f in COMMAND_FIELDS[command]
             if f not in ("sketch_kind", "variants")}
-    if "k_phi" in meta:
-        meta["k_phi"] = config.phi_dim()
     return {**meta, "n": n, "variant": variant.value,
             "sketch": config.sketch_kind.value, "wall_time": f"{wall:.3f}"}
+
+
+def _report(columns: dict, metadata: dict) -> ExperimentReport:
+    """A report whose row i + 1 holds entry i of each named column."""
+    report = ExperimentReport(metadata)
+    for i, row in enumerate(zip(*columns.values())):
+        report.add_row(i + 1, **dict(zip(columns, row)))
+    return report
 
 
 def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
@@ -106,14 +110,14 @@ def run_qr_bench(config: RunConfig) -> dict:
     cond(W_i), relative factorization error, loss of orthogonality, and for
     the randomized variant also cond(S_i), omega and omega_bar traces.
     """
-    policy = config.policy_obj()
+    policy = policy_from_name(config.policy)
     W = _bench_columns(config)
     w_frob2 = np.cumsum(np.einsum("ij,ij->j", W, W))
     runs = []
     for variant in config.variants:
         t0 = time.perf_counter()
         if variant is GsVariant.RGS:
-            f, cols = _rgs_traces(W, config, policy)
+            f, cols = _rgs_traces(W, config)
         else:
             # guard off, as for the randomized run
             f = classical_factorize(W, variant, policy, breakdown_factor=0.0)
@@ -126,28 +130,21 @@ def run_qr_bench(config: RunConfig) -> dict:
     # cond(W_i) is variant independent, read once the factorizations have
     # rejected a non-finite W
     cond_w = traces(W)["cond_Q"]
-    reports = {}
-    for variant, cols, wall in runs:
-        report = ExperimentReport()
-        for i in range(W.shape[1]):
-            report.add_row(i + 1, cond_W=cond_w[i],
-                           **{c: v[i] for c, v in cols.items()})
-        report.metadata.update(_metadata(config, "qr-bench", W.shape[0],
-                                         variant, wall))
-        reports[variant.value] = report
-    return reports
+    return {variant.value: _report({"cond_W": cond_w, **cols},
+                                   _metadata(config, "qr-bench", W.shape[0],
+                                             variant, wall))
+            for variant, cols, wall in runs}
 
 
-def _rgs_traces(W, config: RunConfig, policy: PrecisionPolicy, cond_q=True):
+def _rgs_traces(W, config: RunConfig, cond_q=True):
     """Randomized factorization of W and its traces, certification included."""
     n = W.shape[0]
     theta = SketchOperator(config.sketch_kind, config.k, n, config.seed)
-    phi = SketchOperator(config.sketch_kind, config.phi_dim(), n,
-                         config.phi_seed)
+    phi = SketchOperator(config.sketch_kind, config.k_phi, n, config.phi_seed)
     # benchmark protocol: run straight through numerically singular
     # columns (breakdown guard off), like the experiments being traced
-    f, _ = rgs_factorize(W, theta, policy, with_certificate=False,
-                         breakdown_factor=0.0)
+    f, _ = rgs_factorize(W, theta, policy_from_name(config.policy),
+                         with_certificate=False, breakdown_factor=0.0)
     return f, traces(f.Q, f.S, theta, phi, config.eps_star, cond_q)
 
 
@@ -163,7 +160,7 @@ def run_gmres_bench(config: RunConfig) -> dict:
     y = np.ones(A.n)
     ay = A.matvec(y)
     b = ay / np.linalg.norm(ay)
-    policy = config.policy_obj()
+    policy = policy_from_name(config.policy)
     precond = ilu0(A) if config.precond else None
     out = {}
     for variant in config.variants:
@@ -173,19 +170,16 @@ def run_gmres_bench(config: RunConfig) -> dict:
             theta = SketchOperator(config.sketch_kind, config.k, A.n, config.seed)
         result = gmres(A, b, config.m, variant=variant, theta=theta,
                        policy=policy, preconditioner=precond, tol=config.tol)
-        report = ExperimentReport()
         history = result.residual_history
         cond_q = traces(result.factors.Q[:, :len(history)])["cond_Q"]
-        for i, est in enumerate(history):
-            report.add_row(i + 1, residual_norm=float(est), cond_Q=cond_q[i])
-        report.metadata.update(
-            _metadata(config, "gmres-bench", A.n, variant,
-                      time.perf_counter() - t0),
-            final_residual=f"{result.final_residual:.17g}",
-            iterations=result.iterations, breakdown=result.breakdown)
+        meta = _metadata(config, "gmres-bench", A.n, variant,
+                         time.perf_counter() - t0)
+        meta.update(final_residual=f"{result.final_residual:.17g}",
+                    iterations=result.iterations, breakdown=result.breakdown)
         if result.converged is not None:  # absent without a tolerance
-            report.metadata["converged"] = result.converged
-        out[variant.value] = (report, result)
+            meta["converged"] = result.converged
+        out[variant.value] = (_report({"residual_norm": history,
+                                       "cond_Q": cond_q}, meta), result)
     return out
 
 
@@ -195,14 +189,8 @@ def run_certify(config: RunConfig) -> ExperimentReport:
     Runs the randomized variant only and records per-iteration omega (exact,
     from a binary64 oracle basis), omega_bar and cond(S_i), and no other.
     """
-    policy = config.policy_obj()
     W = _bench_columns(config)
     t0 = time.perf_counter()
-    _, cols = _rgs_traces(W, config, policy, cond_q=False)
-    report = ExperimentReport()
-    for i in range(W.shape[1]):
-        report.add_row(i + 1, **{c: cols[c][i]
-                                 for c in ("omega", "omega_bar", "cond_S")})
-    report.metadata.update(_metadata(config, "certify", W.shape[0],
-                                     GsVariant.RGS, time.perf_counter() - t0))
-    return report
+    _, cols = _rgs_traces(W, config, cond_q=False)  # exactly those three
+    return _report(cols, _metadata(config, "certify", W.shape[0],
+                                   GsVariant.RGS, time.perf_counter() - t0))

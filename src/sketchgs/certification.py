@@ -126,7 +126,7 @@ def _certify_range(R, V, phi, eps_star, u_crs):
     tenth of the certified quantity. A numerically rank deficient Theta V
     certifies nothing: omega_bar is inf and the check fails, as in the traces."""
     V_phi = phi.apply_block(V)
-    margin = u_crs * _cond(np.linalg.svd(V_phi, compute_uv=False))
+    margin = u_crs * _cond(np.linalg.svd(_triangular(V_phi), compute_uv=False))
     try:
         B = _whiten(R, V_phi)
     except np.linalg.LinAlgError:

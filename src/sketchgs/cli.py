@@ -35,9 +35,12 @@ def _parse_variants(text: str):
         if not name:
             continue
         try:
-            out.append(GsVariant(name))
+            variant = GsVariant(name)
         except ValueError:
             raise ValueError(f"unknown variant {name!r}") from None
+        if variant in out:
+            raise ValueError(f"variant {name!r} requested twice")
+        out.append(variant)
     if not out:
         raise ValueError("no variants requested")
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Matrix Market ingestion, synthetic problem generation, and CSV reports."""
+"""Sparse matrices, Matrix Market files, synthetic problems and CSV reports."""
 
 from __future__ import annotations
 
@@ -7,13 +7,36 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .krylov import SparseMatrix
-
 __all__ = [
-    "read_matrix_market", "synthetic_matrix",
+    "SparseMatrix", "read_matrix_market", "synthetic_matrix",
     "generate_laplacian_2d", "generate_random_sparse",
     "ExperimentReport", "REPORT_COLUMNS", "write_report", "read_report",
 ]
+
+
+@dataclass
+class SparseMatrix:
+    """Square matrix held as a binary64 copy of the given scipy CSR matrix,
+    canonical (sorted column indices, duplicates summed) as `ilu0` assumes.
+    """
+
+    csr: scipy.sparse.csr_matrix
+
+    def __post_init__(self):
+        self.csr = scipy.sparse.csr_matrix(self.csr, dtype=np.float64, copy=True)
+        if self.csr.shape[0] != self.csr.shape[1]:
+            raise ValueError("matrix must be square")
+        self.csr.sum_duplicates()  # sorts the indices first
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
+
+    def to_scipy(self) -> scipy.sparse.csr_matrix:
+        return self.csr
+
+    def matvec(self, x) -> np.ndarray:
+        return self.csr @ np.asarray(x, dtype=np.float64)
 
 
 class MatrixMarketError(ValueError):

@@ -16,40 +16,16 @@ import scipy.sparse.linalg
 
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            QrFactors, RgsState)
+from .io import SparseMatrix
 from .precision import MIXED32_64, PrecisionPolicy
 from .sketch import SketchOperator
 
 __all__ = [
-    "SparseMatrix", "Ilu0Preconditioner", "ilu0", "arnoldi", "gmres",
+    "Ilu0Preconditioner", "ilu0", "arnoldi", "gmres",
     "ArnoldiDecomposition", "GmresResult", "best_attainable_residual",
 ]
 
 PIVOT_TOL = 1e-30  # ILU(0) pivots below this magnitude raise
-
-
-@dataclass
-class SparseMatrix:
-    """Square matrix held as a binary64 copy of the given scipy CSR matrix,
-    canonical (sorted column indices, duplicates summed) as `ilu0` assumes.
-    """
-
-    csr: scipy.sparse.csr_matrix
-
-    def __post_init__(self):
-        self.csr = scipy.sparse.csr_matrix(self.csr, dtype=np.float64, copy=True)
-        if self.csr.shape[0] != self.csr.shape[1]:
-            raise ValueError("matrix must be square")
-        self.csr.sum_duplicates()  # sorts the indices first
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return self.csr
-
-    def matvec(self, x) -> np.ndarray:
-        return self.csr @ np.asarray(x, dtype=np.float64)
 
 
 def _triangular_lu(T: scipy.sparse.csr_matrix):

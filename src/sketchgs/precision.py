@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["PrecisionPolicy", "UNIFIED32", "UNIFIED64", "MIXED32_64",
+           "policy_from_name"]
+
 
 @dataclass(frozen=True)
 class PrecisionPolicy:

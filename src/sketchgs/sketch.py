@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SketchKind", "EmbeddingParams", "SketchOperator", "make_sketch",
+__all__ = ["SketchKind", "EmbeddingParams", "SketchOperator",
            "required_sketch_dim", "vector_certificate_dim", "fwht",
            "rounding_sketch_trial"]
 
@@ -75,6 +75,8 @@ def required_sketch_dim(kind: SketchKind, p: EmbeddingParams, n: int | None = No
     if kind is SketchKind.PSRHT:
         if n is None:
             raise ValueError("P-SRHT bound depends on the ambient dimension n")
+        if n < 1:
+            raise ValueError(f"P-SRHT bound needs n >= 1, got n={n}")
         val = (2.0 / (eps**2 - eps**3 / 3.0)
                * (math.sqrt(d) + math.sqrt(8.0 * math.log(6.0 * n / delta)))**2
                * math.log(3.0 * d / delta))
@@ -236,7 +238,9 @@ class SketchOperator:
         return (1.0 / math.sqrt(self.k)) * acc
 
 
-make_sketch = SketchOperator  # the same class, under a function's name
+# Not public: perfbench/workloads.py calls `sketch.make_sketch`; it goes with
+# the benchmark change that deletes `SparseMatrix`.
+make_sketch = SketchOperator
 
 
 def rounding_sketch_trial(theta: SketchOperator, gamma, trials: int, seed: int,

@@ -19,9 +19,9 @@ import pytest
 import scipy.sparse.linalg
 
 from sketchgs import (EmbeddingParams, GsVariant, MIXED32_64, SketchKind,
-                      UNIFIED32, UNIFIED64, arnoldi, classical_factorize,
-                      epsilon_of, generate_laplacian_2d,
-                      generate_random_sparse, gmres, ilu0, make_sketch,
+                      SketchOperator, UNIFIED32, UNIFIED64, arnoldi,
+                      classical_factorize, epsilon_of, generate_laplacian_2d,
+                      generate_random_sparse, gmres, ilu0,
                       required_sketch_dim, rgs_factorize,
                       rounding_sketch_trial, synthetic_matrix,
                       vector_certificate_dim)
@@ -51,7 +51,7 @@ def _omega_trace_max(Q, theta, from_iter=None):
 def big_run():
     """The shared large benchmark: factorizations of the synthetic matrix."""
     W = synthetic_matrix(N, M)
-    theta = make_sketch(SketchKind.PSRHT, K, N, SEED)
+    theta = SketchOperator(SketchKind.PSRHT, K, N, SEED)
     out = {"W": W, "theta": theta}
 
     t0 = time.perf_counter()
@@ -123,7 +123,7 @@ def test_criterion_2_factorization_error(big_run):
 def test_criterion_3_embedding_quality(big_run):
     omax5000, _ = _omega_trace_max(big_run["rgs"].Q, big_run["theta"])
     # a second, smaller embedding on its own factorization run
-    theta1500 = make_sketch(SketchKind.PSRHT, 1500, N, SEED)
+    theta1500 = SketchOperator(SketchKind.PSRHT, 1500, N, SEED)
     f1500, _ = rgs_factorize(big_run["W"], theta1500, MIXED32_64,
                              with_certificate=False, breakdown_factor=0.0)
     omax1500, otail1500 = _omega_trace_max(f1500.Q, theta1500, from_iter=70)
@@ -147,8 +147,9 @@ def test_criterion_4_certification_bound():
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
         W = rng.standard_normal((n, m))
-        theta = make_sketch(SketchKind.PSRHT, k, n, seed=trial)
-        phi = make_sketch(SketchKind.RADEMACHER, k_phi, n, seed=5000 + trial)
+        theta = SketchOperator(SketchKind.PSRHT, k, n, seed=trial)
+        phi = SketchOperator(SketchKind.RADEMACHER, k_phi, n,
+                             seed=5000 + trial)
         f, _ = rgs_factorize(W, theta, UNIFIED64)
         rows = traces(f.Q, f.S, theta, phi, eps_star)
         om, ob = rows["omega"], rows["omega_bar"]
@@ -172,7 +173,7 @@ def test_criterion_5_certificate_bounds():
         V, _ = np.linalg.qr(rng.standard_normal((m, m)))
         cond = 10.0 ** rng.uniform(1, 4)
         W = (U * np.logspace(0, -math.log10(cond), m)) @ V.T
-        theta = make_sketch(SketchKind.RADEMACHER, k, 500, seed=trial)
+        theta = SketchOperator(SketchKind.RADEMACHER, k, 500, seed=trial)
         f, cert = rgs_factorize(W, theta, UNIFIED64)
         if epsilon_of(theta, W) > 0.5:
             continue
@@ -194,7 +195,7 @@ def test_criterion_6_gmres_correctness():
     rng = np.random.default_rng(0)
     x_star = rng.standard_normal(A.n)
     b = A.matvec(x_star)
-    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, A.n, seed=0)
     res = gmres(A, b, m=80, theta=theta, policy=UNIFIED64,
                 preconditioner=ilu0(A), tol=1e-12)
     err = float(np.linalg.norm(res.x - x_star) / np.linalg.norm(x_star))
@@ -210,7 +211,7 @@ def test_criterion_6_gmres_correctness():
     for trial in range(20):
         B = generate_random_sparse(2000, 8, seed=trial)
         xs = np.random.default_rng(trial).standard_normal(2000)
-        th = make_sketch(SketchKind.PSRHT, 160, 2000, seed=trial)
+        th = SketchOperator(SketchKind.PSRHT, 160, 2000, seed=trial)
         r = gmres(B, B.matvec(xs), m=80, theta=th, policy=UNIFIED64, tol=1e-12)
         x_ref = scipy.sparse.linalg.spsolve(B.to_scipy().tocsc(), B.matvec(xs))
         worst_res = max(worst_res, r.final_residual)
@@ -237,7 +238,7 @@ def test_criterion_7_gmres_stagnation():
     y = np.ones(A.n)
     ay = A.matvec(y)
     b = ay / float(np.linalg.norm(ay))
-    theta = make_sketch(SketchKind.PSRHT, 800, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 800, A.n, seed=0)
     finals = {}
     for variant in (GsVariant.RGS, GsVariant.CGS, GsVariant.MGS,
                     GsVariant.CGS2):
@@ -264,10 +265,10 @@ def test_criterion_8_oblivious_embedding_statistics():
         for trial in range(200):
             rng = np.random.default_rng(trial)
             V = rng.standard_normal((1024, 10))
-            theta = make_sketch(SketchKind.RADEMACHER, k, 1024, seed=trial)
+            theta = SketchOperator(SketchKind.RADEMACHER, k, 1024, seed=trial)
             if epsilon_of(theta, V) <= 0.5:
                 good += 1
-        theta = make_sketch(SketchKind.RADEMACHER, k, 1024, seed=0)
+        theta = SketchOperator(SketchKind.RADEMACHER, k, 1024, seed=0)
         fail_rate = rounding_sketch_trial(theta, np.ones(1024), trials=200,
                                           seed=0, eps=0.5)
 

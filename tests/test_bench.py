@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.io
 
-from sketchgs import (GsVariant, MIXED32_64, SketchKind, UNIFIED64,
-                      epsilon_of, make_sketch, rgs_factorize, synthetic_matrix)
+from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
+                      UNIFIED64, epsilon_of, rgs_factorize, synthetic_matrix)
 from sketchgs import certification
 from sketchgs.bench import (RunConfig, load_matrix_source, run_certify,
                             run_gmres_bench, run_qr_bench)
@@ -111,8 +111,16 @@ def test_run_certify():
     # oracle check of the final omega value; the traced span comes from the
     # coarse-precision Q, so agreement is at the binary32 roundoff scale
     W = synthetic_matrix(600, 20)
-    theta = make_sketch(SketchKind.PSRHT, 128, 600, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 128, 600, seed=0)
     assert om[-1] == pytest.approx(epsilon_of(theta, W), abs=1e-5)
+
+
+def test_unset_k_phi_is_k():
+    # Phi's rows are resolved once, by the config, and the report records them
+    assert RunConfig(k=64).k_phi == 64
+    config = _small_config(variants=(GsVariant.RGS,), k_phi=None)
+    assert config.k_phi == 128
+    assert run_certify(config).metadata["k_phi"] == 128
 
 
 def test_run_certify_matches_run_qr_bench():
@@ -152,8 +160,8 @@ def test_omega_bar_trace_matches_one_shot_oracle():
     # an SVD of it, so they must agree at every column.
     n, m, eps_star = 1024, 20, 0.25
     W = np.random.default_rng(3).standard_normal((n, m))
-    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=1)
-    phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=2)
+    theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=1)
+    phi = SketchOperator(SketchKind.RADEMACHER, 96, n, seed=2)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
     trace = traces(f.Q, f.S, phi=phi, eps_star=eps_star)["omega_bar"]
     S_phi = phi.apply_block(f.Q)
@@ -181,8 +189,8 @@ def test_traces_match_one_shot_oracles(policy, log_cond):
         # an eigensolve resolves
         V, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((m, m)))
         W = (W * np.logspace(0.0, -log_cond, m)) @ V
-    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=5)
-    phi = make_sketch(SketchKind.RADEMACHER, 96, n, seed=6)
+    theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=5)
+    phi = SketchOperator(SketchKind.RADEMACHER, 96, n, seed=6)
     f, _ = rgs_factorize(W, theta, policy)
     rows = traces(f.Q, f.S, theta, phi, eps_star)
     cond_w = traces(W)["cond_Q"]
@@ -226,8 +234,8 @@ def test_omega_bar_trace_is_inf_past_dependent_column_of_S():
     n, eps_star = 512, 0.25
     W = np.random.default_rng(9).standard_normal((n, 4))
     Q = np.column_stack([W[:, 0], W[:, 1], W[:, 2], W[:, 1]])
-    theta = make_sketch(SketchKind.PSRHT, 64, n, seed=10)
-    phi = make_sketch(SketchKind.RADEMACHER, 48, n, seed=11)
+    theta = SketchOperator(SketchKind.PSRHT, 64, n, seed=10)
+    phi = SketchOperator(SketchKind.RADEMACHER, 48, n, seed=11)
     S = theta.apply_block(Q)
     rows = traces(Q, S, phi=phi, eps_star=eps_star)
     S_phi = phi.apply_block(Q)
@@ -242,6 +250,6 @@ def test_traces_reject_dependent_column():
     n = 512
     W = np.random.default_rng(7).standard_normal((n, 3))
     Q = np.column_stack([W[:, 0], W[:, 1], W[:, 0]])  # repeated column
-    theta = make_sketch(SketchKind.PSRHT, 64, n, seed=8)
+    theta = SketchOperator(SketchKind.PSRHT, 64, n, seed=8)
     with pytest.raises(np.linalg.LinAlgError, match="column 3"):
         traces(Q, theta=theta)

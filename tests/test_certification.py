@@ -3,8 +3,8 @@ import pytest
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
-                      epsilon_of, make_sketch, omega_bar, rgs_factorize,
-                      synthetic_matrix, vector_certificate_dim)
+                      epsilon_of, omega_bar, rgs_factorize, synthetic_matrix,
+                      vector_certificate_dim)
 from sketchgs.certification import traces
 
 
@@ -17,7 +17,7 @@ def _phi(n, seed=0x0F1A):
 def test_omega_bar_upper_bounds_omega(rng):
     # statistical form of the guarantee: the bound holds across seeds
     n, d = 1024, 8
-    theta = make_sketch(SketchKind.PSRHT, 96, n, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 96, n, seed=3)
     failures = 0
     for trial in range(20):
         V = rng.standard_normal((n, d))
@@ -31,7 +31,7 @@ def test_omega_bar_upper_bounds_omega(rng):
 
 def test_omega_bar_overestimation_is_moderate(rng):
     n, d = 1024, 8
-    theta = make_sketch(SketchKind.PSRHT, 96, n, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 96, n, seed=3)
     ratios = []
     for trial in range(20):
         V = rng.standard_normal((n, d))
@@ -46,8 +46,8 @@ def test_omega_bar_overestimation_is_moderate(rng):
 def test_omega_bar_sharpness_ceiling(rng):
     # the guaranteed ceiling in terms of the exact omega and Phi's accuracy
     n, d = 512, 6
-    theta = make_sketch(SketchKind.PSRHT, 64, n, seed=1)
-    phi = make_sketch(SketchKind.RADEMACHER, 400, n, seed=99)
+    theta = SketchOperator(SketchKind.PSRHT, 64, n, seed=1)
+    phi = SketchOperator(SketchKind.RADEMACHER, 400, n, seed=99)
     V = rng.standard_normal((n, d))
     om = epsilon_of(theta, V)
     eps_prime = epsilon_of(phi, V)
@@ -80,7 +80,7 @@ def test_certificates_certify_q_and_w(rng, policy, u):
     # the rounding margin takes u_crs from the format Q is stored in
     n, m = 1024, 10
     W = rng.standard_normal((n, m))
-    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     phi = _phi(n)
     f, _ = rgs_factorize(W, theta, policy)
     res = certificates(f, W, phi, eps_star=0.25)
@@ -94,13 +94,13 @@ def test_certificates_certify_q_and_w(rng, policy, u):
 
 def test_certify_rejects_invalid_inputs(rng):
     W = rng.standard_normal((256, 5))
-    theta = make_sketch(SketchKind.PSRHT, 64, 256, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 64, 256, seed=0)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
-    phi_short = make_sketch(SketchKind.RADEMACHER, 32, 255, seed=1)
+    phi_short = SketchOperator(SketchKind.RADEMACHER, 32, 255, seed=1)
     with pytest.raises(ValueError, match="ambient dimension"):
         certificates(f, W, phi_short, eps_star=0.25)
     # classical factors carry no sketches S and P to certify against
-    phi = make_sketch(SketchKind.RADEMACHER, 32, 256, seed=1)
+    phi = SketchOperator(SketchKind.RADEMACHER, 32, 256, seed=1)
     classical = classical_factorize(W, GsVariant.MGS)
     with pytest.raises(ValueError, match="sketches S and P"):
         certificates(classical, W, phi, eps_star=0.25)
@@ -118,7 +118,7 @@ _PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q",
 def test_certificates_with_phi_add_fields_and_change_none(rng, policy):
     n, m = 1024, 10
     W = rng.standard_normal((n, m))
-    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     f, cert = rgs_factorize(W, theta, policy)
     assert all(getattr(cert, name) is None for name in _PHI_FIELDS)
     on_w = certificates(f, W, _phi(n), eps_star=0.25)
@@ -144,7 +144,7 @@ def test_certificates_read_the_traces_one_factor(rng, policy):
     # factor the traces take, so they equal the traces' last rows bit for bit
     n, m = 1024, 10
     W = rng.standard_normal((n, m)) * np.logspace(0.0, -4.0, m)
-    theta = make_sketch(SketchKind.PSRHT, 128, n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     f, _ = rgs_factorize(W, theta, policy)
     phi = _phi(n)
     res = certificates(f, phi=phi, eps_star=0.25)
@@ -158,7 +158,7 @@ def test_certificates_keep_range_q_when_theta_w_is_rank_deficient():
     # guard is off, so Q gets a column for it and range(Q) stays certifiable
     W = np.random.default_rng(0).standard_normal((2000, 20))
     W = np.hstack([W, W[:, 3:4]])
-    theta = make_sketch(SketchKind.PSRHT, 200, 2000, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 200, 2000, seed=3)
     f, _ = rgs_factorize(W, theta, MIXED32_64, breakdown_factor=0.0)
     on_w = certificates(f, W, _phi(2000, seed=5), eps_star=0.25)
     on_q = certificates(f, phi=_phi(2000, seed=5), eps_star=0.25)
@@ -179,7 +179,7 @@ def _sigma_q_case(name, k):
     else:
         n, policy, eps_star = 1024, MIXED32_64, 0.25
         W = np.random.default_rng(12345).standard_normal((n, 10))
-    theta = make_sketch(SketchKind.PSRHT, k, n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, k, n, seed=0)
     f, _ = rgs_factorize(W, theta, policy, breakdown_factor=0.0)
     phi = SketchOperator(SketchKind.RADEMACHER,
                          vector_certificate_dim(eps_star, 1e-3), n, 0x0F1A)

@@ -21,6 +21,8 @@ def test_parse_variants():
         _parse_variants("qr")
     with pytest.raises(ValueError):
         _parse_variants(",")
+    with pytest.raises(ValueError, match="'rgs' requested twice"):
+        _parse_variants("rgs,rgs,mgs")
 
 
 def test_out_path():
@@ -107,12 +109,20 @@ def test_exit_code_config_error(tmp_path, capsys):
     rc = main(["qr-bench", "--variants", "nope", "--out",
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    rc = main(["qr-bench", "--n", "400", "--m", "4", "--k", "64",
+               "--variants", "rgs,rgs,mgs", "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "x.rgs.csv").exists()
     rc = main(["not-a-subcommand"])
     assert rc == EXIT_CONFIG
     rc = main(["gmres-bench", "--matrix", "laplacian:4", "--m", "-1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
     assert "got m=-1" in capsys.readouterr().err
+    for n in ("0", "-5"):  # the P-SRHT bound's log(6 n / delta)
+        rc = main(["sketch-info", "--n", n])
+        assert rc == EXIT_CONFIG
+        assert f"got n={n}" in capsys.readouterr().err
 
 
 def test_removed_solver_flag_is_rejected(tmp_path, capsys):

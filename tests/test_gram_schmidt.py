@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchgs import (BreakdownError, ClassicalGsState, GsVariant,
-                      MIXED32_64, NonFiniteError, SketchKind,
+                      MIXED32_64, NonFiniteError, SketchKind, SketchOperator,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
                       generate_laplacian_2d, gmres, loss_of_orthogonality,
-                      make_sketch, rgs_factorize, vector_certificate_dim)
+                      rgs_factorize, vector_certificate_dim)
 from sketchgs.gram_schmidt import (RgsState, _IncrementalHouseholderQR,
                                    _PUSH_BLOCK)
 
@@ -22,7 +22,7 @@ _CLASSICAL = (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2)
 
 def _state(variant, n, capacity, policy=MIXED32_64, kind=SketchKind.PSRHT, k=64):
     if variant is GsVariant.RGS:
-        theta = make_sketch(kind, k, n, seed=5)
+        theta = SketchOperator(kind, k, n, seed=5)
         return RgsState(theta, policy, capacity=capacity)
     return ClassicalGsState(n, variant, policy, capacity=capacity)
 
@@ -38,8 +38,9 @@ _EPS_STAR = 0.35
 
 
 def _phi(n):
-    return make_sketch(SketchKind.RADEMACHER,
-                       vector_certificate_dim(_EPS_STAR, 1e-3), n, seed=0x0F1A)
+    return SketchOperator(SketchKind.RADEMACHER,
+                          vector_certificate_dim(_EPS_STAR, 1e-3), n,
+                          seed=0x0F1A)
 
 
 def _problem(rng, n=400, m=12, cond=1e4):
@@ -52,7 +53,7 @@ def _problem(rng, n=400, m=12, cond=1e4):
 
 def test_rgs_reconstruction_f64(rng):
     W = _problem(rng, cond=100.0)
-    theta = make_sketch(SketchKind.RADEMACHER, 128, 400, seed=1)
+    theta = SketchOperator(SketchKind.RADEMACHER, 128, 400, seed=1)
     f, cert = rgs_factorize(W, theta, UNIFIED64)
     # exact relation W = Q R holds to fine roundoff
     err = np.linalg.norm(W - f.Q @ f.R) / np.linalg.norm(W)
@@ -68,7 +69,7 @@ def test_rgs_reconstruction_f64(rng):
 def test_rgs_sketch_consistency(rng):
     # S and P are exactly the sketches of Q and W (up to fine roundoff)
     W = _problem(rng, cond=10.0)
-    theta = make_sketch(SketchKind.PSRHT, 96, 400, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 96, 400, seed=3)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
     assert np.allclose(f.P, theta.apply_block(W), atol=1e-12)
     assert np.allclose(f.S, theta.apply_block(f.Q), atol=1e-10)
@@ -76,7 +77,7 @@ def test_rgs_sketch_consistency(rng):
 
 def test_rgs_mixed_precision_storage(rng):
     W = _problem(rng)
-    theta = make_sketch(SketchKind.RADEMACHER, 128, 400, seed=0)
+    theta = SketchOperator(SketchKind.RADEMACHER, 128, 400, seed=0)
     f, _ = rgs_factorize(W, theta, MIXED32_64)
     assert f.Q.dtype == np.float32
     assert f.R.dtype == np.float64
@@ -89,7 +90,7 @@ def test_rgs_streaming_matches_batch(rng):
     # the same column blocks streamed through push_block, a full and a
     # partial one, into a state with room for more columns than it gets
     W = _problem(rng, n=300, m=40)
-    theta = make_sketch(SketchKind.RADEMACHER, 80, 300, seed=2)
+    theta = SketchOperator(SketchKind.RADEMACHER, 80, 300, seed=2)
     batch, _ = rgs_factorize(W, theta, MIXED32_64, with_certificate=False)
     state = RgsState(theta, MIXED32_64, capacity=64)
     for j in range(0, 40, _PUSH_BLOCK):
@@ -125,7 +126,7 @@ def test_rgs_push_stream_P_within_a_priori_bound(rng, dense_sketch):
     # test_apply_block_matches_apply against an fsum reference
     k, n, m = 36, 5000, 34  # two blocks: 32 columns and 2
     W = rng.standard_normal((n, m))
-    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed=6)
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed=6)
     batch, _ = rgs_factorize(W, theta, UNIFIED64, with_certificate=False)
     state = RgsState(theta, UNIFIED64, capacity=m)
     for j in range(m):
@@ -146,7 +147,7 @@ def test_rgs_bits_independent_of_capacity(rng, policy):
     # a stream into room for 64 columns and rgs_factorize, which allocates
     # exactly its 40, must give the same bits
     W = _problem(rng, n=3000, m=40, cond=1e6)
-    theta = make_sketch(SketchKind.PSRHT, 100, 3000, seed=4)
+    theta = SketchOperator(SketchKind.PSRHT, 100, 3000, seed=4)
     batch, _ = rgs_factorize(W, theta, policy, with_certificate=False)
     state = RgsState(theta, policy, capacity=64)
     for j in range(40):
@@ -159,7 +160,7 @@ def test_rgs_bits_independent_of_capacity(rng, policy):
 def test_rgs_breakdown_on_dependent_columns(rng):
     W = _problem(rng, n=200, m=4)
     W = np.concatenate([W, W[:, :1]], axis=1)  # exact repeat of column 1
-    theta = make_sketch(SketchKind.RADEMACHER, 64, 200, seed=5)
+    theta = SketchOperator(SketchKind.RADEMACHER, 64, 200, seed=5)
     with pytest.raises(BreakdownError) as exc:
         rgs_factorize(W, theta, UNIFIED64)
     assert exc.value.column == 5
@@ -168,7 +169,7 @@ def test_rgs_breakdown_on_dependent_columns(rng):
 def test_rgs_breakdown_factor_zero_pushes_through(rng):
     W = _problem(rng, n=200, m=4).astype(np.float32).astype(np.float64)
     W = np.concatenate([W, W[:, :1] * (1 + 1e-7)], axis=1)
-    theta = make_sketch(SketchKind.RADEMACHER, 64, 200, seed=5)
+    theta = SketchOperator(SketchKind.RADEMACHER, 64, 200, seed=5)
     with pytest.raises(BreakdownError):
         rgs_factorize(W, theta, UNIFIED32)
     f, _ = rgs_factorize(W, theta, UNIFIED32, breakdown_factor=0.0)
@@ -176,7 +177,7 @@ def test_rgs_breakdown_factor_zero_pushes_through(rng):
 
 
 def test_rgs_input_validation(rng):
-    theta = make_sketch(SketchKind.RADEMACHER, 8, 100, seed=0)
+    theta = SketchOperator(SketchKind.RADEMACHER, 8, 100, seed=0)
     with pytest.raises(ValueError):
         rgs_factorize(rng.standard_normal((100, 12)), theta)  # k < m
     # the sketched QR needs a row per column: the state checks k >= capacity
@@ -401,7 +402,7 @@ def test_classical_q_layout(rng, variant):
 
 def _factorize(W, variant):
     if variant is GsVariant.RGS:
-        theta = make_sketch(SketchKind.PSRHT, 64, W.shape[0], seed=5)
+        theta = SketchOperator(SketchKind.PSRHT, 64, W.shape[0], seed=5)
         return rgs_factorize(W, theta, MIXED32_64)[0]
     return classical_factorize(W, variant, policy=MIXED32_64)
 
@@ -564,7 +565,7 @@ def test_factorizers_hand_over_their_arrays(variant):
     # temporaries) stays below one extra copy of Q where Q dominates
     n, m = 8000, 256
     W = np.random.default_rng(0).standard_normal((n, m))
-    theta = make_sketch(SketchKind.PSRHT, 300, n, seed=1)
+    theta = SketchOperator(SketchKind.PSRHT, 300, n, seed=1)
     tracemalloc.start()
     try:
         if variant is GsVariant.RGS:
@@ -628,7 +629,7 @@ def test_classical_breakdown(rng):
 def test_certificates_oracle(rng):
     # oracle: recompute Delta_m, Delta~_m from definitions with fresh numpy
     W = _problem(rng)
-    theta = make_sketch(SketchKind.RADEMACHER, 128, 400, seed=7)
+    theta = SketchOperator(SketchKind.RADEMACHER, 128, 400, seed=7)
     f, cert = rgs_factorize(W, theta, MIXED32_64)
     S = f.S.astype(np.float64)
     P = f.P.astype(np.float64)
@@ -652,7 +653,7 @@ def test_certificates_leave_the_sketches_unchanged(rng, policy):
     # without a copy, so it must not write to them, nor to Q and W on the
     # Phi path: on read-only views any in-place edit would raise, and the
     # values keep their bits
-    theta = make_sketch(SketchKind.PSRHT, 64, 400, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 64, 400, seed=3)
     W = _problem(rng)
     f, cert = rgs_factorize(W, theta, policy)
     full = certificates(f, W, _phi(400), eps_star=_EPS_STAR)
@@ -667,11 +668,11 @@ def test_certificates_leave_the_sketches_unchanged(rng, policy):
 
 def test_certificates_reject_a_factorization_with_no_column():
     # before any arithmetic: Delta~_m would be 0/0 and cond(S) undefined
-    theta = make_sketch(SketchKind.PSRHT, 64, 400, seed=3)
+    theta = SketchOperator(SketchKind.PSRHT, 64, 400, seed=3)
     empty = RgsState(theta, MIXED32_64, capacity=4).factors()
     A = generate_laplacian_2d(6)
     solved = gmres(A, np.zeros(A.n), m=4,
-                   theta=make_sketch(SketchKind.PSRHT, 16, A.n, seed=3))
+                   theta=SketchOperator(SketchKind.PSRHT, 16, A.n, seed=3))
     for f in (empty, solved.factors):
         assert f.S.shape[1] == 0
         with pytest.raises(ValueError, match="at least one column"):
@@ -700,7 +701,7 @@ def test_rgs_invariants_within_certificate(dense_sketch, m, k_extra, n_extra,
     k, u64 = 2 * m + 8 + k_extra, 2.0**-53
     n = k + n_extra
     W = _problem(np.random.default_rng(seed), n=n, m=m, cond=10.0**log_cond)
-    theta = make_sketch(kind, k, n, seed=seed)
+    theta = SketchOperator(kind, k, n, seed=seed)
     # the guard off: a numerically dependent column is pushed through too
     f, cert = rgs_factorize(W, theta, policy, breakdown_factor=0.0)
     uc, uf = policy.u_crs, policy.u_fine

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sketchgs import (GsVariant, MIXED32_64, NonFiniteError, SketchKind,
-                      SparseMatrix, UNIFIED64, arnoldi,
+                      SketchOperator, SparseMatrix, UNIFIED64, arnoldi,
                       best_attainable_residual, generate_laplacian_2d,
-                      generate_random_sparse, gmres, ilu0, make_sketch)
+                      generate_random_sparse, gmres, ilu0)
 
 
 def _dense(A):
@@ -184,7 +184,7 @@ def test_arnoldi_identity(rng):
     # A Q_m = Q_{m+1} H_m up to the working precision
     A = generate_random_sparse(200, 5, seed=1)
     b = rng.standard_normal(200)
-    theta = make_sketch(SketchKind.PSRHT, 64, 200, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 64, 200, seed=0)
     for variant in (GsVariant.RGS, GsVariant.CGS2):
         dec = arnoldi(A, b, 15, variant=variant, theta=theta, policy=UNIFIED64)
         assert _arnoldi_error(A, dec) < 1e-12, variant
@@ -209,7 +209,7 @@ def test_gmres_solves_laplacian(variant):
     n = A.n
     x_star = np.sin(np.arange(n) * 0.1)
     b = A.matvec(x_star)
-    theta = make_sketch(SketchKind.PSRHT, 200, n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, n, seed=0)
     res = gmres(A, b, m=150, variant=variant, theta=theta, policy=UNIFIED64,
                 tol=1e-12)
     assert res.final_residual < 1e-10
@@ -220,7 +220,7 @@ def test_gmres_solves_laplacian(variant):
 def test_gmres_matches_direct_solve(rng):
     A = generate_random_sparse(150, 6, seed=5)
     b = rng.standard_normal(150)
-    theta = make_sketch(SketchKind.PSRHT, 128, 150, seed=1)
+    theta = SketchOperator(SketchKind.PSRHT, 128, 150, seed=1)
     res = gmres(A, b, m=100, theta=theta, policy=UNIFIED64, tol=1e-12)
     x_ref = scipy.sparse.linalg.spsolve(A.to_scipy().tocsc(), b)
     assert np.linalg.norm(res.x - x_ref) / np.linalg.norm(x_ref) < 1e-9
@@ -230,7 +230,7 @@ def test_gmres_matches_direct_solve(rng):
 def test_gmres_residual_history_decreases(rng):
     A = generate_laplacian_2d(10)
     b = rng.standard_normal(A.n)
-    theta = make_sketch(SketchKind.PSRHT, 80, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 80, A.n, seed=0)
     res = gmres(A, b, m=60, theta=theta, policy=UNIFIED64)
     h = res.residual_history
     assert np.all(np.diff(h) <= 1e-15)  # monotone (estimated) residual
@@ -241,7 +241,7 @@ def test_gmres_residual_history_decreases(rng):
 def test_gmres_preconditioned_converges_faster(rng):
     A = generate_random_sparse(300, 8, seed=2, diag_shift=0.1)
     b = rng.standard_normal(300)
-    theta = make_sketch(SketchKind.PSRHT, 200, 300, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, 300, seed=0)
     plain = gmres(A, b, m=40, theta=theta, policy=UNIFIED64)
     pre = gmres(A, b, m=40, theta=theta, policy=UNIFIED64,
                 preconditioner=ilu0(A))
@@ -269,7 +269,7 @@ def test_gmres_breakdown_is_not_convergence(variant, policy):
     # leaves the binary32 plateau under the mixed policy, and convergence is
     # read from the true residual only
     A, b = _diagonal([1.0, 2.0, 3.0])
-    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, A.n, seed=0)
     tol = 1e-10
     res = gmres(A, b, m=10, variant=variant, theta=theta, policy=policy,
                 tol=tol)
@@ -296,7 +296,7 @@ def test_gmres_singular_breakdown_keeps_previous_iterate(variant, policy):
     # singular there, so the breaking column is dropped and the previous
     # iterate returned; keeping it would divide by a vanishing pivot
     A, b = _diagonal([0.0, 1.0])
-    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, A.n, seed=0)
     res = gmres(A, b, m=10, variant=variant, theta=theta, policy=policy,
                 tol=1e-10)
     assert res.breakdown and not res.converged
@@ -325,7 +325,7 @@ def test_krylov_exhausts_diagonal_spectrum(values, n, seed, k_extra):
     d = len(values)
     m = d + 2
     A, b = _diagonal(values, n, seed)
-    theta = make_sketch(SketchKind.PSRHT, m + 1 + k_extra, n, seed=seed)
+    theta = SketchOperator(SketchKind.PSRHT, m + 1 + k_extra, n, seed=seed)
     tol = 1e-10
     for variant in (GsVariant.RGS, GsVariant.CGS2):
         res = gmres(A, b, m, variant=variant, theta=theta, policy=UNIFIED64,
@@ -344,7 +344,7 @@ def test_gmres_stops_on_true_residual():
     # residual does; stopping on the estimate left the solve unconverged
     A = generate_laplacian_2d(30)
     b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
-    theta = make_sketch(SketchKind.PSRHT, 100, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 100, A.n, seed=0)
     tol = 1e-10
     res = gmres(A, b, m=80, theta=theta, policy=UNIFIED64,
                 preconditioner=ilu0(A), tol=tol)
@@ -359,7 +359,7 @@ def test_krylov_rejects_sketch_below_m_plus_one(monkeypatch, method, m):
     # check the run failed in the Householder append, after its matvecs
     A = generate_laplacian_2d(60)
     b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
-    theta = make_sketch(SketchKind.PSRHT, 60, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 60, A.n, seed=0)
     precond = ilu0(A)
     matvecs = []
     matvec = SparseMatrix.matvec
@@ -392,7 +392,7 @@ def test_gmres_without_tolerance_reports_no_convergence_flag():
     # absent, not False, even at a residual near the unit roundoff
     A = generate_laplacian_2d(15)
     b = A.matvec(np.ones(A.n))
-    theta = make_sketch(SketchKind.PSRHT, 200, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 200, A.n, seed=0)
     res = gmres(A, b, m=40, theta=theta, policy=UNIFIED64,
                 preconditioner=ilu0(A))
     assert res.final_residual < 1e-13
@@ -402,7 +402,7 @@ def test_gmres_without_tolerance_reports_no_convergence_flag():
 def test_gmres_mixed_precision_reaches_coarse_accuracy(rng):
     A = generate_laplacian_2d(12)
     b = rng.standard_normal(A.n)
-    theta = make_sketch(SketchKind.PSRHT, 140, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 140, A.n, seed=0)
     res = gmres(A, b, m=120, theta=theta, policy=MIXED32_64)
     assert res.final_residual < 1e-4  # binary32-scale plateau
 
@@ -413,7 +413,7 @@ def test_gmres_operator_overflowing_binary32_raises(rng, variant):
     # GMRES does not rescale the operator: A q = 1e39 q overflows the
     # binary32 format that the mixed policy stores the basis in
     A = SparseMatrix(csr=scipy.sparse.eye(50, format="csr") * 1e39)
-    theta = make_sketch(SketchKind.PSRHT, 20, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 20, A.n, seed=0)
     with pytest.raises(NonFiniteError) as exc, np.errstate(all="ignore"):
         gmres(A, rng.standard_normal(A.n), m=10, variant=variant, theta=theta,
               policy=MIXED32_64, tol=1e-8)
@@ -423,7 +423,7 @@ def test_gmres_operator_overflowing_binary32_raises(rng, variant):
 def test_best_attainable_residual(rng):
     A = generate_laplacian_2d(8)
     b = rng.standard_normal(A.n)
-    theta = make_sketch(SketchKind.PSRHT, 48, A.n, seed=0)
+    theta = SketchOperator(SketchKind.PSRHT, 48, A.n, seed=0)
     res = gmres(A, b, m=30, theta=theta, policy=UNIFIED64)
     tau = best_attainable_residual(A, res.factors.Q[:, :res.iterations], b)
     # GMRES extracts (nearly) all the accuracy its basis supports

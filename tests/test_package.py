@@ -1,12 +1,15 @@
 import ast
 import pathlib
 
+import pytest
+
 import sketchgs
-from sketchgs import bench, certification, gram_schmidt, io, krylov, sketch
+from sketchgs import (bench, certification, gram_schmidt, io, krylov,
+                      precision, sketch)
 
 # the modules whose public names the package re-exports; bench's runners
 # are reached as `sketchgs.bench`, through the CLI
-_EXPORTED = (sketch, gram_schmidt, certification, krylov, io)
+_EXPORTED = (precision, sketch, gram_schmidt, certification, krylov, io)
 
 
 def test_every_public_name_has_one_module_and_the_package_exports_it():
@@ -32,3 +35,29 @@ def test_no_module_imports_a_private_name_from_another():
                 found += [(path.name, alias.name) for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+@pytest.mark.parametrize("module", [precision, sketch, certification, io],
+                         ids=lambda module: module.__name__)
+def test_leaf_modules_import_no_module_of_the_package(module):
+    # formats, sketches, certificates and data sit below the factorizers
+    # and solvers, and depend on numpy and scipy alone
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    found = [node.module or "." for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.split(".")[0] == "sketchgs")]
+    found += [alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.Import) for alias in node.names
+              if alias.name.split(".")[0] == "sketchgs"]
+    assert found == []
+
+
+def test_names_the_benchmark_reaches_are_the_library_objects():
+    # the benchmark calls `sketch.make_sketch` and times
+    # `krylov.SparseMatrix.matvec`: one public way to build a sketch, and
+    # one sparse matrix class, owned by io
+    assert sketch.make_sketch is sketch.SketchOperator
+    assert "make_sketch" not in dir(sketchgs)
+    assert all("make_sketch" not in module.__all__
+               for module in _EXPORTED + (bench,))
+    assert krylov.SparseMatrix is io.SparseMatrix

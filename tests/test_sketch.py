@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import sketchgs.sketch as sk
 from sketchgs import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
-                      fwht, make_sketch, required_sketch_dim,
-                      rounding_sketch_trial, vector_certificate_dim)
+                      fwht, required_sketch_dim, rounding_sketch_trial,
+                      vector_certificate_dim)
 
 
 def test_required_sketch_dim_rademacher():
@@ -152,16 +152,16 @@ def test_fwht_rejects_non_pow2():
 def test_sketch_determinism(kind):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(100)
-    a = make_sketch(kind, 40, 100, seed=11).apply(x)
-    b = make_sketch(kind, 40, 100, seed=11).apply(x)
-    c = make_sketch(kind, 40, 100, seed=12).apply(x)
+    a = SketchOperator(kind, 40, 100, seed=11).apply(x)
+    b = SketchOperator(kind, 40, 100, seed=11).apply(x)
+    c = SketchOperator(kind, 40, 100, seed=12).apply(x)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("kind", [SketchKind.RADEMACHER, SketchKind.PSRHT])
 def test_sketch_entries_are_pm_scaled(kind, dense_sketch):
-    th = make_sketch(kind, 16, 24, seed=0)
+    th = SketchOperator(kind, 16, 24, seed=0)
     M = dense_sketch(th)
     assert M.shape == (16, 24)
     assert np.allclose(np.abs(M), 1.0 / math.sqrt(16))
@@ -171,7 +171,7 @@ def test_sketch_entries_are_pm_scaled(kind, dense_sketch):
 def test_apply_block_matches_apply(kind, rng, dense_sketch):
     if kind is SketchKind.PSRHT:
         # each column is transformed alone: the bits of its own apply
-        th = make_sketch(kind, 20, 50, seed=5)
+        th = SketchOperator(kind, 20, 50, seed=5)
         X = rng.standard_normal((50, 4))
         blk = th.apply_block(X)
         for j in range(4):
@@ -181,7 +181,7 @@ def test_apply_block_matches_apply(kind, rng, dense_sketch):
     # which sum in different orders, so both are held to the a-priori bound
     # against a reference. n = 5000 spans a full and a partial sign block.
     k, n = 20, 5000
-    th = make_sketch(kind, k, n, seed=5)
+    th = SketchOperator(kind, k, n, seed=5)
     X = rng.standard_normal((n, 4))
     blk = th.apply_block(X)
     scale = 1.0 / math.sqrt(k)
@@ -214,9 +214,9 @@ def test_rademacher_streamed_matches_dense(rng, monkeypatch):
     # n = 9000 spans three column blocks, the last one partial; a zero
     # materialization limit makes the second operator regenerate its blocks
     x = rng.standard_normal(9000)
-    dense = _kept(make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2), x)
+    dense = _kept(SketchOperator(SketchKind.RADEMACHER, 8, 9000, seed=2), x)
     monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
-    streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
+    streamed = SketchOperator(SketchKind.RADEMACHER, 8, 9000, seed=2).apply(x)
     assert np.array_equal(dense, streamed)
 
 
@@ -239,7 +239,7 @@ def _rademacher_signs(k, n, seed):
 # its last (7 x 808), nor in (3, 5)
 @pytest.mark.parametrize("k, n, seed", [(7, 9000, 2), (3, 5, 2**40 + 3)])
 def test_rademacher_signs_are_philox_bits(dense_sketch, k, n, seed):
-    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed)
     assert np.array_equal(np.sign(dense_sketch(theta)),
                           _rademacher_signs(k, n, seed))
 
@@ -247,13 +247,15 @@ def test_rademacher_signs_are_philox_bits(dense_sketch, k, n, seed):
 def test_rademacher_streamed_block_draws_each_block_once(rng, monkeypatch):
     # n = 9000 spans three column blocks, the last one partial
     X = rng.standard_normal((9000, 5))
-    kept = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply_block(X)
+    kept = SketchOperator(SketchKind.RADEMACHER, 8, 9000,
+                          seed=2).apply_block(X)
     monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
     draws = []
     philox = sk._philox
     monkeypatch.setattr(sk, "_philox", lambda seed, stream:
                         draws.append(stream) or philox(seed, stream))
-    streamed = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2).apply_block(X)
+    streamed = SketchOperator(SketchKind.RADEMACHER, 8, 9000,
+                              seed=2).apply_block(X)
     assert np.array_equal(streamed, kept)
     assert draws == [0, 1, 2]  # each sign block once, not once per column
 
@@ -265,13 +267,13 @@ def test_rademacher_keeps_its_blocks_from_the_second_apply(rng, monkeypatch):
     philox = sk._philox
     monkeypatch.setattr(sk, "_philox", lambda seed, stream:
                         draws.append(stream) or philox(seed, stream))
-    theta = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2)
+    theta = SketchOperator(SketchKind.RADEMACHER, 8, 9000, seed=2)
     log, vectors, blocks = [], [], []
     for _ in range(3):
         vectors.append(theta.apply(X[:, 0]))
         log.append(draws[:])
         draws.clear()
-    theta = make_sketch(SketchKind.RADEMACHER, 8, 9000, seed=2)
+    theta = SketchOperator(SketchKind.RADEMACHER, 8, 9000, seed=2)
     for _ in range(3):
         blocks.append(theta.apply_block(X))
     assert log == [[0, 1, 2], [0, 1, 2], []]
@@ -287,7 +289,7 @@ def test_rademacher_applied_once_holds_one_block(rng):
     # accumulator (never the k x n matrix)
     k, n, N = 64, 3 * sk._COLUMN_BLOCK, 4
     X = rng.standard_normal((n, N))
-    theta = make_sketch(SketchKind.RADEMACHER, k, n, seed=2)
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed=2)
     tracemalloc.start()
     try:
         theta.apply_block(X)
@@ -308,12 +310,12 @@ def test_rademacher_applied_once_holds_one_block(rng):
 @example(64, 9000, 0)
 def test_rademacher_blocks_property(dense_sketch, k, n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
-    kept = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+    kept = SketchOperator(SketchKind.RADEMACHER, k, n, seed)
     y = _kept(kept, x)
     old = sk._MATERIALIZE_LIMIT
     sk._MATERIALIZE_LIMIT = 0
     try:
-        regenerated = make_sketch(SketchKind.RADEMACHER, k, n, seed)
+        regenerated = SketchOperator(SketchKind.RADEMACHER, k, n, seed)
         assert np.array_equal(regenerated.apply(x), y)
     finally:
         sk._MATERIALIZE_LIMIT = old
@@ -324,7 +326,9 @@ def test_rademacher_blocks_property(dense_sketch, k, n, seed):
     assert np.max(np.abs(M @ x - y)) <= tol
 
 
-@pytest.mark.parametrize("build", [SketchOperator, make_sketch],
+# sketch.make_sketch is the spelling the benchmark calls, kept out of the
+# package's names until the benchmark stops calling it
+@pytest.mark.parametrize("build", [SketchOperator, sk.make_sketch],
                          ids=["SketchOperator", "make_sketch"])
 def test_k_above_n_warning_names_the_callers_line(build):
     with pytest.warns(UserWarning, match="k=20 exceeds") as record:
@@ -334,7 +338,7 @@ def test_k_above_n_warning_names_the_callers_line(build):
 
 def test_psrht_consistent_with_definition(rng):
     # oracle: dense D (signs), dense Hadamard, explicit row sampling
-    th = make_sketch(SketchKind.PSRHT, 10, 24, seed=9)
+    th = SketchOperator(SketchKind.PSRHT, 10, 24, seed=9)
     s = th.s
     assert s == 32
     H = np.array([[1.0]])
@@ -353,7 +357,7 @@ def test_sketch_validation():
         SketchOperator(SketchKind.PSRHT, 0, 10, seed=0)
     with pytest.warns(UserWarning):
         SketchOperator(SketchKind.RADEMACHER, 20, 10, seed=0)
-    th = make_sketch(SketchKind.PSRHT, 4, 10, seed=0)
+    th = SketchOperator(SketchKind.PSRHT, 4, 10, seed=0)
     with pytest.raises(ValueError):
         th.apply(np.zeros(11))
     with pytest.raises(ValueError):
@@ -380,7 +384,7 @@ def test_epsilon_of_orthonormal_identity_sketch(rng):
 
 
 def test_epsilon_of_detects_distortion(rng):
-    th = make_sketch(SketchKind.RADEMACHER, 30, 256, seed=1)
+    th = SketchOperator(SketchKind.RADEMACHER, 30, 256, seed=1)
     V = rng.standard_normal((256, 4))
     eps = epsilon_of(th, V)
     # k=30 for d=4 distorts noticeably but embeds reasonably
@@ -396,10 +400,10 @@ def test_epsilon_of_detects_distortion(rng):
 
 
 def test_rounding_sketch_trial_rates():
-    th = make_sketch(SketchKind.RADEMACHER, 256, 512, seed=4)
+    th = SketchOperator(SketchKind.RADEMACHER, 256, 512, seed=4)
     gamma = np.full(512, 1e-3)
     rate = rounding_sketch_trial(th, gamma, trials=50, seed=0, eps=0.5)
     assert rate == 0.0  # well-sized sketch almost never fails
-    tiny = make_sketch(SketchKind.RADEMACHER, 1, 512, seed=4)
+    tiny = SketchOperator(SketchKind.RADEMACHER, 1, 512, seed=4)
     loose = rounding_sketch_trial(tiny, gamma, trials=50, seed=0, eps=0.05)
     assert loose > 0.2  # k=1 at tight eps fails often
