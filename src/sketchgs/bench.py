@@ -145,7 +145,10 @@ def _rgs_traces(W, config: RunConfig, cond_q=True):
     # columns (breakdown guard off), like the experiments being traced
     f, _ = rgs_factorize(W, theta, policy_from_name(config.policy),
                          with_certificate=False, breakdown_factor=0.0)
-    return f, traces(f.Q, f.S, theta, phi, config.eps_star, cond_q)
+    theta_q = theta.apply_block(f.Q)
+    del theta  # and the sign blocks it kept, before the traces copy Q and S
+    return f, traces(f.Q, f.S, theta_q, phi.apply_block(f.Q), config.eps_star,
+                     cond_q)
 
 
 def run_gmres_bench(config: RunConfig) -> dict:

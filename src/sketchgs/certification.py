@@ -158,7 +158,9 @@ def certificates(factors, W=None, phi=None,
         raise ValueError("certification sketch has mismatched ambient dimension")
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
-    delta_tilde = float(np.linalg.norm(P - S @ factors.R) / np.linalg.norm(P))
+    E = S @ factors.R  # one k x m temporary; -E keeps the norm's bits
+    E -= P
+    delta_tilde = float(np.linalg.norm(E) / np.linalg.norm(P))
     R_S = _triangular(S)
     sv = np.linalg.svd(R_S, compute_uv=False)
     cert = StabilityCertificate(delta_m=_loss(sv), delta_tilde_m=delta_tilde,
@@ -203,7 +205,7 @@ def _embedding_trace(B, eps_star: float, m: int) -> np.ndarray:
     return np.array(errs + [np.inf] * (m - len(errs)))
 
 
-def traces(Q, S=None, theta=None, phi=None, eps_star: float = 0.0,
+def traces(Q, S=None, theta_q=None, phi_q=None, eps_star: float = 0.0,
            cond_q: bool = True) -> dict:
     """Per-iteration traces of a finished factorization, as report columns.
 
@@ -214,19 +216,15 @@ def traces(Q, S=None, theta=None, phi=None, eps_star: float = 0.0,
 
     - cond_Q and the loss of orthogonality from R_Q (with cond_q);
     - cond_S from R_S (with S);
-    - omega_bar from B = (Phi Q) R_S^-1 (with S, phi); its rows from a
+    - omega_bar from B = (Phi Q) R_S^-1 (with S, phi_q); its rows from a
       numerically dependent column of S onward read inf;
-    - the exact omega from Theta U = (Theta Q) R_Q^-1 (with theta), whose
+    - the exact omega from Theta U = (Theta Q) R_Q^-1 (with theta_q), whose
       leading i columns sketch an orthonormal basis U_i of span Q_i. U is
       never formed; a numerically dependent column of Q raises LinAlgError.
+
+    It takes the sketches theta_q = Theta Q and phi_q = Phi Q, as `omega_bar`
+    does, not the operators, so a caller can drop Theta before the QRs.
     """
-    phi = phi if S is not None else None  # omega_bar is whitened by R_S
-    phi_q = theta_q = None
-    if phi is not None or theta is not None:
-        Q64 = np.array(Q, dtype=np.float64, order="F")  # one copy for both
-        phi_q = phi.apply_block(Q64) if phi is not None else None
-        theta_q = theta.apply_block(Q64) if theta is not None else None
-        del Q64  # one n x m binary64 array at a time: `_triangular` copies Q
     R_Q = _triangular(Q)
     m = R_Q.shape[1]
     out = {}

@@ -29,20 +29,16 @@ EXIT_IO = 4
 
 
 def _parse_variants(text: str):
+    # an ArgumentTypeError, unlike a ValueError, has argparse print its text
     out = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            variant = GsVariant(name)
-        except ValueError:
-            raise ValueError(f"unknown variant {name!r}") from None
-        if variant in out:
-            raise ValueError(f"variant {name!r} requested twice")
-        out.append(variant)
+    for name in filter(None, (part.strip() for part in text.split(","))):
+        if name not in {variant.value for variant in GsVariant}:
+            raise argparse.ArgumentTypeError(f"unknown variant {name!r}")
+        if GsVariant(name) in out:
+            raise argparse.ArgumentTypeError(f"variant {name!r} requested twice")
+        out.append(GsVariant(name))
     if not out:
-        raise ValueError("no variants requested")
+        raise argparse.ArgumentTypeError("no variants requested")
     return tuple(out)
 
 

@@ -202,7 +202,7 @@ class SketchOperator:
 
     def apply(self, x) -> np.ndarray:
         """Return Theta @ x for an n-vector, accumulating in binary64."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {x.shape}")
         return self._apply(x)
@@ -212,8 +212,9 @@ class SketchOperator:
 
         A Rademacher block takes one gemm per sign block, so its columns equal
         `apply` of each column only to roundoff; P-SRHT columns equal it bit
-        for bit."""
-        X = np.asarray(X, dtype=np.float64)
+        for bit. X is widened to binary64 one column block or column at a
+        time, so a binary32 X keeps its widening's bits with no n x N copy."""
+        X = np.asarray(X)
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2 or X.shape[0] != self.n:
@@ -221,12 +222,13 @@ class SketchOperator:
         return self._apply(X)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
-        """Theta @ X for a binary64 n-vector or n x N block X."""
+        """Theta @ X for an n-vector or n x N block X, widened as it is read."""
         acc = np.zeros((self.k,) + X.shape[1:])
         if self.kind is SketchKind.RADEMACHER:
             # a gemv or a gemm: each sign block is read or drawn once per call
             for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
-                acc += self._sign_block(b) @ X[j0:j0 + _COLUMN_BLOCK]
+                Xb = X[j0:j0 + _COLUMN_BLOCK].astype(np.float64, copy=False)
+                acc += self._sign_block(b) @ Xb
             self._applied = True
         else:
             # one column at a time, as fwht takes one: no s x N padded block

@@ -42,7 +42,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _omega_trace_max(Q, theta, from_iter=None):
-    omega = traces(Q, theta=theta)["omega"]
+    omega = traces(Q, theta_q=theta.apply_block(Q))["omega"]
     otail = omega[from_iter - 1:].max() if from_iter is not None else 0.0
     return float(omega.max()), float(otail)
 
@@ -151,7 +151,8 @@ def test_criterion_4_certification_bound():
         phi = SketchOperator(SketchKind.RADEMACHER, k_phi, n,
                              seed=5000 + trial)
         f, _ = rgs_factorize(W, theta, UNIFIED64)
-        rows = traces(f.Q, f.S, theta, phi, eps_star)
+        rows = traces(f.Q, f.S, theta.apply_block(f.Q),
+                      phi.apply_block(f.Q), eps_star)
         om, ob = rows["omega"], rows["omega_bar"]
         violations += int(np.count_nonzero(ob < om))
         ratios.extend(ob / om)

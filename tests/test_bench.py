@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.io
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       UNIFIED64, epsilon_of, rgs_factorize, synthetic_matrix)
-from sketchgs import certification
+from sketchgs import bench, certification, sketch
 from sketchgs.bench import (RunConfig, load_matrix_source, run_certify,
                             run_gmres_bench, run_qr_bench)
 from sketchgs.certification import omega_bar, traces
@@ -153,6 +155,34 @@ def test_run_certify_reads_only_the_traces_it_reports(monkeypatch):
         assert np.array_equal(qr.column(colname), cert.column(colname))
 
 
+def test_run_certify_drops_theta_before_the_traces(monkeypatch):
+    # Theta keeps its sign blocks from its second apply on (k n <= 2^24
+    # here); run_certify lets it go, blocks and all, once it has sketched Q,
+    # so none of the traces' binary64 QR copies is made while it lives
+    config = _small_config(sketch_kind=SketchKind.RADEMACHER, eps_star=0.25)
+    assert config.k * config.n <= sketch._MATERIALIZE_LIMIT
+    built = {}  # k -> weak reference to the operator with k rows
+    operator = bench.SketchOperator
+
+    def build(kind, k, n, seed):
+        op = operator(kind, k, n, seed)
+        built[k] = weakref.ref(op)
+        return op
+
+    theta_alive = []  # at each QR of the traces
+    triangular = certification._triangular
+
+    def qr(X):
+        theta_alive.append(built[config.k]() is not None)
+        return triangular(X)
+
+    monkeypatch.setattr(bench, "SketchOperator", build)
+    monkeypatch.setattr(certification, "_triangular", qr)
+    run_certify(config)
+    assert sorted(built) == [config.k_phi, config.k]
+    assert theta_alive and not any(theta_alive)
+
+
 def test_omega_bar_trace_matches_one_shot_oracle():
     # The trace and the one-shot `certification.omega_bar` whiten Phi Q by
     # the same triangular factor of S; the trace then reads each row from
@@ -163,7 +193,8 @@ def test_omega_bar_trace_matches_one_shot_oracle():
     theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=1)
     phi = SketchOperator(SketchKind.RADEMACHER, 96, n, seed=2)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
-    trace = traces(f.Q, f.S, phi=phi, eps_star=eps_star)["omega_bar"]
+    trace = traces(f.Q, f.S, phi_q=phi.apply_block(f.Q),
+                   eps_star=eps_star)["omega_bar"]
     S_phi = phi.apply_block(f.Q)
     for i in range(m):
         assert trace[i] == pytest.approx(
@@ -192,7 +223,8 @@ def test_traces_match_one_shot_oracles(policy, log_cond):
     theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=5)
     phi = SketchOperator(SketchKind.RADEMACHER, 96, n, seed=6)
     f, _ = rgs_factorize(W, theta, policy)
-    rows = traces(f.Q, f.S, theta, phi, eps_star)
+    rows = traces(f.Q, f.S, theta.apply_block(f.Q), phi.apply_block(f.Q),
+                  eps_star)
     cond_w = traces(W)["cond_Q"]
     Q = f.Q.astype(np.float64)
     u64 = 2.0**-53
@@ -237,7 +269,7 @@ def test_omega_bar_trace_is_inf_past_dependent_column_of_S():
     theta = SketchOperator(SketchKind.PSRHT, 64, n, seed=10)
     phi = SketchOperator(SketchKind.RADEMACHER, 48, n, seed=11)
     S = theta.apply_block(Q)
-    rows = traces(Q, S, phi=phi, eps_star=eps_star)
+    rows = traces(Q, S, phi_q=phi.apply_block(Q), eps_star=eps_star)
     S_phi = phi.apply_block(Q)
     for i in (1, 2, 3):
         assert rows["omega_bar"][i - 1] == pytest.approx(
@@ -252,4 +284,4 @@ def test_traces_reject_dependent_column():
     Q = np.column_stack([W[:, 0], W[:, 1], W[:, 0]])  # repeated column
     theta = SketchOperator(SketchKind.PSRHT, 64, n, seed=8)
     with pytest.raises(np.linalg.LinAlgError, match="column 3"):
-        traces(Q, theta=theta)
+        traces(Q, theta_q=theta.apply_block(Q))

@@ -151,6 +151,10 @@ def test_certificates_read_the_traces_one_factor(rng, policy):
     assert res.delta_m == traces(f.S)["loss_of_orthogonality"][-1]
     assert res.cond_S == traces(f.Q, f.S)["cond_S"][-1]
     assert res.omega_bar_q == omega_bar(f.S, phi.apply_block(f.Q), 0.25)
+    # Delta~_m = ||P - S R|| / ||P||, read from S R - P: the same bits
+    S, P = f.S.astype(np.float64), f.P.astype(np.float64)
+    assert res.delta_tilde_m == float(np.linalg.norm(P - S @ f.R)
+                                      / np.linalg.norm(P))
 
 
 def test_certificates_keep_range_q_when_theta_w_is_rank_deficient():

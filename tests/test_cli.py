@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import pathlib
@@ -17,11 +18,12 @@ from sketchgs.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_IO, EXIT_OK,
 def test_parse_variants():
     assert _parse_variants("rgs") == (GsVariant.RGS,)
     assert _parse_variants("cgs, mgs") == (GsVariant.CGS, GsVariant.MGS)
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="unknown variant 'qr'"):
         _parse_variants("qr")
-    with pytest.raises(ValueError):
+    with pytest.raises(argparse.ArgumentTypeError, match="no variants"):
         _parse_variants(",")
-    with pytest.raises(ValueError, match="'rgs' requested twice"):
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="'rgs' requested twice"):
         _parse_variants("rgs,rgs,mgs")
 
 
@@ -106,12 +108,16 @@ def test_exit_code_config_error(tmp_path, capsys):
     rc = main(["qr-bench", "--matrix", "bogus:1", "--out",
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    capsys.readouterr()
     rc = main(["qr-bench", "--variants", "nope", "--out",
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    # argparse prints the parser's own message, not just the value it refused
+    assert "unknown variant 'nope'" in capsys.readouterr().err
     rc = main(["qr-bench", "--n", "400", "--m", "4", "--k", "64",
                "--variants", "rgs,rgs,mgs", "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    assert "variant 'rgs' requested twice" in capsys.readouterr().err
     assert not (tmp_path / "x.rgs.csv").exists()
     rc = main(["not-a-subcommand"])
     assert rc == EXIT_CONFIG

@@ -301,6 +301,48 @@ def test_rademacher_applied_once_holds_one_block(rng):
     assert peak <= bound + 16384  # slack for the Philox generator objects
 
 
+@pytest.mark.parametrize("kind, applies", [(SketchKind.RADEMACHER, 1),
+                                           (SketchKind.RADEMACHER, 3),
+                                           (SketchKind.PSRHT, 1)],
+                         ids=["rademacher-once", "rademacher-kept", "psrht"])
+def test_binary32_input_is_widened_piecewise(kind, applies, rng):
+    # n = 3 * 4096 + 100 spans three full column blocks and a partial one. A
+    # binary32 block, C- or F-ordered, or column is sketched with the bits of
+    # its binary64 widening, a column block or a column at a time: never an
+    # n x N binary64 copy. A Rademacher Theta is applied here either for the
+    # first time, drawing its blocks, or for the third, reading kept ones.
+    k, n, N = 8, 3 * sk._COLUMN_BLOCK + 100, 32
+    X32 = rng.standard_normal((n, N)).astype(np.float32)
+    kept = SketchOperator(kind, k, n, seed=4)
+    for _ in range(applies - 1):
+        kept.apply(X32[:, 0])
+
+    def theta():
+        return kept if applies > 1 else SketchOperator(kind, k, n, seed=4)
+
+    for X in (X32, np.asfortranarray(X32)):
+        assert np.array_equal(theta().apply_block(X),
+                              theta().apply_block(X.astype(np.float64)))
+        op = theta()
+        tracemalloc.start()
+        try:
+            op.apply_block(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * N * 8
+    x = X32[:, 3]
+    assert np.array_equal(theta().apply(x), theta().apply(x.astype(np.float64)))
+    if applies > 1:
+        assert len(kept._blocks) == 4
+    # a complex column still fails to convert: numpy's ComplexWarning, an
+    # error under this suite's warning filter
+    Z = np.column_stack([X32[:, :2], 1j * X32[:, 2]])
+    for call in (lambda: theta().apply_block(Z), lambda: theta().apply(Z[:, 2])):
+        with pytest.raises(RuntimeWarning, match="discards the imaginary"):
+            call()
+
+
 @pytest.mark.filterwarnings("ignore:sketch dimension")
 @settings(max_examples=25)
 @given(st.integers(1, 64), st.integers(1, 9000), st.integers(0, 2**32 - 1))
