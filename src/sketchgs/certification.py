@@ -93,6 +93,8 @@ def _embedding_error(sv, eps_star: float) -> float:
     """max{1 - (1 - eps*) sigma_min^2, (1 + eps*) sigma_max^2 - 1} for the
     singular values sv, in descending order, of a whitened sketch; with
     eps* = 0 this is the exact omega."""
+    if not 0.0 <= eps_star < 1.0:
+        raise ValueError(f"eps_star must lie in [0, 1), got {eps_star}")
     return max(1.0 - (1.0 - eps_star) * sv[-1]**2,
                (1.0 + eps_star) * sv[0]**2 - 1.0)
 

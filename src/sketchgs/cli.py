@@ -4,9 +4,10 @@ Subcommands: qr-bench, gmres-bench, certify, sketch-info. The BLAS thread
 count changes summation order, so pin it in the environment before launching
 (see README) for reproducible runs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical breakdown
-(including non-finite input, binary32 overflow and a failed dense linear
-algebra routine), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error (eps* outside [0, 1) too),
+3 numerical breakdown (any ArithmeticError, e.g. non-finite input, binary32
+overflow, an ILU(0) pivot below 1e-30 or a sketch-size bound that overflows
+a float, and a failed dense linear algebra routine), 4 I/O failure.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from numpy.linalg import LinAlgError
 
 from .bench import (COMMAND_FIELDS, RunConfig, run_certify, run_gmres_bench,
                     run_qr_bench)
-from .gram_schmidt import BreakdownError, GsVariant, NonFiniteError
+from .gram_schmidt import BreakdownError, GsVariant
 from .io import write_report
 from .sketch import (EmbeddingParams, SketchKind, required_sketch_dim,
                      vector_certificate_dim)
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (BreakdownError, NonFiniteError, LinAlgError) as exc:
+    except (BreakdownError, ArithmeticError, LinAlgError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
     except (ValueError, TypeError) as exc:

@@ -140,18 +140,18 @@ class _IncrementalHouseholderQR:
 
 
 class _GsState:
-    """What every Gram-Schmidt variant shares: Q (laid out in `_Q_ORDER`) and
-    R, allocated once for `capacity` columns, the input checks, the breakdown
-    guard, the store, `push_block` and `factors`. A variant's `push` runs its
-    projection pass between `_next_column` and `_store`; a push that raises,
-    a push into a full state included, leaves the trimmed views as they were.
-    The arrays never move and a stored column is never written again, so
-    `factors()` hands over views that keep their values."""
+    """What every Gram-Schmidt variant shares: Q (in the `order` the variant
+    passes) and R, allocated once for `capacity` columns, the input checks,
+    the breakdown guard, the store, `push_block` and `factors`. A variant's
+    `push` runs its projection pass between `_next_column` and `_store`; a
+    push that raises, a push into a full state included, leaves the trimmed
+    views as they were. The arrays never move and a stored column is never
+    written again, so `factors()` hands over views that keep their values."""
 
     S = P = None  # the sketches, kept by the randomized process only
 
     def __init__(self, n: int, policy: PrecisionPolicy, capacity: int,
-                 breakdown_factor: float):
+                 breakdown_factor: float, order: str):
         self.policy = policy
         # breakdown_factor = 0 disables the guard: benchmark protocols push
         # through numerically singular columns the way the solver would.
@@ -159,7 +159,7 @@ class _GsState:
         self.n = n
         self.m = 0
         self._Q = np.zeros((n, capacity), dtype=policy.coarse_dtype,
-                           order=self._Q_ORDER)
+                           order=order)
         self._R = np.zeros((capacity, capacity))
         self._sketched = iter(())  # push_block's Step-1 sketches, if any
 
@@ -234,14 +234,12 @@ class RgsState(_GsState):
     contiguous write, and unused columns are never touched.
     """
 
-    _Q_ORDER = "F"
-
     def __init__(self, theta: SketchOperator, policy: PrecisionPolicy = MIXED32_64,
                  *, capacity: int, breakdown_factor: float = BREAKDOWN_FACTOR):
         if capacity > theta.k:  # the sketched QR needs a row per column
             raise ValueError(f"need k >= {capacity} sketch rows, one per "
                              f"column, got k={theta.k}")
-        super().__init__(theta.n, policy, capacity, breakdown_factor)
+        super().__init__(theta.n, policy, capacity, breakdown_factor, "F")
         self.theta = theta
         self._S = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
         self._P = np.zeros((theta.k, capacity), dtype=policy.fine_dtype)
@@ -352,8 +350,8 @@ class ClassicalGsState(_GsState):
                  capacity: int, breakdown_factor: float = BREAKDOWN_FACTOR):
         if variant not in (GsVariant.CGS, GsVariant.MGS, GsVariant.CGS2):
             raise ValueError(f"classical Gram-Schmidt got {variant}")
-        self._Q_ORDER = "F" if variant is GsVariant.MGS else "C"
-        super().__init__(n, policy, capacity, breakdown_factor)
+        super().__init__(n, policy, capacity, breakdown_factor,
+                         "F" if variant is GsVariant.MGS else "C")
         self.variant = variant
 
     def push(self, w) -> float:

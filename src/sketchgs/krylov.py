@@ -274,12 +274,8 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
                            converged=None if tol is None else True,
                            breakdown=False, factors=state.factors())
 
-    if preconditioner is None:
-        eff_matvec = A.matvec
-    else:
-        def eff_matvec(v):
-            return A.matvec(preconditioner.solve(v))
-
+    # M^{-1}, the identity without a preconditioner: A M^{-1} is the operator
+    M = preconditioner.solve if preconditioner is not None else lambda v: v
     state.push(b / b_norm)
     beta = float(state.R[0, 0])  # ~1 in the sketched norm
 
@@ -298,15 +294,12 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
         """x from the first k Arnoldi steps (0 for k = 0), and its true
         relative residual."""
         y = scipy.linalg.solve_triangular(T[:k, :k], g[:k], lower=False)
-        # z solves the system for b / ||b||; undo that and the preconditioning
-        z = state.Q[:, :k].astype(np.float64, copy=False) @ y
-        x_tilde = b_norm * z
-        x = (preconditioner.solve(x_tilde) if preconditioner is not None
-             else x_tilde)
+        # Q y solves the system for b / ||b||; undo that and the preconditioning
+        x = M(b_norm * (state.Q[:, :k].astype(np.float64, copy=False) @ y))
         return x, float(np.linalg.norm(b - A.matvec(x)) / b_norm)
 
     solved_at = None
-    steps = _arnoldi_steps(eff_matvec, state, m)
+    steps = _arnoldi_steps(lambda v: A.matvec(M(v)), state, m)
     for i, hcol in enumerate(steps):
         for j in range(i):
             t = cs[j] * hcol[j] + sn[j] * hcol[j + 1]
@@ -347,17 +340,12 @@ def best_attainable_residual(A: SparseMatrix, Q, b) -> float:
     """Exact min over the span of Q of ||b - A Q y|| / ||b||, in binary64.
 
     The yardstick for judging whether an iteration extracted all the accuracy
-    its basis supports. Empty basis gives 1, b = 0 gives 0 as in `gmres`.
+    its basis supports. An n x 0 basis gives 1, b = 0 gives 0 as in `gmres`.
     """
     b = np.asarray(b, dtype=np.float64)
     bn = float(np.linalg.norm(b))
     if bn == 0.0:
         return 0.0
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim == 1:
-        Q = Q[:, None]
-    if Q.shape[1] == 0:
-        return 1.0
-    AQ = A.csr @ Q
+    AQ = A.csr @ np.asarray(Q, dtype=np.float64)
     y, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     return float(np.linalg.norm(b - AQ @ y) / bn)

@@ -7,7 +7,7 @@ second apply on if they fit, so a sketch applied once holds one block at a
 time) and the partial subsampled randomized Hadamard transform (P-SRHT:
 sign flip, fast Walsh-Hadamard transform on the padded power-of-two
 dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
-`apply` and `apply_block` run one body; `apply_block` says how they differ.
+`apply` of a vector is `apply_block` of it as one column, with its bits.
 
 All randomness is a pure function of (kind, k, n, seed); equal parameters
 produce bit-identical operators. Sketch-dimension bounds use natural
@@ -201,11 +201,11 @@ class SketchOperator:
     # -- application ----------------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
-        """Return Theta @ x for an n-vector, accumulating in binary64."""
+        """Theta @ x for an n-vector: `apply_block` of x as one column."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {x.shape}")
-        return self._apply(x)
+        return self._apply(x[:, None])[:, 0]
 
     def apply_block(self, X) -> np.ndarray:
         """Columnwise Theta @ X for an n x N block (a vector is one column).
@@ -222,21 +222,20 @@ class SketchOperator:
         return self._apply(X)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
-        """Theta @ X for an n-vector or n x N block X, widened as it is read."""
-        acc = np.zeros((self.k,) + X.shape[1:])
+        """Theta @ X for an n x N block X, widened as it is read."""
+        acc = np.zeros((self.k, X.shape[1]))
         if self.kind is SketchKind.RADEMACHER:
-            # a gemv or a gemm: each sign block is read or drawn once per call
+            # one gemm per sign block, each read or drawn once per call
             for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
                 Xb = X[j0:j0 + _COLUMN_BLOCK].astype(np.float64, copy=False)
                 acc += self._sign_block(b) @ Xb
             self._applied = True
         else:
             # one column at a time, as fwht takes one: no s x N padded block
-            out = acc.reshape(self.k, -1)  # a view: columns land in acc
             padded = np.zeros(self.s)
-            for j, x in enumerate(X.reshape(self.n, -1).T):
+            for j, x in enumerate(X.T):
                 padded[:self.n] = self.signs * x
-                out[:, j] = fwht(padded)[self.sample_indices]
+                acc[:, j] = fwht(padded)[self.sample_indices]
         return (1.0 / math.sqrt(self.k)) * acc
 
 

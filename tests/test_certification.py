@@ -62,6 +62,12 @@ def test_omega_bar_identity_sketches(rng):
     V = rng.standard_normal((64, 5))
     ob = omega_bar(V, V, eps_star=0.1)
     assert ob == pytest.approx(0.1, abs=1e-10)
+    assert omega_bar(V, V, eps_star=0.0) == pytest.approx(0.0, abs=1e-10)
+    # (1 -+ eps*) bound a single-vector embedding only for eps* in [0, 1);
+    # a negative eps* read a bound below the exact omega
+    for eps_star in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match="eps_star must lie in"):
+            omega_bar(V, V, eps_star)
 
 
 def test_omega_bar_rank_deficient_raises():
@@ -107,6 +113,8 @@ def test_certify_rejects_invalid_inputs(rng):
     # Phi certifies only at a stated single-vector accuracy eps*
     with pytest.raises(ValueError, match="eps_star"):
         certificates(f, W, phi)
+    with pytest.raises(ValueError, match=r"eps_star must lie in \[0, 1\)"):
+        certificates(f, phi=phi, eps_star=1.0)
 
 
 _PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q",

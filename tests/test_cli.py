@@ -129,6 +129,18 @@ def test_exit_code_config_error(tmp_path, capsys):
         rc = main(["sketch-info", "--n", n])
         assert rc == EXIT_CONFIG
         assert f"got n={n}" in capsys.readouterr().err
+    # an eps* outside [0, 1) would certify a bound below the exact omega
+    for eps_star in ("-0.5", "1.0"):
+        rc = main(["certify", "--n", "2000", "--m", "10", "--k", "200",
+                   "--k-phi", "100", "--eps-star", eps_star,
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_CONFIG
+        assert "eps_star" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+    rc = main(["qr-bench", "--matrix", "laplacian:5", "--m", "30",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert "more columns requested" in capsys.readouterr().err
 
 
 def test_removed_solver_flag_is_rejected(tmp_path, capsys):
@@ -161,6 +173,26 @@ def test_exit_code_breakdown(tmp_path, capsys):
                "--out", str(tmp_path / "b.csv")])
     assert rc == EXIT_BREAKDOWN
     assert "breakdown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gmres-bench", "--precond", "--variants", "mgs", "--m", "2"],
+     "ILU(0) pivot"),
+    (["sketch-info", "--eps", "1e-200"], ""),  # a bound divides by zero
+    (["sketch-info", "--delta", "1e-320"], ""),  # a bound overflows a float
+], ids=["zero-pivot", "eps", "delta"])
+def test_exit_code_arithmetic_error(tmp_path, capsys, argv, message):
+    # an ArithmeticError the run raises is a numerical failure, not a crash
+    if argv[0] == "gmres-bench":  # an explicit 0.0 as ILU(0)'s first pivot
+        mtx = tmp_path / "zeropivot.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "3 3 5\n"
+                       "1 1 0.0\n1 2 1.0\n2 1 1.0\n2 2 2.0\n3 3 1.0\n")
+        argv = [*argv, "--matrix", str(mtx), "--out", str(tmp_path / "p.csv")]
+    rc = main(argv)
+    assert rc == EXIT_BREAKDOWN
+    assert f"numerical breakdown: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_exit_code_nonfinite(tmp_path, capsys):

@@ -54,3 +54,26 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_options_table_matches_parser():
+    # the README's `| command | options |` table lists, in order, the flags
+    # the parser gives each subcommand, `--out` aside: a knob added or
+    # dropped without the docs fails here
+    import argparse
+
+    from sketchgs.cli import _build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| command | options |\n| --- | --- |\n")[1]
+    documented = {}
+    for row in table.split("\n\n")[0].splitlines():
+        command, options = re.match(r"\| `([\w-]+)` \| `([^`]*)`", row).groups()
+        documented[command] = options.split()
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    built = {command: [flag for action in sp._actions
+                       for flag in action.option_strings
+                       if flag not in ("-h", "--help", "--out")]
+             for command, sp in sub.choices.items()}
+    assert documented == built

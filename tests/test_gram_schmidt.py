@@ -501,6 +501,15 @@ def test_failed_push_block_keeps_earlier_columns(rng, variant, error):
 
 
 @_VARIANTS
+def test_push_rejects_a_column_of_the_wrong_length(variant):
+    state = _state(variant, 200, capacity=4)
+    for w in (np.ones(199), np.ones((200, 1))):
+        with pytest.raises(ValueError, match="column length mismatch"):
+            state.push(w)
+    assert state.m == 0
+
+
+@_VARIANTS
 def test_push_block_past_capacity_keeps_the_columns_that_fit(rng, variant):
     # a block of 3 columns into room for 2 more pushes those 2 and raises
     # at the third, which leaves the state as 2 pushes would

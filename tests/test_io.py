@@ -190,6 +190,8 @@ def test_laplacian_2d_structure():
         assert csr.has_canonical_format
         assert csr.nnz == 5 * grid**2 - 4 * grid
         assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    with pytest.raises(ValueError, match="at least 2"):
+        generate_laplacian_2d(1)
 
 
 def test_random_sparse_diagonally_dominant():
@@ -202,6 +204,10 @@ def test_random_sparse_diagonally_dominant():
     assert np.array_equal(D, B.to_scipy().toarray())  # seeded
     C = generate_random_sparse(80, 5, seed=5)
     assert not np.array_equal(D, C.to_scipy().toarray())
+    # at most n - 1 off-diagonal entries fit in a row
+    assert generate_random_sparse(6, 5, seed=4).csr.nnz == 36
+    with pytest.raises(ValueError, match="invalid size or fill"):
+        generate_random_sparse(6, 6, seed=4)
 
 
 def test_report_roundtrip(tmp_path):

@@ -25,6 +25,8 @@ def test_coo_duplicates_summed():
     assert A.csr.nnz == 2  # the duplicate (0, 1) is one stored entry
     D = _dense(A)
     assert D[0, 1] == 5.0 and D[1, 0] == 4.0 and D[0, 0] == 0.0
+    with pytest.raises(ValueError, match="must be square"):
+        SparseMatrix(scipy.sparse.csr_matrix((2, 3)))
 
 
 def test_matvec_matches_scipy(rng):
@@ -445,3 +447,17 @@ def test_krylov_rejects_negative_m(method):
     A = generate_laplacian_2d(4)
     with pytest.raises(ValueError, match=r"m >= 0 .* got m=-1"):
         method(A, np.ones(A.n), -1, variant=GsVariant.CGS, policy=UNIFIED64)
+
+
+@pytest.mark.parametrize("method", [gmres, arnoldi])
+def test_krylov_rejects_rgs_without_a_sketch(method):
+    A = generate_laplacian_2d(4)
+    with pytest.raises(ValueError, match="needs a sketch operator"):
+        method(A, np.ones(A.n), 3, variant=GsVariant.RGS)
+
+
+def test_gmres_rejects_a_right_hand_side_of_the_wrong_length():
+    A = generate_laplacian_2d(4)
+    for b in (np.ones(A.n + 1), np.ones((A.n, 1))):
+        with pytest.raises(ValueError, match="right-hand side length"):
+            gmres(A, b, 3, variant=GsVariant.CGS, policy=UNIFIED64)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sketchgs import MIXED32_64, UNIFIED32, UNIFIED64, policy_from_name
+from sketchgs import (MIXED32_64, UNIFIED32, UNIFIED64, PrecisionPolicy,
+                      policy_from_name)
 
 
 def test_unit_roundoffs():
@@ -19,6 +20,8 @@ def test_policy_dtypes():
     assert MIXED32_64.fine_dtype == np.float64
     assert MIXED32_64.u_crs == 2.0**-24
     assert MIXED32_64.u_fine == 2.0**-53
+    with pytest.raises(ValueError, match="fine format must not be coarser"):
+        PrecisionPolicy("inverted", np.dtype(np.float64), np.dtype(np.float32))
 
 
 def test_policy_from_name():

@@ -48,6 +48,10 @@ def test_vector_certificate_dim():
     assert expected == 584
     assert vector_certificate_dim(0.25, 1e-3) == 584
     assert vector_certificate_dim(0.05, 1e-3) == 12581
+    for eps_star, delta_star in ((0.0, 1e-3), (1.0, 1e-3), (0.25, 0.0),
+                                 (0.25, 1.0)):
+        with pytest.raises(ValueError, match="must lie in"):
+            vector_certificate_dim(eps_star, delta_star)
 
 
 def test_embedding_params_validation():
@@ -449,3 +453,5 @@ def test_rounding_sketch_trial_rates():
     tiny = SketchOperator(SketchKind.RADEMACHER, 1, 512, seed=4)
     loose = rounding_sketch_trial(tiny, gamma, trials=50, seed=0, eps=0.05)
     assert loose > 0.2  # k=1 at tight eps fails often
+    with pytest.raises(ValueError, match="nonnegative"):
+        rounding_sketch_trial(th, -gamma, trials=1, seed=0)
