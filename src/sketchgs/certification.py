@@ -1,6 +1,7 @@
 """A-posteriori certification of a sketched factorization and of the
 embedding quality of a sketch: the one module that reads Delta, cond, omega
-or omega_bar from a sketched matrix, with one formula for each.
+or omega_bar from a sketched matrix, with one formula for each. It reads
+sketches only; the one operator it applies is the exact-omega oracle's.
 
 The exact embedding error of Theta on range(V), with U an orthonormal basis,
 
@@ -13,10 +14,11 @@ single vectors: with probability >= 1 - delta*,
     omega <= omega_bar = max{1 - (1 - eps*) sigma_min(V_phi X)^2,
                              (1 + eps*) sigma_max(V_phi X)^2 - 1},
 
-where X orthonormalizes V_theta = Theta V. `certificates`,
-`loss_of_orthogonality`, `epsilon_of`, `omega_bar` and the runners' `traces`
-read each from one binary64 Householder QR per matrix, backward stable, so a
-reading is accurate to about u64 cond, not u64 cond^2 as from a Gram matrix.
+where X orthonormalizes V_theta = Theta V; applied to Q's extreme right
+singular vectors, the same property encloses sigma(Q) from Phi Q alone.
+Each reading comes from one binary64 Householder QR per matrix, backward
+stable, so it is accurate to about u64 cond, not u64 cond^2 as from a Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ __all__ = ["StabilityCertificate", "certificates", "loss_of_orthogonality",
 @dataclass
 class StabilityCertificate:
     """A-posteriori stability data of a sketched factorization, built by
-    `certificates`; given a certification sketch Phi also omega_bar, the
-    certified bound on Theta's embedding error, and the rounding margin
-    u_crs * cond(Phi V) with its check, on range(Q) and, given W, range(W),
-    and sigma_q = (lo, hi) around the singular values of Q; else None."""
+    `certificates`; given the sketch Phi Q also omega_bar_q, the certified
+    bound on Theta's embedding error on range(Q), the rounding margin with
+    its check, and sigma_q = (lo, hi) around sigma(Q); else None."""
 
     delta_m: float
     delta_tilde_m: float
@@ -46,9 +47,6 @@ class StabilityCertificate:
     margin_q: float | None = None
     margin_ok_q: bool | None = None
     sigma_q: tuple[float, float] | None = None
-    omega_bar_w: float | None = None
-    margin_w: float | None = None
-    margin_ok_w: bool | None = None
 
     def passes_gate(self) -> bool:
         """The Delta_m, Delta~_m <= 0.1 hypothesis of the stability theorem."""
@@ -64,14 +62,19 @@ def _triangular(X) -> np.ndarray:
     return scipy.linalg.qr(X64, overwrite_a=True, mode="raw")[1]
 
 
+def _svals(X) -> np.ndarray:
+    """Descending singular values of X, all X.shape[1]: a wide X's zeros too."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    return np.pad(sv, (0, X.shape[1] - sv.size))
+
+
 def _cond(sv) -> float:
     """sigma_max / sigma_min of descending singular values sv; inf if singular."""
     return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
 
 
 def _loss(sv) -> float:
-    """||I - X^T X||_F = ||1 - sigma^2||_2 for the singular values sv of an
-    n x m matrix X, all m of them: a wide X's m - n zero ones included."""
+    """||I - X^T X||_F = ||1 - sigma^2||_2 for all m singular values sv of X."""
     return float(np.linalg.norm(1.0 - sv**2))
 
 
@@ -89,14 +92,19 @@ def _whiten(R, Y, whole: bool = True) -> np.ndarray:
     return scipy.linalg.solve_triangular(R[:j, :j], Y[:, :j].T, trans="T").T
 
 
+def _distortion(eps_star: float) -> tuple[float, float]:
+    """(1 -+ eps*), how far Phi may scale a fixed ||x||^2; eps* in [0, 1)."""
+    if eps_star is None or not 0.0 <= eps_star < 1.0:
+        raise ValueError(f"eps_star must lie in [0, 1), got {eps_star}")
+    return 1.0 - eps_star, 1.0 + eps_star
+
+
 def _embedding_error(sv, eps_star: float) -> float:
     """max{1 - (1 - eps*) sigma_min^2, (1 + eps*) sigma_max^2 - 1} for the
     singular values sv, in descending order, of a whitened sketch; with
     eps* = 0 this is the exact omega."""
-    if not 0.0 <= eps_star < 1.0:
-        raise ValueError(f"eps_star must lie in [0, 1), got {eps_star}")
-    return max(1.0 - (1.0 - eps_star) * sv[-1]**2,
-               (1.0 + eps_star) * sv[0]**2 - 1.0)
+    shrink, stretch = _distortion(eps_star)
+    return max(1.0 - shrink * sv[-1]**2, stretch * sv[0]**2 - 1.0)
 
 
 def omega_bar(V_theta, V_phi, eps_star: float) -> float:
@@ -111,7 +119,7 @@ def omega_bar(V_theta, V_phi, eps_star: float) -> float:
     if V_theta.shape[1] != V_phi.shape[1]:
         raise ValueError("sketches have different column counts")
     B = _whiten(_triangular(V_theta), V_phi)
-    return _embedding_error(np.linalg.svd(B, compute_uv=False), eps_star)
+    return _embedding_error(_svals(B), eps_star)
 
 
 def epsilon_of(theta, V) -> float:
@@ -122,81 +130,72 @@ def epsilon_of(theta, V) -> float:
     return omega_bar(V, theta.apply_block(V), 0.0)
 
 
-def _certify_range(R, V, phi, eps_star, u_crs):
-    """omega_bar on range(V), Phi V whitened by the factor R of Theta V, the
-    rounding margin u_crs * cond(Phi V), and whether the margin is at most a
-    tenth of the certified quantity. A numerically rank deficient Theta V
-    certifies nothing: omega_bar is inf and the check fails, as in the traces."""
-    V_phi = phi.apply_block(V)
-    margin = u_crs * _cond(np.linalg.svd(_triangular(V_phi), compute_uv=False))
-    try:
-        B = _whiten(R, V_phi)
-    except np.linalg.LinAlgError:
-        return np.inf, margin, False
-    ob = _embedding_error(np.linalg.svd(B, compute_uv=False), eps_star)
-    return ob, margin, bool(margin <= 0.1 * max(abs(ob), eps_star))
-
-
-def certificates(factors, W=None, phi=None,
+def certificates(factors, phi_q=None,
                  eps_star: float | None = None) -> StabilityCertificate:
     """Delta_m, Delta~_m and cond(S) of a sketched factorization (`QrFactors`
-    with S and P), in binary64, Delta_m and cond(S) from one binary64 QR of
-    S under every policy.
+    with S and P) in binary64, Delta_m and cond(S) from one QR of S.
 
-    Given Phi, a sketch independent of Theta that embeds single vectors to
-    accuracy `eps_star`, applied here to the stored Q (and to W), also the
-    omega_bar fields, Phi Q whitened by that QR, with u_crs the unit roundoff
-    of Q's format, and sigma_q from Delta_m and eps = omega_bar_q alone.
-    Neither end is clipped: hi is inf when omega_bar_q >= 1, and lo <= 0
-    (Delta_m near 1 or above) bounds nothing.
+    Given phi_q = Phi Q, with Phi drawn independently of the factors and
+    embedding single vectors to accuracy `eps_star` with probability
+    >= 1 - delta*, also omega_bar_q, Phi Q whitened by R_S (inf, with its
+    check False, when S is numerically rank deficient), and from one SVD of
+    Phi Q the margin u_crs cond(Phi Q), u_crs the unit roundoff of Q's
+    format, and sigma_q = (lo, hi): Q's right singular vectors for sigma_max
+    and sigma_min are fixed before Phi is drawn, so with probability
+    >= 1 - 2 delta* Phi keeps both images' squared norms within (1 -+ eps*),
+    whence sigma_max(Q) <= sigma_max(Phi Q) / sqrt(1 - eps*) and
+    sigma_min(Q) >= sigma_min(Phi Q) / sqrt(1 + eps*). Rounding: the binary64
+    Phi Q, sums of n products, is within gamma_n ||Phi||_F ||Q||_F <=
+    n sqrt(n m) u64 sigma_max(Q) of the exact one (||Phi||_F = sqrt(n) for
+    both sketch families and Phi = I), and its QR and SVD add about
+    k_phi m sqrt(m) u64 sigma_max(Phi Q); so lo and hi widen by tau
+    sigma_max(Phi Q), tau = 2 u64 (n sqrt(n) + k_phi m) sqrt(m) /
+    sqrt(1 - eps*). lo is not clipped: lo <= 0 bounds nothing.
     """
     if factors.S is None or factors.P is None:
         raise ValueError("certificates need the sketches S and P (randomized factors)")
-    if factors.S.shape[1] == 0:
+    n, m = len(factors.Q), factors.S.shape[1]
+    if m == 0:
         raise ValueError("certificates need a factorization with at least one column")
-    if phi is not None and eps_star is None:
-        raise ValueError("a certification sketch phi needs its eps_star")
-    if phi is not None and phi.n != factors.Q.shape[0]:
-        raise ValueError("certification sketch has mismatched ambient dimension")
+    if phi_q is not None and np.shape(phi_q)[1:] != (m,):
+        raise ValueError(f"phi_q must be a sketch of Q, a matrix with its {m} columns")
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
     E = S @ factors.R  # one k x m temporary; -E keeps the norm's bits
     E -= P
     delta_tilde = float(np.linalg.norm(E) / np.linalg.norm(P))
     R_S = _triangular(S)
-    sv = np.linalg.svd(R_S, compute_uv=False)
+    sv = _svals(R_S)
     cert = StabilityCertificate(delta_m=_loss(sv), delta_tilde_m=delta_tilde,
                                 cond_S=_cond(sv))
-    if phi is None:
+    if phi_q is None:
         return cert
-    u_crs = float(np.finfo(factors.Q.dtype).eps / 2)
+    shrink, stretch = _distortion(eps_star)
+    sv_phi = _svals(_triangular(phi_q))
     cert.eps_star = eps_star
-    cert.omega_bar_q, cert.margin_q, cert.margin_ok_q = _certify_range(
-        R_S, factors.Q, phi, eps_star, u_crs)
-    if W is not None:
-        cert.omega_bar_w, cert.margin_w, cert.margin_ok_w = _certify_range(
-            _triangular(P), W, phi, eps_star, u_crs)
-    eps, d = cert.omega_bar_q, cert.delta_m
-    # (1 - eps)^-1/2 has no real value for eps >= 1
-    cert.sigma_q = ((1.0 + eps)**-0.5 * (1.0 - d - 0.1 * u_crs),
-                    (1.0 - eps)**-0.5 * (1.0 + d + 0.1 * u_crs)
-                    if eps < 1.0 else np.inf)
+    cert.margin_q = float(np.finfo(factors.Q.dtype).eps / 2) * _cond(sv_phi)
+    try:
+        cert.omega_bar_q = _embedding_error(_svals(_whiten(R_S, phi_q)),
+                                            eps_star)
+        cert.margin_ok_q = bool(
+            cert.margin_q <= 0.1 * max(abs(cert.omega_bar_q), eps_star))
+    except np.linalg.LinAlgError:
+        cert.omega_bar_q, cert.margin_ok_q = np.inf, False
+    tau = (n**1.5 + len(phi_q) * m) * m**0.5 * np.finfo(float).eps / shrink**0.5
+    cert.sigma_q = (float((sv_phi[-1] - tau * sv_phi[0]) / stretch**0.5),
+                    float((1.0 + tau) * sv_phi[0] / shrink**0.5))
     return cert
 
 
 def loss_of_orthogonality(X) -> float:
     """||I - X^T X||_F from one binary64 QR of X, whatever X's format."""
-    R = _triangular(X)
-    sv = np.linalg.svd(R, compute_uv=False)
-    return _loss(np.pad(sv, (0, R.shape[1] - sv.size)))  # a wide X's zero ones
+    return _loss(_svals(_triangular(X)))
 
 
 def _leading_svals(R) -> list:
-    """Singular values, descending, of each leading i x i block of the
-    triangular factor R of an n x m matrix X: those of X[:, :i], i = 1 .. m
-    (min(n, i) of them)."""
-    return [np.linalg.svd(R[:i, :i], compute_uv=False)
-            for i in range(1, R.shape[1] + 1)]
+    """`_svals` of each leading i x i block of the triangular factor R of an
+    n x m matrix X: those of X[:, :i], i = 1 .. m."""
+    return [_svals(R[:i, :i]) for i in range(1, R.shape[1] + 1)]
 
 
 def _embedding_trace(B, eps_star: float, m: int) -> np.ndarray:

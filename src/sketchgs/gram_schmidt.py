@@ -339,7 +339,7 @@ class ClassicalGsState(_GsState):
     column in place; a strided `sdot` may accumulate in binary64 (OpenBLAS
     0.3.31 does), more accurately than the baseline's arithmetic. CGS and CGS2
     keep Q row-major: their `sgemv` on a column-major Q fails criterion 7 (see
-    the CHANGES.md `FOUND:` line on summation order and ROADMAP item 4). Q and
+    the CHANGES.md `FOUND:` line on summation order and ROADMAP item 6). Q and
     R are allocated once for `capacity` columns. Q's row stride is `capacity`,
     so the low-order bits of CGS and CGS2 depend on it and only the same
     `capacity` matches a batch run; MGS, like RGS, does not depend on it.

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,43 +84,41 @@ def test_omega_bar_rank_deficient_raises():
 @pytest.mark.parametrize("policy, u", [(MIXED32_64, 2.0**-24),
                                        (UNIFIED64, 2.0**-53)],
                          ids=["mixed", "f64"])
-def test_certificates_certify_q_and_w(rng, policy, u):
+def test_certificates_certify_range_q(rng, policy, u):
     # the rounding margin takes u_crs from the format Q is stored in
     n, m = 1024, 10
     W = rng.standard_normal((n, m))
     theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     phi = _phi(n)
     f, _ = rgs_factorize(W, theta, policy)
-    res = certificates(f, W, phi, eps_star=0.25)
+    res = certificates(f, phi.apply_block(f.Q), eps_star=0.25)
     assert res.margin_q == u * np.linalg.cond(phi.apply_block(f.Q))
-    om_q = epsilon_of(theta, f.Q)
-    om_w = epsilon_of(theta, W)
-    assert res.omega_bar_q >= om_q
-    assert res.omega_bar_w >= om_w
-    assert res.margin_ok_q and res.margin_ok_w
+    assert res.omega_bar_q >= epsilon_of(theta, f.Q)
+    assert res.margin_ok_q
 
 
 def test_certify_rejects_invalid_inputs(rng):
     W = rng.standard_normal((256, 5))
     theta = SketchOperator(SketchKind.PSRHT, 64, 256, seed=0)
     f, _ = rgs_factorize(W, theta, UNIFIED64)
-    phi_short = SketchOperator(SketchKind.RADEMACHER, 32, 255, seed=1)
-    with pytest.raises(ValueError, match="ambient dimension"):
-        certificates(f, W, phi_short, eps_star=0.25)
+    phi_q = SketchOperator(SketchKind.RADEMACHER, 32, 256,
+                           seed=1).apply_block(f.Q)
+    # phi_q sketches Q: a matrix with Q's column count
+    for bad in (phi_q[:, :4], phi_q[:, 0], phi_q[None]):
+        with pytest.raises(ValueError, match="its 5 columns"):
+            certificates(f, bad, eps_star=0.25)
     # classical factors carry no sketches S and P to certify against
-    phi = SketchOperator(SketchKind.RADEMACHER, 32, 256, seed=1)
     classical = classical_factorize(W, GsVariant.MGS)
     with pytest.raises(ValueError, match="sketches S and P"):
-        certificates(classical, W, phi, eps_star=0.25)
+        certificates(classical, phi_q, eps_star=0.25)
     # Phi certifies only at a stated single-vector accuracy eps*
     with pytest.raises(ValueError, match="eps_star"):
-        certificates(f, W, phi)
+        certificates(f, phi_q)
     with pytest.raises(ValueError, match=r"eps_star must lie in \[0, 1\)"):
-        certificates(f, phi=phi, eps_star=1.0)
+        certificates(f, phi_q, eps_star=1.0)
 
 
-_PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q",
-               "omega_bar_w", "margin_w", "margin_ok_w")
+_PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q")
 
 
 @pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64, UNIFIED32],
@@ -129,20 +129,15 @@ def test_certificates_with_phi_add_fields_and_change_none(rng, policy):
     theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     f, cert = rgs_factorize(W, theta, policy)
     assert all(getattr(cert, name) is None for name in _PHI_FIELDS)
-    on_w = certificates(f, W, _phi(n), eps_star=0.25)
-    on_q = certificates(f, phi=_phi(n), eps_star=0.25)
-    for res in (on_w, on_q):
-        # Delta_m, Delta~_m and cond(S) keep their bits
-        assert [res.delta_m, res.delta_tilde_m, res.cond_S] == [
-            cert.delta_m, cert.delta_tilde_m, cert.cond_S]
-        assert res.passes_gate() == cert.passes_gate()
-        assert res.eps_star == 0.25
-    # W only adds the fields on range(W); the flags are Python bools
-    assert all(getattr(on_w, name) is not None for name in _PHI_FIELDS)
-    assert type(on_w.margin_ok_q) is bool and type(on_w.margin_ok_w) is bool
-    assert [getattr(on_q, name) for name in _PHI_FIELDS[:5]] == [
-        getattr(on_w, name) for name in _PHI_FIELDS[:5]]
-    assert [on_q.omega_bar_w, on_q.margin_w, on_q.margin_ok_w] == [None] * 3
+    res = certificates(f, _phi(n).apply_block(f.Q), eps_star=0.25)
+    # Delta_m, Delta~_m and cond(S) keep their bits
+    assert [res.delta_m, res.delta_tilde_m, res.cond_S] == [
+        cert.delta_m, cert.delta_tilde_m, cert.cond_S]
+    assert res.passes_gate() == cert.passes_gate()
+    assert res.eps_star == 0.25
+    # Phi Q adds every field on range(Q); the flag is a Python bool
+    assert all(getattr(res, name) is not None for name in _PHI_FIELDS)
+    assert type(res.margin_ok_q) is bool
 
 
 @pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64, UNIFIED32],
@@ -155,7 +150,7 @@ def test_certificates_read_the_traces_one_factor(rng, policy):
     theta = SketchOperator(SketchKind.PSRHT, 128, n, seed=0)
     f, _ = rgs_factorize(W, theta, policy)
     phi = _phi(n)
-    res = certificates(f, phi=phi, eps_star=0.25)
+    res = certificates(f, phi.apply_block(f.Q), eps_star=0.25)
     assert res.delta_m == traces(f.S)["loss_of_orthogonality"][-1]
     assert res.cond_S == traces(f.Q, f.S)["cond_S"][-1]
     assert res.omega_bar_q == omega_bar(f.S, phi.apply_block(f.Q), 0.25)
@@ -172,46 +167,74 @@ def test_certificates_keep_range_q_when_theta_w_is_rank_deficient():
     W = np.hstack([W, W[:, 3:4]])
     theta = SketchOperator(SketchKind.PSRHT, 200, 2000, seed=3)
     f, _ = rgs_factorize(W, theta, MIXED32_64, breakdown_factor=0.0)
-    on_w = certificates(f, W, _phi(2000, seed=5), eps_star=0.25)
-    on_q = certificates(f, phi=_phi(2000, seed=5), eps_star=0.25)
-    assert on_w.omega_bar_w == np.inf and on_w.margin_ok_w is False
-    assert on_w.margin_w == 2.0**-24 * np.linalg.cond(
-        _phi(2000, seed=5).apply_block(W))
-    assert [getattr(on_w, name) for name in _PHI_FIELDS[:5]] == [
-        getattr(on_q, name) for name in _PHI_FIELDS[:5]]
-    assert np.isfinite(on_q.omega_bar_q)
+    assert np.linalg.matrix_rank(theta.apply_block(W)) == 20
+    phi_q = _phi(2000, seed=5).apply_block(f.Q)
+    res = certificates(f, phi_q, eps_star=0.25)
+    assert np.isfinite(res.omega_bar_q) and res.margin_ok_q
+    # a numerically rank deficient S itself certifies nothing: omega_bar_q
+    # is inf, and the margin check fails although margin <= 0.1 * inf
+    S = f.S.copy()
+    S[:, -1] = S[:, 3]
+    bad = certificates(dataclasses.replace(f, S=S), phi_q, eps_star=0.25)
+    assert bad.omega_bar_q == np.inf and bad.margin_ok_q is False
+    assert [bad.margin_q, bad.sigma_q] == [res.margin_q, res.sigma_q]
 
 
 def _sigma_q_case(name, k):
-    """Factors, W, and a Phi with at most n rows with its eps*."""
+    """Factors, and a Phi with at most n rows with its eps*."""
     if name == "synthetic-f32":
         # the binary32 basis loses rank (as in the CLI's rank-deficient
         # sketch test): Delta_m is far above 1
         n, W, policy, eps_star = 300, synthetic_matrix(300, 250), UNIFIED32, 0.4
     else:
-        n, policy, eps_star = 1024, MIXED32_64, 0.25
+        n, eps_star = 1024, 0.25
+        policy = UNIFIED64 if name == "gaussian-f64" else MIXED32_64
         W = np.random.default_rng(12345).standard_normal((n, 10))
     theta = SketchOperator(SketchKind.PSRHT, k, n, seed=0)
     f, _ = rgs_factorize(W, theta, policy, breakdown_factor=0.0)
     phi = SketchOperator(SketchKind.RADEMACHER,
                          vector_certificate_dim(eps_star, 1e-3), n, 0x0F1A)
-    return f, W, phi, eps_star
+    return f, phi, eps_star
 
 
 @pytest.mark.parametrize("case, k, bounded", [
     ("gaussian", 512, (True, True)),
-    ("gaussian", 128, (True, False)),  # omega_bar_q >= 1
-    ("synthetic-f32", 260, (False, False)),  # and Delta_m >= 1
-], ids=["gaussian-k512", "gaussian-k128", "synthetic-f32"])
+    ("gaussian", 128, (True, True)),  # omega_bar_q >= 1 does not enter
+    ("gaussian-f64", 128, (True, True)),
+    # cond(Phi Q) ~ 1e14 is past the rounding allowance's 1 / tau
+    ("synthetic-f32", 260, (False, True)),
+], ids=["gaussian-k512", "gaussian-k128", "gaussian-f64-k128",
+        "synthetic-f32"])
 def test_sigma_q_encloses_sigma_of_q_and_is_vacuous_where_it_must_be(
         case, k, bounded):
-    f, W, phi, eps_star = _sigma_q_case(case, k)
-    res = certificates(f, W, phi, eps_star=eps_star)
+    f, phi, eps_star = _sigma_q_case(case, k)
+    res = certificates(f, phi.apply_block(f.Q), eps_star=eps_star)
     lo, hi = res.sigma_q
-    sv = np.linalg.svd(f.Q.astype(np.float64), compute_uv=False)
-    assert lo <= sv[-1] and sv[0] <= hi
-    # (1 - omega_bar_q)^-1/2 has no real value from omega_bar_q = 1 on, and
-    # a lower end <= 0 bounds nothing; neither end is clipped
+    Q = f.Q.astype(np.float64)
+    sv = np.linalg.svd(Q, compute_uv=False)
+    assert lo <= sv[-1] and sv[0] <= hi < np.inf
+    # a lower end <= 0 bounds nothing; it is not clipped
     assert (lo > 0.0, hi < np.inf) == bounded
-    assert (hi == np.inf) == (res.omega_bar_q >= 1.0)
-    assert (lo < 0.0) == (res.delta_m > 1.0)
+    # with Phi = I and eps* = 0 the ends are sigma(Q) itself, to the
+    # rounding allowance tau ~ 1e-10 relative to sigma_max
+    exact = certificates(f, Q, eps_star=0.0).sigma_q
+    assert np.allclose(exact, (sv[-1], sv[0]), rtol=0.0, atol=1e-9 * sv[0])
+
+
+def test_a_sketch_with_fewer_rows_than_columns_certifies_nothing():
+    # Phi Q with 10 rows for m = 20 columns has sigma_min = 0: no reading
+    # may take its 10th singular value for sigma_min. A Phi with orthonormal
+    # rows keeps sigma_max(Phi U) <= 1, so that reading gave omega_bar < 1
+    n, m, eps_star = 2000, 20, 0.0
+    W = np.random.default_rng(0).standard_normal((n, m))
+    theta = SketchOperator(SketchKind.PSRHT, 200, n, seed=3)
+    f, _ = rgs_factorize(W, theta, MIXED32_64)
+    phi = np.linalg.qr(np.random.default_rng(1).standard_normal((n, 10)))[0].T
+    phi_q = phi @ f.Q
+    res = certificates(f, phi_q, eps_star=eps_star)
+    assert res.margin_q == np.inf and res.margin_ok_q is False
+    assert res.omega_bar_q >= 1.0
+    assert omega_bar(f.S, phi_q, eps_star) >= 1.0
+    trace = traces(f.Q, f.S, phi_q=phi_q, eps_star=eps_star)["omega_bar"]
+    assert np.all(trace[10:] >= 1.0)
+    assert res.sigma_q[0] <= 0.0 < np.linalg.svd(f.Q, compute_uv=False)[-1]

@@ -648,9 +648,10 @@ def test_certificates_oracle(rng):
     assert cert.delta_tilde_m == pytest.approx(
         np.linalg.norm(P - S @ f.R) / np.linalg.norm(P), rel=1e-12)
     assert cert.passes_gate()
-    # sigma_q, certified by omega_bar_q from the sketches S and Phi Q alone,
-    # encloses the singular values of Q
-    lo, hi = certificates(f, phi=_phi(400), eps_star=_EPS_STAR).sigma_q
+    # sigma_q, certified from the sketch Phi Q alone, encloses the singular
+    # values of Q
+    lo, hi = certificates(f, _phi(400).apply_block(f.Q),
+                          eps_star=_EPS_STAR).sigma_q
     sv = np.linalg.svd(f.Q.astype(np.float64), compute_uv=False)
     assert lo <= sv[-1] and sv[0] <= hi
 
@@ -659,19 +660,20 @@ def test_certificates_oracle(rng):
                          ids=lambda p: p.mode)
 def test_certificates_leave_the_sketches_unchanged(rng, policy):
     # under the binary64 policies certificates reads the state's S and P
-    # without a copy, so it must not write to them, nor to Q and W on the
-    # Phi path: on read-only views any in-place edit would raise, and the
-    # values keep their bits
+    # without a copy, so it must not write to them, nor to Q and Phi Q on
+    # the Phi path: on read-only views any in-place edit would raise, and
+    # the values keep their bits
     theta = SketchOperator(SketchKind.PSRHT, 64, 400, seed=3)
     W = _problem(rng)
     f, cert = rgs_factorize(W, theta, policy)
-    full = certificates(f, W, _phi(400), eps_star=_EPS_STAR)
-    for a in (f.Q, f.S, f.P, W):
+    phi_q = _phi(400).apply_block(f.Q)
+    full = certificates(f, phi_q, eps_star=_EPS_STAR)
+    for a in (f.Q, f.S, f.P, phi_q):
         a.setflags(write=False)
     frozen = certificates(f)
     assert [frozen.delta_m, frozen.delta_tilde_m, frozen.cond_S] == [
         cert.delta_m, cert.delta_tilde_m, cert.cond_S]
-    frozen = certificates(f, W, _phi(400), eps_star=_EPS_STAR)
+    frozen = certificates(f, phi_q, eps_star=_EPS_STAR)
     assert dataclasses.astuple(frozen) == dataclasses.astuple(full)
 
 

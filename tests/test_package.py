@@ -61,3 +61,15 @@ def test_names_the_benchmark_reaches_are_the_library_objects():
     assert all("make_sketch" not in module.__all__
                for module in _EXPORTED + (bench,))
     assert krylov.SparseMatrix is io.SparseMatrix
+
+
+def test_certification_applies_an_operator_only_in_the_exact_omega_oracle():
+    # certificates, omega_bar and the traces read sketches such as Phi Q;
+    # only epsilon_of, the exact-omega oracle, applies the sketch it measures
+    tree = ast.parse(pathlib.Path(certification.__file__).read_text())
+    callers = {getattr(top, "name", None) for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in ("apply", "apply_block")}
+    assert callers == {"epsilon_of"}
