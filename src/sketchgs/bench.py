@@ -154,15 +154,13 @@ def _rgs_traces(W, config: RunConfig, cond_q=True):
 def run_gmres_bench(config: RunConfig) -> dict:
     """GMRES on the configured sparse system under every requested variant.
 
-    The right-hand side is b = A y / ||A y|| with y the all-ones vector.
+    The right-hand side is b = A·1, handed to `gmres` as it is.
     Returns {variant name: (ExperimentReport, GmresResult)} with the
     estimated residual and cond(Q_i) per iteration, under every variant.
     Without a tolerance the report's metadata has no `converged` entry.
     """
     A = load_matrix_source(config.matrix, config.seed)
-    y = np.ones(A.n)
-    ay = A.matvec(y)
-    b = ay / np.linalg.norm(ay)
+    b = A.matvec(np.ones(A.n))
     policy = policy_from_name(config.policy)
     precond = ilu0(A) if config.precond else None
     out = {}

@@ -28,8 +28,9 @@ def test_load_matrix_source(tmp_path):
     scipy.io.mmwrite(p, A.to_scipy().tocoo(), symmetry="general")
     C = load_matrix_source(str(p))
     assert np.array_equal(A.to_scipy().toarray(), C.to_scipy().toarray())
-    with pytest.raises(ValueError):
-        load_matrix_source("nonsense:5")
+    for spec in ("nonsense:5", "bogus"):
+        with pytest.raises(ValueError, match="unrecognized matrix source"):
+            load_matrix_source(spec)
 
 
 def test_run_qr_bench_traces_match_oracles():
@@ -88,6 +89,8 @@ def test_run_gmres_bench():
             result.residual_history)
         assert rep.metadata["converged"] is result.converged is True
         assert rep.metadata["breakdown"] is result.breakdown is False
+        # b = A·1 as it is, not scaled to a unit vector: x is near 1
+        assert np.allclose(result.x, 1.0, rtol=0.0, atol=1e-6), name
     # every variant traces cond_Q of its Krylov basis
     for name, (rep, _) in out.items():
         assert np.all(rep.column("cond_Q") < 10.0), name

@@ -72,6 +72,28 @@ def test_omega_bar_identity_sketches(rng):
             omega_bar(V, V, eps_star)
 
 
+@pytest.mark.parametrize("scale, omega", [
+    pytest.param(np.sqrt(2.0), 1.0, id="stretch", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 14: omega_bar reads sigma where "
+                            "the bound needs 1/sigma")),
+    pytest.param(np.sqrt(0.5), 0.5, id="shrink")])
+def test_omega_bar_bounds_omega_of_a_scaled_identity(rng, scale, omega):
+    # Theta = scale * I has exact omega |scale^2 - 1| on any range; with
+    # Phi = I and eps* = 0, omega_bar must read at least that. The stretch
+    # reads 0.5 below omega = 1.0, the shrink reads 1.0 above omega = 0.5
+    V = rng.standard_normal((2000, 5))
+
+    class _Scaled:
+        k, n = 2000, 2000
+
+        def apply_block(self, X):
+            return scale * np.asarray(X, dtype=np.float64)
+
+    exact = epsilon_of(_Scaled(), V)
+    assert exact == pytest.approx(omega, rel=1e-12)
+    assert omega_bar(scale * V, V, 0.0) >= exact
+
+
 def test_omega_bar_rank_deficient_raises():
     V = np.zeros((30, 2))
     V[:, 0] = V[:, 1] = np.arange(30, dtype=np.float64)

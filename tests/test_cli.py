@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ def test_gmres_bench_without_tol(tmp_path, capsys):
     assert "converged=n/a, breakdown=False" in capsys.readouterr().out
 
 
+def test_gmres_bench_zero_right_hand_side(tmp_path, capsys):
+    # rows that sum to zero give b = A·1 = 0, which x = 0 solves in zero
+    # iterations under every variant: no 0/0, no non-finite input
+    mtx = tmp_path / "zerosum.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 3 7\n"
+                   "1 1 1.0\n1 2 -1.0\n2 1 -1.0\n2 2 2.0\n2 3 -1.0\n"
+                   "3 2 -1.0\n3 3 1.0\n")
+    out = tmp_path / "z.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["gmres-bench", "--matrix", str(mtx), "--m", "2",
+                   "--k", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    printed = capsys.readouterr().out
+    for variant in GsVariant:
+        assert (f"{variant.value}: 0 iterations, final residual 0.000e+00"
+                in printed)
+        rep = read_report(tmp_path / f"z.{variant.value}.csv")
+        assert rep.rows == []
+        assert rep.metadata["iterations"] == "0"
+
+
 def test_certify_command(tmp_path, capsys):
     out = tmp_path / "c.csv"
     rc = main(["certify", "--n", "400", "--m", "10", "--k", "64",
@@ -109,6 +133,10 @@ def test_exit_code_config_error(tmp_path, capsys):
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+    rc = main(["gmres-bench", "--matrix", "bogus", "--out",
+               str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert "unrecognized matrix source 'bogus'" in capsys.readouterr().err
     rc = main(["qr-bench", "--variants", "nope", "--out",
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG

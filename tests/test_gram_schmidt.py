@@ -624,8 +624,10 @@ def test_classical_breakdown_tolerance_reads_input_norm(rng, variant, policy):
 
 
 def test_classical_rejects_rgs_variant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="classical Gram-Schmidt got"):
         classical_factorize(np.eye(4), GsVariant.RGS)
+    with pytest.raises(ValueError, match="classical Gram-Schmidt got"):
+        ClassicalGsState(4, GsVariant.RGS, MIXED32_64, capacity=2)
 
 
 def test_classical_breakdown(rng):

@@ -247,7 +247,7 @@ def test_report_17_digit_roundtrip(tmp_path):
 def test_read_report_without_header_raises_value_error(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("# variant = rgs\n")
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="no header row") as info:
         read_report(p)
     # a report is not a Matrix Market file; its error must not claim to be
     assert not isinstance(info.value, MatrixMarketError)

@@ -1,5 +1,7 @@
 import ast
+import json
 import pathlib
+import statistics
 
 import pytest
 
@@ -73,3 +75,31 @@ def test_certification_applies_an_operator_only_in_the_exact_omega_oracle():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr in ("apply", "apply_block")}
     assert callers == {"epsilon_of"}
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_bench_entry_has_one_shape():
+    # a BENCH_<rev>.json at the root records the benchmark at one commit;
+    # a perf change cites two of them, so every entry must cover the same
+    # workloads and end-to-end metrics, under BENCHMARK.json's names
+    spec = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    entries = sorted(_ROOT.glob("BENCH_*.json"))
+    assert entries
+    for path in entries:
+        entry = json.loads(path.read_text())
+        assert path.stem == f"BENCH_{entry['commit'][:7]}", path.name
+        assert len(entry["commit"]) == 40 and len(entry["source_sha256"]) == 64
+        assert set(entry["workloads"]) == workloads, path.name
+        for name, workload in entry["workloads"].items():
+            metrics = workload["end_to_end"]
+            assert set(metrics) == set(units), (path.name, name)
+            for metric, m in metrics.items():
+                where = (path.name, name, metric)
+                assert m["unit"] == units[metric], where
+                assert m["seeds"] and len(m["values"]) == len(m["seeds"]), where
+                assert m["median"] == statistics.median(m["values"]), where
+                assert m["q1"] <= m["median"] <= m["q3"], where

@@ -414,6 +414,10 @@ def test_sketch_validation():
     with pytest.warns(UserWarning):
         th = SketchOperator(SketchKind.PSRHT, 128, 100, seed=0)
     assert th.apply(np.ones(100)).shape == (128,)
+    # the padded size is checked before the n signs are drawn, so this
+    # allocates nothing
+    with pytest.raises(OverflowError, match="padded Hadamard size"):
+        SketchOperator(SketchKind.PSRHT, 1, 2**62, seed=0)
 
 
 def test_epsilon_of_orthonormal_identity_sketch(rng):
@@ -453,5 +457,8 @@ def test_rounding_sketch_trial_rates():
     tiny = SketchOperator(SketchKind.RADEMACHER, 1, 512, seed=4)
     loose = rounding_sketch_trial(tiny, gamma, trials=50, seed=0, eps=0.05)
     assert loose > 0.2  # k=1 at tight eps fails often
-    with pytest.raises(ValueError, match="nonnegative"):
-        rounding_sketch_trial(th, -gamma, trials=1, seed=0)
+    one_negative = gamma.copy()
+    one_negative[7] = -1e-3
+    for bad in (-gamma, one_negative):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rounding_sketch_trial(th, bad, trials=1, seed=0)
