@@ -20,8 +20,7 @@ from .bench import (COMMAND_FIELDS, RunConfig, run_certify, run_gmres_bench,
                     run_qr_bench)
 from .gram_schmidt import BreakdownError, GsVariant
 from .io import write_report
-from .sketch import (EmbeddingParams, SketchKind, required_sketch_dim,
-                     vector_certificate_dim)
+from .sketch import SketchKind, required_sketch_dim, vector_certificate_dim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,8 +96,8 @@ def _out_path(base: str, variant: str, multi: bool) -> str:
 
 def _run(args) -> int:
     if args.subcommand == "sketch-info":
-        params = EmbeddingParams(args.eps, args.delta, args.d)
-        k = required_sketch_dim(args.sketch_kind, params, n=args.n)
+        k = required_sketch_dim(args.sketch_kind, args.eps, args.delta, args.d,
+                                n=args.n)
         k_phi = vector_certificate_dim(args.eps_star, args.delta_star)
         print(f"sketch {args.sketch_kind.value}: k >= {k} for "
               f"(eps={args.eps}, delta={args.delta}, d={args.d}, n={args.n})")
@@ -109,33 +108,28 @@ def _run(args) -> int:
     config = RunConfig(**{f: getattr(args, f)
                           for f in COMMAND_FIELDS[args.subcommand]})
     if args.subcommand == "qr-bench":
-        reports = run_qr_bench(config)
-        multi = len(reports) > 1
-        for variant, report in reports.items():
-            path = _out_path(args.out, variant, multi)
-            write_report(report, path)
-            print(f"{variant}: wrote {path}")
-        return EXIT_OK
-    if args.subcommand == "gmres-bench":
-        results = run_gmres_bench(config)
-        multi = len(results) > 1
-        for variant, (report, result) in results.items():
-            path = _out_path(args.out, variant, multi)
-            write_report(report, path)
+        runs = [(variant, report, "")
+                for variant, report in run_qr_bench(config).items()]
+    elif args.subcommand == "gmres-bench":
+        runs = []
+        for variant, (report, result) in run_gmres_bench(config).items():
             converged = "n/a" if result.converged is None else result.converged
-            print(f"{variant}: {result.iterations} iterations, final residual "
-                  f"{result.final_residual:.3e}, converged={converged}, "
-                  f"breakdown={result.breakdown}, wrote {path}")
-        return EXIT_OK
-    if args.subcommand == "certify":
+            runs.append((variant, report,
+                         f"{result.iterations} iterations, final residual "
+                         f"{result.final_residual:.3e}, "
+                         f"converged={converged}, "
+                         f"breakdown={result.breakdown}, "))
+    else:  # certify
         report = run_certify(config)
-        write_report(report, args.out)
         last = report.rows[-1] if report.rows else {}
-        print(f"rgs: omega={last.get('omega', float('nan')):.4f} "
-              f"omega_bar={last.get('omega_bar', float('nan')):.4f}, "
-              f"wrote {args.out}")
-        return EXIT_OK
-    raise AssertionError(f"unhandled subcommand {args.subcommand}")
+        runs = [("rgs", report,
+                 f"omega={last.get('omega', float('nan')):.4f} "
+                 f"omega_bar={last.get('omega_bar', float('nan')):.4f}, ")]
+    for variant, report, summary in runs:
+        path = _out_path(args.out, variant, len(runs) > 1)
+        write_report(report, path)
+        print(f"{variant}: {summary}wrote {path}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -185,27 +185,30 @@ def write_report(report: ExperimentReport, path) -> None:
 
 
 def read_report(path) -> ExperimentReport:
-    """Inverse of `write_report` (metadata values come back as strings)."""
+    """Inverse of `write_report` (metadata values come back as strings);
+    a header or row that `write_report` never writes is a ValueError."""
     report = ExperimentReport()
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = []
-    for line in lines:
+    for no, line in enumerate(lines, 1):
         if line.startswith("#"):
             key, _, val = line[1:].partition("=")
             report.metadata[key.strip()] = val.strip()
         elif line:
-            body.append(line)
+            body.append((no, line.split(",")))
     if not body:
         raise ValueError("report has no header row")
-    header = body[0].split(",")
-    for line in body[1:]:
-        cells = line.split(",")
-        values = {}
-        for name, cell in zip(header, cells):
-            if cell == "":
-                continue
-            values[name] = int(cell) if name == "iteration" else float(cell)
-        it = values.pop("iteration")
-        report.add_row(it, **values)
+    (no, header), rows = body[0], body[1:]
+    if "iteration" not in header:
+        raise ValueError(f"report line {no}: header has no iteration column")
+    for no, cells in rows:
+        if len(cells) != len(header):
+            raise ValueError(f"report line {no}: {len(cells)} cells under a "
+                             f"header of {len(header)}")
+        values = {name: int(cell) if name == "iteration" else float(cell)
+                  for name, cell in zip(header, cells) if cell != ""}
+        if "iteration" not in values:
+            raise ValueError(f"report line {no}: no iteration")
+        report.add_row(values.pop("iteration"), **values)
     return report

@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
-                           QrFactors, RgsState)
+                           NonFiniteError, QrFactors, RgsState)
 from .io import SparseMatrix
 from .precision import MIXED32_64, PrecisionPolicy
 from .sketch import SketchOperator
@@ -149,8 +149,9 @@ def ilu0(A: SparseMatrix) -> Ilu0Preconditioner:
     more than the highest level of the rows they eliminate with), and all
     rows of a level take their r-th lower entry in one vectorized step, so
     each value sees the operations of a row-by-row loop in the same order.
-    Raises ValueError on a structural zero diagonal and ZeroDivisionError on
-    a pivot below `PIVOT_TOL`, naming the lowest such row.
+    Raises ValueError on a structural zero diagonal, ZeroDivisionError on
+    a pivot below `PIVOT_TOL` and FloatingPointError on a non-finite entry
+    of A or of its factors, naming the lowest such row.
     """
     n = A.n
     data = A.csr.data.copy()
@@ -158,6 +159,10 @@ def ilu0(A: SparseMatrix) -> Ilu0Preconditioner:
     small = np.flatnonzero(np.abs(data[diag]) < PIVOT_TOL)
     if small.size:
         raise ZeroDivisionError(f"ILU(0) pivot too small at row {small[0]}")
+    finite = np.isfinite(data)
+    if not finite.all():  # a NaN pivot passes the check above
+        row = np.searchsorted(A.csr.indptr, finite.argmin(), side="right") - 1
+        raise FloatingPointError(f"ILU(0) non-finite entry at row {row}")
     full = scipy.sparse.csr_matrix((data, A.csr.indices.copy(),
                                     A.csr.indptr.copy()), shape=(n, n))
     L = scipy.sparse.tril(full, k=-1, format="csr")
@@ -257,16 +262,20 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
 
     The Krylov basis starts from b / ||b|| and the operator is not rescaled
     (GMRES is scale invariant), so under a binary32 coarse format an A q
-    that overflows it raises `NonFiniteError`. Right preconditioning keeps
-    the true residual of the original system observable. No restarting. The
-    sketched residual estimate can read below `tol` while the true residual
-    is still above it, so the iteration stops only once the true residual
-    is <= tol.
+    that overflows it raises `NonFiniteError`, as do a non-finite b and a
+    ||b|| that overflows binary64. Right preconditioning keeps the true
+    residual of the original system observable. No restarting. The sketched
+    residual estimate can read below `tol` while the true residual is still
+    above it, so the iteration stops only once the true residual is <= tol.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n,):
         raise ValueError("right-hand side length mismatch")
-    b_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        b_norm = float(np.linalg.norm(b))
+    if not np.isfinite(b_norm):  # checked before b / ||b|| is formed
+        raise NonFiniteError(1, "right-hand side" if not np.isfinite(b).all()
+                             else "norm of the right-hand side")
     state = _make_gs_state(A.n, variant, policy, theta, m)
     if b_norm == 0.0:
         return GmresResult(x=np.zeros(A.n), residual_history=np.zeros(0),

@@ -19,15 +19,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SketchKind", "EmbeddingParams", "SketchOperator",
-           "required_sketch_dim", "vector_certificate_dim", "fwht",
-           "rounding_sketch_trial"]
+__all__ = ["SketchKind", "SketchOperator", "required_sketch_dim",
+           "vector_certificate_dim", "fwht", "rounding_sketch_trial"]
 
 # Width of the Rademacher column blocks. Block b holds columns
 # [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK): its k*width signs, row by row, are
@@ -50,34 +48,27 @@ class SketchKind(Enum):
     PSRHT = "psrht"
 
 
-@dataclass(frozen=True)
-class EmbeddingParams:
-    """Accuracy/failure/subspace-dimension triple of an oblivious embedding."""
-
-    epsilon: float
-    delta: float
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
+def _check_unit_interval(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def required_sketch_dim(kind: SketchKind, p: EmbeddingParams, n: int | None = None) -> int:
+def required_sketch_dim(kind: SketchKind, epsilon: float, delta: float, d: int,
+                        n: int | None = None) -> int:
     """Sketch rows needed for an (epsilon, delta, d) oblivious embedding."""
-    eps, delta, d = p.epsilon, p.delta, p.d
+    _check_unit_interval(epsilon=epsilon, delta=delta)
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     if kind is SketchKind.RADEMACHER:
-        return math.ceil(7.87 * eps**-2 * (6.9 * d + math.log(1.0 / delta)))
+        return math.ceil(7.87 * epsilon**-2
+                         * (6.9 * d + math.log(1.0 / delta)))
     if kind is SketchKind.PSRHT:
         if n is None:
             raise ValueError("P-SRHT bound depends on the ambient dimension n")
         if n < 1:
             raise ValueError(f"P-SRHT bound needs n >= 1, got n={n}")
-        val = (2.0 / (eps**2 - eps**3 / 3.0)
+        val = (2.0 / (epsilon**2 - epsilon**3 / 3.0)
                * (math.sqrt(d) + math.sqrt(8.0 * math.log(6.0 * n / delta)))**2
                * math.log(3.0 * d / delta))
         return math.ceil(val)
@@ -90,10 +81,7 @@ def vector_certificate_dim(eps_star: float, delta_star: float) -> int:
     This sizes the auxiliary certification sketch; single-vector embedding is
     all the a-posteriori bound requires of it.
     """
-    if not 0.0 < eps_star < 1.0:
-        raise ValueError("eps_star must lie in (0, 1)")
-    if not 0.0 < delta_star < 1.0:
-        raise ValueError("delta_star must lie in (0, 1)")
+    _check_unit_interval(eps_star=eps_star, delta_star=delta_star)
     return math.ceil(2.0 / (eps_star**2 / 2.0 - eps_star**3 / 3.0)
                      * math.log(2.0 / delta_star))
 

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from sketchgs import (EmbeddingParams, GsVariant, MIXED32_64, SketchKind,
-                      SketchOperator, UNIFIED32, UNIFIED64, arnoldi,
+from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
+                      UNIFIED32, UNIFIED64, arnoldi,
                       classical_factorize, epsilon_of, generate_laplacian_2d,
                       generate_random_sparse, gmres, ilu0,
                       required_sketch_dim, rgs_factorize,
@@ -257,8 +257,8 @@ def test_criterion_7_gmres_stagnation():
 
 
 def test_criterion_8_oblivious_embedding_statistics():
-    params = EmbeddingParams(epsilon=0.5, delta=0.01, d=10)
-    k = required_sketch_dim(SketchKind.RADEMACHER, params)
+    k = required_sketch_dim(SketchKind.RADEMACHER, epsilon=0.5, delta=0.01,
+                            d=10)
     assert k == 2318
     good = 0
     with warnings.catch_warnings():

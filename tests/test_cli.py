@@ -128,6 +128,37 @@ def test_certify_command(tmp_path, capsys):
     assert "omega_bar=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["qr-bench", "--n", "400", "--m", "6", "--k", "64", "--k-phi", "48",
+      "--variants", "rgs,mgs", "--out", "{dir}/qr.csv"],
+     ["rgs: wrote {dir}/qr.rgs.csv", "mgs: wrote {dir}/qr.mgs.csv"]),
+    (["gmres-bench", "--matrix", "laplacian:10", "--m", "12", "--k", "40",
+      "--policy", "f64", "--variants", "rgs,cgs", "--tol", "1e-3",
+      "--out", "{dir}/g.csv"],
+     ["rgs: 12 iterations, final residual 1.027e-03, converged=False, "
+      "breakdown=False, wrote {dir}/g.rgs.csv",
+      "cgs: 12 iterations, final residual 9.035e-04, converged=True, "
+      "breakdown=False, wrote {dir}/g.cgs.csv"]),
+    (["gmres-bench", "--matrix", "laplacian:6", "--m", "3", "--k", "32",
+      "--policy", "f64", "--variants", "rgs", "--out", "{dir}/g.csv"],
+     ["rgs: 3 iterations, final residual 2.422e-01, converged=n/a, "
+      "breakdown=False, wrote {dir}/g.csv"]),
+    (["certify", "--n", "400", "--m", "6", "--k", "64", "--k-phi", "48",
+      "--out", "{dir}/c.csv"],
+     ["rgs: omega=0.6767 omega_bar=0.8231, wrote {dir}/c.csv"]),
+], ids=["qr-bench", "gmres-bench-tol", "gmres-bench", "certify"])
+def test_report_commands_print_one_line_per_report(tmp_path, capsys, argv,
+                                                   lines):
+    # the exact stdout of each report command: one line per file written,
+    # the per-variant suffix only when several variants run
+    rc = main([arg.format(dir=tmp_path) for arg in argv])
+    assert rc == EXIT_OK
+    expected = [line.format(dir=tmp_path) for line in lines]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert sorted(tmp_path.iterdir()) == sorted(
+        pathlib.Path(line.rpartition(" wrote ")[2]) for line in expected)
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     rc = main(["qr-bench", "--matrix", "bogus:1", "--out",
                str(tmp_path / "x.csv")])
@@ -157,6 +188,13 @@ def test_exit_code_config_error(tmp_path, capsys):
         rc = main(["sketch-info", "--n", n])
         assert rc == EXIT_CONFIG
         assert f"got n={n}" in capsys.readouterr().err
+    for option, value, message in (
+            ("--d", "0", "d must be a positive integer"),
+            ("--eps", "1.0", "epsilon must lie in (0, 1)"),
+            ("--delta", "0", "delta must lie in (0, 1)")):
+        rc = main(["sketch-info", option, value])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
     # an eps* outside [0, 1) would certify a bound below the exact omega
     for eps_star in ("-0.5", "1.0"):
         rc = main(["certify", "--n", "2000", "--m", "10", "--k", "200",
@@ -221,6 +259,29 @@ def test_exit_code_arithmetic_error(tmp_path, capsys, argv, message):
     assert rc == EXIT_BREAKDOWN
     assert f"numerical breakdown: {message}" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("entries, argv, message", [
+    # A = diag(1e200) is solvable, but ||A·1|| overflows binary64
+    (["1 1 1e200", "2 2 1e200", "3 3 1e200"], [],
+     "non-finite norm of the right-hand side at column 1"),
+    # a NaN pivot, which SuperLU stops on with a RuntimeError
+    (["1 1 4.0", "1 2 1.0", "2 2 nan", "3 3 4.0", "3 1 1.0"], ["--precond"],
+     "ILU(0) non-finite entry at row 1"),
+    # an infinity, which SuperLU factors without a word
+    (["1 1 4.0", "2 2 4.0", "2 3 inf", "3 3 4.0", "3 1 1.0"], ["--precond"],
+     "ILU(0) non-finite entry at row 1"),
+], ids=["norm-overflow", "ilu-nan", "ilu-inf"])
+def test_gmres_bench_non_finite_exits_3(tmp_path, capsys, entries, argv,
+                                        message):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   f"3 3 {len(entries)}\n" + "\n".join(entries) + "\n")
+    rc = main(["gmres-bench", "--matrix", str(mtx), "--m", "2", "--k", "3",
+               *argv, "--out", str(tmp_path / "g.csv")])
+    assert rc == EXIT_BREAKDOWN
+    assert capsys.readouterr().err == f"numerical breakdown: {message}\n"
+    assert not list(tmp_path.glob("g*.csv"))
 
 
 def test_exit_code_nonfinite(tmp_path, capsys):

@@ -77,3 +77,17 @@ def test_readme_options_table_matches_parser():
                        if flag not in ("-h", "--help", "--out")]
              for command, sp in sub.choices.items()}
     assert documented == built
+
+
+def test_readme_exit_codes_match_cli():
+    # the README's "Exit codes" list gives, in order, the values of the
+    # CLI's EXIT_* constants: a code added, dropped or renumbered without
+    # the docs fails here
+    from sketchgs import cli
+
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Exit codes:\n\n")[1].split("\n\n")[0]
+    documented = [int(code) for code in re.findall(r"^- (\d+):", block, re.M)]
+    built = sorted(value for name, value in vars(cli).items()
+                   if name.startswith("EXIT_"))
+    assert documented == built

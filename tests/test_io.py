@@ -251,3 +251,21 @@ def test_read_report_without_header_raises_value_error(tmp_path):
         read_report(p)
     # a report is not a Matrix Market file; its error must not claim to be
     assert not isinstance(info.value, MatrixMarketError)
+
+
+@pytest.mark.parametrize("body, message", [
+    # a row missing the header's last cell, and one with a cell too many
+    ("iteration,cond_Q,cond_S\n1,2.0\n", "line 3: 2 cells under a header of 3"),
+    ("iteration,cond_Q,cond_S\n1,2.0,3.0\n2,3.0,4.0,5.0\n",
+     "line 4: 4 cells under a header of 3"),
+    # a header without an iteration column, and a row with an empty one
+    ("cond_Q,cond_S\n2.0,3.0\n", "line 2: header has no iteration column"),
+    ("iteration,cond_Q\n,2.0\n", "line 3: no iteration"),
+], ids=["short-row", "long-row", "no-iteration-column", "empty-iteration"])
+def test_read_report_rejects_malformed_rows(tmp_path, body, message):
+    # write_report never writes any of these; zip would pair the cells
+    # silently, dropping or losing values, or end in a KeyError
+    p = tmp_path / "bad.csv"
+    p.write_text("# variant = rgs\n" + body)
+    with pytest.raises(ValueError, match=f"^report {message}$"):
+        read_report(p)

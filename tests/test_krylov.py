@@ -108,6 +108,25 @@ def test_ilu0_checks_every_pivot(rows, cols, vals, bad_row):
         ilu0(A)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("col", [1, 2], ids=["diagonal", "upper"])
+def test_ilu0_rejects_non_finite_entries(value, col):
+    # a NaN pivot compares False with the pivot tolerance, and SuperLU either
+    # stops on it with a RuntimeError or factors the infinity without a word
+    A = _coo(3, [0, 0, 1, 1, 2, 2], [0, 1, 1, col, 2, 0],
+             [4.0, 1.0, 4.0, value, 4.0, 1.0])
+    with pytest.raises(FloatingPointError,
+                       match=r"ILU\(0\) non-finite entry at row 1$"):
+        ilu0(A)
+
+
+def test_ilu0_rejects_elimination_overflow():
+    # finite entries whose elimination overflows binary64 in row 1
+    A = _coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1e200, 1e200, 1.0])
+    with pytest.raises(FloatingPointError, match="at row 1$"):
+        ilu0(A)
+
+
 def _ilu0_reference(A, pivot_tol=1e-30):
     """The row-by-row IKJ loop with one column -> position dict per row, as
     `ilu0` ran before its level-scheduled form; the factors of `ilu0` must
@@ -461,3 +480,26 @@ def test_gmres_rejects_a_right_hand_side_of_the_wrong_length():
     for b in (np.ones(A.n + 1), np.ones((A.n, 1))):
         with pytest.raises(ValueError, match="right-hand side length"):
             gmres(A, b, 3, variant=GsVariant.CGS, policy=UNIFIED64)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_gmres_rejects_a_non_finite_right_hand_side(value):
+    # checked before b / ||b|| is formed, so no 0/0 or inf/inf warning
+    A = generate_laplacian_2d(4)
+    b = np.ones(A.n)
+    b[5] = value
+    with pytest.raises(NonFiniteError,
+                       match="^non-finite right-hand side at column 1$"):
+        gmres(A, b, 3, variant=GsVariant.CGS, policy=UNIFIED64)
+
+
+def test_gmres_rejects_a_right_hand_side_whose_norm_overflows():
+    # every entry of b = A·1 is finite, but ||b|| overflows binary64; b / inf
+    # would be a zero column, reported as a breakdown with r_ii = 0
+    A = SparseMatrix(csr=scipy.sparse.eye(3, format="csr") * 1e200)
+    b = A.matvec(np.ones(A.n))
+    for variant in GsVariant:
+        theta = SketchOperator(SketchKind.RADEMACHER, 3, A.n, seed=0)
+        with pytest.raises(NonFiniteError,
+                           match="^non-finite norm of the right-hand side"):
+            gmres(A, b, 2, variant=variant, theta=theta, policy=UNIFIED64)

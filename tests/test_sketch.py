@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sketchgs.sketch as sk
-from sketchgs import (EmbeddingParams, SketchKind, SketchOperator, epsilon_of,
-                      fwht, required_sketch_dim, rounding_sketch_trial,
+from sketchgs import (SketchKind, SketchOperator, epsilon_of, fwht,
+                      required_sketch_dim, rounding_sketch_trial,
                       vector_certificate_dim)
 
 
@@ -17,28 +17,25 @@ def test_required_sketch_dim_rademacher():
     # ceil(7.87 * 0.5^-2 * (6.9*10 + ln(1/0.01))) evaluated independently
     expected = math.ceil(7.87 * 4.0 * (69.0 + math.log(100.0)))
     assert expected == 2318
-    p = EmbeddingParams(epsilon=0.5, delta=0.01, d=10)
-    assert required_sketch_dim(SketchKind.RADEMACHER, p) == 2318
+    assert required_sketch_dim(SketchKind.RADEMACHER, epsilon=0.5, delta=0.01,
+                               d=10) == 2318
 
 
 def test_required_sketch_dim_psrht():
-    p = EmbeddingParams(epsilon=0.5, delta=0.01, d=10)
     eps, delta, d, n = 0.5, 0.01, 10, 100000
     expected = math.ceil(2.0 / (eps**2 - eps**3 / 3.0)
                          * (math.sqrt(d) + math.sqrt(8.0 * math.log(6.0 * n / delta)))**2
                          * math.log(3.0 * d / delta))
-    assert required_sketch_dim(SketchKind.PSRHT, p, n=n) == expected
+    assert required_sketch_dim(SketchKind.PSRHT, eps, delta, d, n=n) == expected
     with pytest.raises(ValueError):
-        required_sketch_dim(SketchKind.PSRHT, p)  # needs n
+        required_sketch_dim(SketchKind.PSRHT, eps, delta, d)  # needs n
 
 
 def test_required_sketch_dim_monotone():
-    base = EmbeddingParams(epsilon=0.5, delta=0.01, d=10)
-    tighter = EmbeddingParams(epsilon=0.25, delta=0.01, d=10)
-    bigger = EmbeddingParams(epsilon=0.5, delta=0.01, d=40)
-    k0 = required_sketch_dim(SketchKind.RADEMACHER, base)
-    assert required_sketch_dim(SketchKind.RADEMACHER, tighter) > k0
-    assert required_sketch_dim(SketchKind.RADEMACHER, bigger) > k0
+    kind = SketchKind.RADEMACHER
+    k0 = required_sketch_dim(kind, 0.5, 0.01, 10)
+    assert required_sketch_dim(kind, 0.25, 0.01, 10) > k0  # tighter epsilon
+    assert required_sketch_dim(kind, 0.5, 0.01, 40) > k0  # bigger d
 
 
 def test_vector_certificate_dim():
@@ -54,13 +51,15 @@ def test_vector_certificate_dim():
             vector_certificate_dim(eps_star, delta_star)
 
 
-def test_embedding_params_validation():
-    with pytest.raises(ValueError):
-        EmbeddingParams(epsilon=0.0, delta=0.01, d=10)
-    with pytest.raises(ValueError):
-        EmbeddingParams(epsilon=0.5, delta=1.5, d=10)
-    with pytest.raises(ValueError):
-        EmbeddingParams(epsilon=0.5, delta=0.01, d=0)
+def test_required_sketch_dim_validation():
+    # the range is checked before either kind's formula
+    for kind in SketchKind:
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\)$"):
+            required_sketch_dim(kind, epsilon=0.0, delta=0.01, d=10, n=1000)
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+            required_sketch_dim(kind, epsilon=0.5, delta=1.5, d=10, n=1000)
+        with pytest.raises(ValueError, match="^d must be a positive integer$"):
+            required_sketch_dim(kind, epsilon=0.5, delta=0.01, d=0, n=1000)
 
 
 def _fwht_radix2(v):
