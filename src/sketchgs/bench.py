@@ -100,7 +100,7 @@ def _bench_columns(config: RunConfig) -> np.ndarray:
     A = load_matrix_source(config.matrix, config.seed)
     if config.m > A.n:
         raise ValueError("more columns requested than the matrix has")
-    return np.asarray(A.to_scipy()[:, :config.m].todense())
+    return A.to_scipy()[:, :config.m].toarray(order="F")  # as W is built
 
 
 def run_qr_bench(config: RunConfig) -> dict:

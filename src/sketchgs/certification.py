@@ -161,9 +161,10 @@ def certificates(factors, phi_q=None,
         raise ValueError(f"phi_q must be a sketch of Q, a matrix with its {m} columns")
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
-    E = S @ factors.R  # one k x m temporary; -E keeps the norm's bits
+    E = S @ factors.R  # -E keeps the norm's bits
     E -= P
     delta_tilde = float(np.linalg.norm(E) / np.linalg.norm(P))
+    del E  # freed before the QR's copy of S: one k x m temporary at a time
     R_S = _triangular(S)
     sv = _svals(R_S)
     cert = StabilityCertificate(delta_m=_loss(sv), delta_tilde_m=delta_tilde,

@@ -36,8 +36,8 @@ __all__ = [
 # cannot be meaningfully normalized; fail loudly instead of dividing.
 BREAKDOWN_FACTOR = 10.0
 
-# Columns per push_block in the factorizers, each copied once to binary64;
-# RGS sketches a block with a gemm per Rademacher sign block, not a gemv each.
+# Columns per push_block: read in place if column-major binary64, else copied
+# once; RGS sketches a block with a gemm per Rademacher sign block, not a gemv.
 _PUSH_BLOCK = 32
 
 
@@ -66,6 +66,13 @@ class NonFiniteError(ArithmeticError):
 def _require_finite(x, column: int, where: str) -> None:
     if not np.isfinite(x).all():
         raise NonFiniteError(column, where)
+
+
+def _real64(x, order: str) -> np.ndarray:
+    """x as binary64 in `order`, a view if it is; complex x raises TypeError."""
+    if np.iscomplexobj(x := np.asarray(x)):  # numpy would keep the real part
+        raise TypeError(f"complex input ({x.dtype}): columns must be real")
+    return np.asarray(x, dtype=np.float64, order=order)
 
 
 class GsVariant(Enum):
@@ -119,9 +126,7 @@ class _IncrementalHouseholderQR:
             raise np.linalg.LinAlgError(f"ormqr failed with info={info}")
         return z[:, 0]
 
-    def append(self, col) -> None:
-        if np.shape(col) != (self.k,):
-            raise ValueError("column length mismatch")
+    def append(self, col) -> None:  # a length-k column
         i = self.ncols
         z = self._qt(col)
         self._V[:i, i] = z[:i]
@@ -176,7 +181,7 @@ class _GsState:
         if self.m == self._Q.shape[1]:
             raise ValueError(f"state is full: capacity {self.m} columns")
         # one contiguous copy, so a strided column of W is read only once
-        w64 = np.ascontiguousarray(w, dtype=np.float64)
+        w64 = _real64(w, "C")
         if w64.shape != (self.n,):
             raise ValueError("column length mismatch")
         _require_finite(w64, self.m + 1, "input")
@@ -184,15 +189,15 @@ class _GsState:
 
     def _store(self, qp, r_col, r_ii: float, ref_norm: float) -> None:
         """Guard, then store q'/r_ii as column m of Q and (r_col, r_ii) as
-        column m of R; the division runs in the dtype of q'. The guard trips
-        when r_ii <= breakdown_factor * u_crs * ref_norm."""
+        column m of R; q', the push's own array, is divided in place in its
+        dtype. The guard trips when r_ii <= breakdown_factor * u_crs * ref_norm."""
         i = self.m
         tol = self.breakdown_factor * self.policy.u_crs * ref_norm
         if r_ii == np.inf or tol == np.inf:  # overflowed, not vanishing
             raise NonFiniteError(i + 1, "norm")
         if r_ii <= tol:
             raise BreakdownError(i + 1, r_ii, tol, r_col)
-        self._Q[:, i] = qp / qp.dtype.type(r_ii)  # rounded to the coarse format
+        self._Q[:, i] = np.divide(qp, qp.dtype.type(r_ii), out=qp)  # rounded on store
         _require_finite(self._Q[:, i], i + 1, "stored column of Q")
         self._R[:i, i] = r_col
         self._R[i, i] = r_ii
@@ -206,7 +211,7 @@ class _GsState:
         included, keeps the columns before it. RGS runs Step 1 as one
         `theta.apply_block`, with the bits of b `push` calls under P-SRHT or
         for b = 1 (see `apply_block`)."""
-        Wb = np.asarray(Wb, dtype=np.float64, order="F")  # contiguous columns
+        Wb = _real64(Wb, "F")  # contiguous columns, a view if they already are
         if Wb.ndim != 2 or Wb.shape[0] != self.n:
             raise ValueError("block must be a matrix with n rows")
         bad = np.flatnonzero(~np.isfinite(Wb).all(axis=0))
@@ -258,24 +263,23 @@ class RgsState(_GsState):
         Called by `push_block`, it takes Step 1 from the block's sketch."""
         w64 = self._next_column(w)
         i = self.m  # zero-based index of the new column
-        policy = self.policy
-        fine = policy.fine_dtype
+        fine, crs = self.policy.fine_dtype, self.policy.coarse_dtype
         p = next(self._sketched, None)
         if p is None:
             p = self.theta.apply(w64).astype(fine, copy=False)  # Step 1 (u_fine)
 
         if i == 0:
             r_col = np.zeros(0, dtype=fine)
-            qp = w64.astype(policy.coarse_dtype).astype(np.float64)
+            qp = w64.astype(crs).astype(np.float64, copy=False)
             sp = p.copy()
         else:
             r_col = self._qr.solve(p)                         # Step 2 (u_fine)
             # Step 3 (u_crs): q' = w - Q_{i-1} r, native arithmetic in the
             # coarse format (hardware binary32 BLAS under the mixed policy),
             # then widened exactly to binary64 for the sketches
-            crs = policy.coarse_dtype
-            qp = (w64.astype(crs) - self._Q[:, :i] @ r_col.astype(crs)
-                  ).astype(np.float64)
+            qp = w64.astype(crs)  # a copy, never the caller's
+            qp -= self._Q[:, :i] @ r_col.astype(crs)
+            qp = qp.astype(np.float64, copy=False)
             sp = self.theta.apply(qp).astype(fine, copy=False)  # Step 4
 
         r_ii = float(np.sqrt(np.sum(sp * sp)))                # Step 5 (u_fine)

@@ -14,6 +14,12 @@ __all__ = [
 ]
 
 
+def _real(x):  # x; a complex x, whose real part numpy would keep, raises
+    if np.iscomplexobj(x):
+        raise TypeError(f"complex input ({x.dtype}): sparse matrices are real")
+    return x
+
+
 @dataclass
 class SparseMatrix:
     """Square matrix held as a binary64 copy of the given scipy CSR matrix,
@@ -23,7 +29,7 @@ class SparseMatrix:
     csr: scipy.sparse.csr_matrix
 
     def __post_init__(self):
-        self.csr = scipy.sparse.csr_matrix(self.csr, dtype=np.float64, copy=True)
+        self.csr = scipy.sparse.csr_matrix(_real(self.csr), dtype=np.float64, copy=True)
         if self.csr.shape[0] != self.csr.shape[1]:
             raise ValueError("matrix must be square")
         self.csr.sum_duplicates()  # sorts the indices first
@@ -36,7 +42,7 @@ class SparseMatrix:
         return self.csr
 
     def matvec(self, x) -> np.ndarray:
-        return self.csr @ np.asarray(x, dtype=np.float64)
+        return self.csr @ _real(np.asarray(x)).astype(np.float64, copy=False)
 
 
 class MatrixMarketError(ValueError):
@@ -77,23 +83,23 @@ def synthetic_matrix(n: int, m: int) -> np.ndarray:
     Columns become increasingly linearly dependent, so the trailing part of
     the matrix is numerically singular at binary32 resolution.
 
-    Binary64 and C-ordered, built in place one row block at a time with one
-    work block of about 1 MiB (at least one row), so set-up allocates no
-    n-length temporary per column. Every entry equals, bit for bit, the
-    closed form evaluated one column at a time with the same operations.
+    Binary64 and column-major, as the factorizers read it, built in place
+    one column block at a time with one work block of about 1 MiB (at least
+    one column), so set-up allocates no n-length temporary per column. Each
+    entry has the bits of the closed form evaluated column by column.
     """
     if n < 2 or m < 2:
         raise ValueError("need n >= 2 and m >= 2")
     x = np.arange(n, dtype=np.float64)[:, None] / (n - 1)
     mu = np.arange(m, dtype=np.float64) / (m - 1)
-    W = np.empty((n, m))
-    rows = min(n, max(1, _BLOCK_BYTES // W[0].nbytes))
-    work = np.empty((rows, m))
-    for r0 in range(0, n, rows):
-        w, xb = W[r0:r0 + rows], x[r0:r0 + rows]
-        t = work[:len(w)]
-        np.sin(np.multiply(10.0, np.add(mu, xb, out=w), out=w), out=w)
-        np.cos(np.multiply(100.0, np.subtract(mu, xb, out=t), out=t), out=t)
+    W = np.empty((n, m), order="F")
+    cols = min(m, max(1, _BLOCK_BYTES // W[:, 0].nbytes))
+    work = np.empty((n, cols), order="F")
+    for c0 in range(0, m, cols):
+        w, mub = W[:, c0:c0 + cols], mu[c0:c0 + cols]
+        t = work[:, :w.shape[1]]
+        np.sin(np.multiply(10.0, np.add(mub, x, out=w), out=w), out=w)
+        np.cos(np.multiply(100.0, np.subtract(mub, x, out=t), out=t), out=t)
         np.divide(w, np.add(t, 1.1, out=t), out=w)
     return W
 

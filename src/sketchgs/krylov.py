@@ -165,8 +165,7 @@ def ilu0(A: SparseMatrix) -> Ilu0Preconditioner:
         raise FloatingPointError(f"ILU(0) non-finite entry at row {row}")
     full = scipy.sparse.csr_matrix((data, A.csr.indices.copy(),
                                     A.csr.indptr.copy()), shape=(n, n))
-    L = scipy.sparse.tril(full, k=-1, format="csr")
-    L = (L + scipy.sparse.eye(n, format="csr")).tocsr()
+    L = scipy.sparse.tril(full, k=-1, format="csr") + scipy.sparse.eye(n, format="csr")
     U = scipy.sparse.triu(full, k=0, format="csr")
     return Ilu0Preconditioner(L=L, U=U)
 
@@ -219,7 +218,6 @@ def arnoldi(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
 
     Stops early on a lucky breakdown (exhausted Krylov subspace).
     """
-    b = np.asarray(b, dtype=np.float64)
     state = _make_gs_state(A.n, variant, policy, theta, m)
     state.push(b)
     H = np.zeros((m + 1, m))
@@ -268,7 +266,9 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     residual estimate can read below `tol` while the true residual is still
     above it, so the iteration stops only once the true residual is <= tol.
     """
-    b = np.asarray(b, dtype=np.float64)
+    if np.iscomplexobj(b := np.asarray(b)):  # numpy would keep its real part
+        raise TypeError(f"complex right-hand side ({b.dtype}): A x = b is real")
+    b = b.astype(np.float64, copy=False)
     if b.shape != (A.n,):
         raise ValueError("right-hand side length mismatch")
     with np.errstate(over="ignore"):

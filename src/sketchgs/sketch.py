@@ -137,6 +137,8 @@ class SketchOperator:
     def __init__(self, kind: SketchKind, k: int, n: int, seed: int):
         if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
+        if not 0 <= int(seed) < 1 << 64:  # the high word of a Philox key
+            raise ValueError(f"sketch seed must lie in [0, 2**64), got {seed}")
         if k > n:
             warnings.warn(f"sketch dimension k={k} exceeds ambient dimension n={n}",
                           stacklevel=2)
@@ -210,7 +212,9 @@ class SketchOperator:
         return self._apply(X)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
-        """Theta @ X for an n x N block X, widened as it is read."""
+        """Theta @ X for an n x N real block X, widened as it is read."""
+        if np.iscomplexobj(X):  # numpy would keep only the real part
+            raise TypeError(f"complex input ({X.dtype}): a sketch is real")
         acc = np.zeros((self.k, X.shape[1]))
         if self.kind is SketchKind.RADEMACHER:
             # one gemm per sign block, each read or drawn once per call
@@ -222,9 +226,10 @@ class SketchOperator:
             # one column at a time, as fwht takes one: no s x N padded block
             padded = np.zeros(self.s)
             for j, x in enumerate(X.T):
-                padded[:self.n] = self.signs * x
+                np.multiply(self.signs, x, out=padded[:self.n])
                 acc[:, j] = fwht(padded)[self.sample_indices]
-        return (1.0 / math.sqrt(self.k)) * acc
+        acc *= 1.0 / math.sqrt(self.k)
+        return acc
 
 
 # Not public: perfbench/workloads.py calls `sketch.make_sketch`; it goes with

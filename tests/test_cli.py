@@ -180,6 +180,16 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert not (tmp_path / "x.rgs.csv").exists()
     rc = main(["not-a-subcommand"])
     assert rc == EXIT_CONFIG
+    # a sketch seed outside [0, 2**64) is named, not numpy's Philox key error
+    capsys.readouterr()
+    for option, seed in (("--seed", "-1"), ("--phi-seed", str(2**64))):
+        rc = main(["qr-bench", "--n", "400", "--m", "4", "--k", "64",
+                   "--variants", "rgs", option, seed,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: sketch seed must lie in [0, 2**64), "
+            f"got {seed}\n")
     rc = main(["gmres-bench", "--matrix", "laplacian:4", "--m", "-1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG

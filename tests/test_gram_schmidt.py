@@ -567,14 +567,10 @@ def test_factors_taken_mid_stream_keep_their_bits(rng, variant):
             assert np.array_equal(now, value), name
 
 
-@_VARIANTS
-def test_factorizers_hand_over_their_arrays(variant):
-    # the factors are the state's own arrays, so the memory a factorizer
-    # needs beyond what it returns (an n x 32 block copy and one column's
-    # temporaries) stays below one extra copy of Q where Q dominates
-    n, m = 8000, 256
-    W = np.random.default_rng(0).standard_normal((n, m))
-    theta = SketchOperator(SketchKind.PSRHT, 300, n, seed=1)
+def _traced_factorize(W, variant):
+    """The factors of W under MIXED32_64, guard off, and the traced peak
+    above what the factorizer retains once it returns."""
+    theta = SketchOperator(SketchKind.PSRHT, 300, len(W), seed=1)
     tracemalloc.start()
     try:
         if variant is GsVariant.RGS:
@@ -585,7 +581,66 @@ def test_factorizers_hand_over_their_arrays(variant):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - retained < f.Q.nbytes
+    return f, peak - retained
+
+
+@_VARIANTS
+def test_factorizers_hand_over_their_arrays(variant):
+    # the factors are the state's own arrays, so the memory a factorizer
+    # needs beyond what it returns (an n x 32 block copy and one column's
+    # temporaries) stays below one extra copy of Q where Q dominates
+    W = np.random.default_rng(0).standard_normal((8000, 256))
+    f, beyond = _traced_factorize(W, variant)
+    assert beyond < f.Q.nbytes
+
+
+@_VARIANTS
+def test_column_major_w_is_pushed_in_place(variant):
+    # push_block reads the columns of a column-major binary64 W as they are:
+    # beyond what a factorizer returns it needs less than the n x 32
+    # binary64 block copy that any other layout costs
+    n = 8000
+    W = np.asfortranarray(np.random.default_rng(0).standard_normal((n, 256)))
+    _, beyond = _traced_factorize(W, variant)
+    assert beyond < n * _PUSH_BLOCK * 8
+
+
+@pytest.mark.parametrize("variant, kind", [
+    (GsVariant.RGS, SketchKind.PSRHT), (GsVariant.RGS, SketchKind.RADEMACHER),
+    *((v, None) for v in _CLASSICAL)], ids=lambda x: getattr(x, "value", x))
+@pytest.mark.parametrize("policy", [MIXED32_64, UNIFIED64],
+                         ids=lambda p: p.mode)
+def test_factors_do_not_depend_on_the_layout_of_w(rng, variant, kind, policy):
+    # a column-major W is read in place and any other copied block by
+    # block: the same columns give the same bits, over more than one block
+    W = _problem(rng, n=400, m=_PUSH_BLOCK + 8)
+
+    def factorize(X):
+        if variant is GsVariant.RGS:
+            theta = SketchOperator(kind, 64, 400, seed=2)
+            return rgs_factorize(X, theta, policy, with_certificate=False)[0]
+        return classical_factorize(X, variant, policy)
+
+    by_rows, by_columns = factorize(W), factorize(np.asfortranarray(W))
+    for name, a in vars(by_rows).items():
+        b = getattr(by_columns, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@_VARIANTS
+def test_complex_input_raises_type_error(rng, variant):
+    # numpy would factorize the real part, with a ComplexWarning only
+    Z = _problem(rng, n=200, m=4) + 1j * _problem(rng, n=200, m=4)
+    with pytest.raises(TypeError, match="complex input"):
+        if variant is GsVariant.RGS:
+            rgs_factorize(Z, SketchOperator(SketchKind.PSRHT, 64, 200, seed=5))
+        else:
+            classical_factorize(Z, variant)
+    state = _state(variant, 200, capacity=4)
+    for push in (lambda: state.push(Z[:, 0]), lambda: state.push_block(Z)):
+        with pytest.raises(TypeError, match="complex input"):
+            push()
+    assert state.m == 0
 
 
 @_VARIANTS
@@ -677,6 +732,22 @@ def test_certificates_leave_the_sketches_unchanged(rng, policy):
         cert.delta_m, cert.delta_tilde_m, cert.cond_S]
     frozen = certificates(f, phi_q, eps_star=_EPS_STAR)
     assert dataclasses.astuple(frozen) == dataclasses.astuple(full)
+
+
+def test_certificates_hold_one_k_by_m_temporary(rng):
+    # E = S R - P is freed once Delta~_m is read, before the QR copies S:
+    # one k x m binary64 array at a time, plus O(m^2) and LAPACK's work
+    n, m, k = 4000, 64, 1024
+    theta = SketchOperator(SketchKind.PSRHT, k, n, seed=3)
+    f, _ = rgs_factorize(_problem(rng, n=n, m=m, cond=100.0), theta,
+                         MIXED32_64, with_certificate=False)
+    tracemalloc.start()
+    try:
+        certificates(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= k * m * 8 + 4 * m * m * 8 + 65536
 
 
 def test_certificates_reject_a_factorization_with_no_column():

@@ -123,6 +123,16 @@ def test_synthetic_matrix_values():
         synthetic_matrix(1, 50)
 
 
+def test_sparse_matrix_rejects_complex_input():
+    # numpy would keep the real parts of the matrix or of the vector, with a
+    # ComplexWarning only
+    with pytest.raises(TypeError, match="complex input"):
+        SparseMatrix(scipy.sparse.csr_matrix(np.eye(3) * (1 + 1j)))
+    A = generate_laplacian_2d(3)
+    with pytest.raises(TypeError, match="complex input"):
+        A.matvec(np.ones(A.n) * 1j)
+
+
 def _synthetic_by_columns(n, m):
     # reference: the closed form evaluated one column at a time
     x = np.arange(n, dtype=np.float64) / (n - 1)
@@ -135,23 +145,28 @@ def _synthetic_by_columns(n, m):
 
 _BLOCK_ROWS = _BLOCK_BYTES // (8 * 300)  # rows of the work block at m = 300
 _WIDE = _BLOCK_BYTES // 8 + 1  # a work block of one row
+_BLOCK_COLS = _BLOCK_BYTES // (8 * 2000)  # columns of the work block at n = 2000
+_TALL = _BLOCK_BYTES // 8 + 1  # a work block of one column
 
 
 @pytest.mark.parametrize("n,m", [
     (2, 2), (100, 50), (_BLOCK_ROWS - 1, 300), (_BLOCK_ROWS, 300),
-    (_BLOCK_ROWS + 1, 300), (3 * _BLOCK_ROWS + 17, 300), (3, _WIDE)])
+    (_BLOCK_ROWS + 1, 300), (3 * _BLOCK_ROWS + 17, 300), (3, _WIDE),
+    (2000, _BLOCK_COLS - 1), (2000, _BLOCK_COLS), (2000, _BLOCK_COLS + 1),
+    (2000, 3 * _BLOCK_COLS + 17), (_TALL, 3)])
 def test_synthetic_matrix_bits_equal_column_loop(n, m):
-    # built in row blocks, every entry keeps the bits of the column loop,
-    # across block edges, a partial last block and one-row blocks
+    # built column-major in column blocks, every entry keeps the bits of the
+    # column loop, across block edges, a partial last block and one-column
+    # blocks
     W = synthetic_matrix(n, m)
-    assert W.dtype == np.float64 and W.flags.c_contiguous
+    assert W.dtype == np.float64 and W.flags.f_contiguous
     assert np.array_equal(W.view(np.uint64),
                           _synthetic_by_columns(n, m).view(np.uint64))
 
 
-@pytest.mark.parametrize("n,m", [(2048, 2048), (3, 200_000)])
+@pytest.mark.parametrize("n,m", [(2048, 2048), (3, 200_000), (200_000, 3)])
 def test_synthetic_matrix_memory_beyond_w(n, m):
-    # beyond W itself: one work block (about 1 MiB, at least one row), the
+    # beyond W itself: one work block (about 1 MiB, at least one column), the
     # two grids with their temporaries, and the iteration buffers (bufsize
     # elements per operand) numpy's ufuncs take for a broadcast operation
     tracemalloc.start()
@@ -160,7 +175,7 @@ def test_synthetic_matrix_memory_beyond_w(n, m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    budget = (max(_BLOCK_BYTES, 8 * m) + 2 * 8 * (n + m)
+    budget = (max(_BLOCK_BYTES, 8 * n) + 2 * 8 * (n + m)
               + 2 * 8 * np.getbufsize())
     assert peak - W.nbytes <= budget
 

@@ -493,6 +493,15 @@ def test_gmres_rejects_a_non_finite_right_hand_side(value):
         gmres(A, b, 3, variant=GsVariant.CGS, policy=UNIFIED64)
 
 
+@pytest.mark.parametrize("solver", [arnoldi, gmres], ids=["arnoldi", "gmres"])
+def test_complex_right_hand_side_raises_type_error(solver):
+    # numpy would take the real part of b, with a ComplexWarning only
+    A = generate_laplacian_2d(4)
+    theta = SketchOperator(SketchKind.PSRHT, 8, A.n, seed=0)
+    with pytest.raises(TypeError, match="complex"):
+        solver(A, np.ones(A.n) * (1 + 1j), 3, theta=theta)
+
+
 def test_gmres_rejects_a_right_hand_side_whose_norm_overflows():
     # every entry of b = A·1 is finite, but ||b|| overflows binary64; b / inf
     # would be a zero column, reported as a breakdown with r_ii = 0

@@ -338,11 +338,10 @@ def test_binary32_input_is_widened_piecewise(kind, applies, rng):
     assert np.array_equal(theta().apply(x), theta().apply(x.astype(np.float64)))
     if applies > 1:
         assert len(kept._blocks) == 4
-    # a complex column still fails to convert: numpy's ComplexWarning, an
-    # error under this suite's warning filter
+    # a complex column is refused, where numpy would keep its real part
     Z = np.column_stack([X32[:, :2], 1j * X32[:, 2]])
     for call in (lambda: theta().apply_block(Z), lambda: theta().apply(Z[:, 2])):
-        with pytest.raises(RuntimeWarning, match="discards the imaginary"):
+        with pytest.raises(TypeError, match="complex input"):
             call()
 
 
@@ -417,6 +416,27 @@ def test_sketch_validation():
     # allocates nothing
     with pytest.raises(OverflowError, match="padded Hadamard size"):
         SketchOperator(SketchKind.PSRHT, 1, 2**62, seed=0)
+
+
+@pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
+def test_sketch_seed_outside_64_bits_is_rejected_when_built(kind):
+    # the seed is the high word of every Philox key: outside [0, 2**64) it
+    # is refused by name when the sketch is built, not at its first apply
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"\[0, 2\*\*64\), got {seed}$"):
+            SketchOperator(kind, 10, 100, seed)
+    for seed in (0, 2**64 - 1):
+        assert SketchOperator(kind, 10, 100, seed).apply(np.ones(100)).shape == (10,)
+
+
+@pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
+def test_complex_input_raises_type_error(kind, rng):
+    # numpy would sketch the real part, with a ComplexWarning only
+    theta = SketchOperator(kind, 8, 100, seed=1)
+    Z = rng.standard_normal((100, 3)) * (1 + 1j)
+    for apply in (lambda: theta.apply(Z[:, 0]), lambda: theta.apply_block(Z)):
+        with pytest.raises(TypeError, match="complex input"):
+            apply()
 
 
 def test_epsilon_of_orthonormal_identity_sketch(rng):
