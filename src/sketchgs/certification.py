@@ -53,6 +53,17 @@ class StabilityCertificate:
         return self.delta_m <= 0.1 and self.delta_tilde_m <= 0.1
 
 
+def _checked(name: str, X) -> np.ndarray:
+    """X as an array, refused by name if complex (numpy would keep its real
+    part) or if it holds a NaN or an infinity."""
+    X = np.asarray(X)
+    if np.iscomplexobj(X):
+        raise TypeError(f"complex input ({X.dtype}) for {name}: it must be real")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+    return X
+
+
 def _triangular(X) -> np.ndarray:
     """The triangular factor R, min(n, m) x m, of one binary64 Householder
     QR of the n x m matrix X, so that X[:, :i] and R[:i, :i] share their
@@ -114,8 +125,9 @@ def omega_bar(V_theta, V_phi, eps_star: float) -> float:
     matrix. The orthonormalizing map X = R^{-1} from the QR of V_theta is
     applied implicitly by a triangular solve.
     """
-    V_theta, V_phi = (np.asarray(V, dtype=np.float64).reshape(len(V), -1)
-                      for V in (V_theta, V_phi))  # 1-D as one column
+    V_theta, V_phi = (_checked(name, V).astype(np.float64, copy=False)
+                      .reshape(len(V), -1)  # 1-D as one column
+                      for name, V in (("V_theta", V_theta), ("V_phi", V_phi)))
     if V_theta.shape[1] != V_phi.shape[1]:
         raise ValueError("sketches have different column counts")
     B = _whiten(_triangular(V_theta), V_phi)
@@ -157,7 +169,7 @@ def certificates(factors, phi_q=None,
     n, m = len(factors.Q), factors.S.shape[1]
     if m == 0:
         raise ValueError("certificates need a factorization with at least one column")
-    if phi_q is not None and np.shape(phi_q)[1:] != (m,):
+    if phi_q is not None and (phi_q := _checked("phi_q", phi_q)).shape[1:] != (m,):
         raise ValueError(f"phi_q must be a sketch of Q, a matrix with its {m} columns")
     S = factors.S.astype(np.float64, copy=False)
     P = factors.P.astype(np.float64, copy=False)
@@ -190,7 +202,7 @@ def certificates(factors, phi_q=None,
 
 def loss_of_orthogonality(X) -> float:
     """||I - X^T X||_F from one binary64 QR of X, whatever X's format."""
-    return _loss(_svals(_triangular(X)))
+    return _loss(_svals(_triangular(_checked("X", X))))
 
 
 def _leading_svals(R) -> list:

@@ -127,6 +127,10 @@ def generate_random_sparse(n: int, nnz_per_row: int, seed: int,
     """
     if n < 1 or nnz_per_row < 0 or nnz_per_row > n - 1:
         raise ValueError("invalid size or fill")
+    # the high word of the Philox key, checked here: io imports no module of
+    # the package, so not with the sketch's check
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"matrix seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x5BA5))
     rows, cols, vals = [], [], []
     offdiag_abs = np.zeros(n)

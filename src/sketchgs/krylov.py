@@ -28,6 +28,27 @@ __all__ = [
 PIVOT_TOL = 1e-30  # ILU(0) pivots below this magnitude raise
 
 
+def _real(b) -> np.ndarray:
+    """b in binary64; a complex b, whose real part numpy would keep, raises."""
+    if np.iscomplexobj(b := np.asarray(b)):
+        raise TypeError(f"complex right-hand side ({b.dtype}): A x = b is real")
+    return b.astype(np.float64, copy=False)
+
+
+def _rhs(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
+    """b in binary64 and ||b||, checked: a complex b raises TypeError, and a
+    NaN or infinite b, or a ||b|| that overflows, NonFiniteError."""
+    b = _real(b)
+    if b.shape != (A.n,):
+        raise ValueError("right-hand side length mismatch")
+    with np.errstate(over="ignore"):
+        b_norm = float(np.linalg.norm(b))
+    if not np.isfinite(b_norm):  # checked before b / ||b|| is formed
+        raise NonFiniteError(1, "right-hand side" if not np.isfinite(b).all()
+                             else "norm of the right-hand side")
+    return b, b_norm
+
+
 def _triangular_lu(T: scipy.sparse.csr_matrix):
     """SuperLU factors of a triangular T that are T itself and the identity:
     in the natural order with diagonal pivots nothing fills in. Without fill
@@ -57,8 +78,7 @@ class Ilu0Preconditioner:
         self._lu_U = _triangular_lu(self.U)
 
     def solve(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return self._lu_U.solve(self._lu_L.solve(v))
+        return self._lu_U.solve(self._lu_L.solve(_real(v)))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -266,16 +286,7 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     residual estimate can read below `tol` while the true residual is still
     above it, so the iteration stops only once the true residual is <= tol.
     """
-    if np.iscomplexobj(b := np.asarray(b)):  # numpy would keep its real part
-        raise TypeError(f"complex right-hand side ({b.dtype}): A x = b is real")
-    b = b.astype(np.float64, copy=False)
-    if b.shape != (A.n,):
-        raise ValueError("right-hand side length mismatch")
-    with np.errstate(over="ignore"):
-        b_norm = float(np.linalg.norm(b))
-    if not np.isfinite(b_norm):  # checked before b / ||b|| is formed
-        raise NonFiniteError(1, "right-hand side" if not np.isfinite(b).all()
-                             else "norm of the right-hand side")
+    b, b_norm = _rhs(A, b)
     state = _make_gs_state(A.n, variant, policy, theta, m)
     if b_norm == 0.0:
         return GmresResult(x=np.zeros(A.n), residual_history=np.zeros(0),
@@ -349,10 +360,10 @@ def best_attainable_residual(A: SparseMatrix, Q, b) -> float:
     """Exact min over the span of Q of ||b - A Q y|| / ||b||, in binary64.
 
     The yardstick for judging whether an iteration extracted all the accuracy
-    its basis supports. An n x 0 basis gives 1, b = 0 gives 0 as in `gmres`.
+    its basis supports. An n x 0 basis gives 1, b = 0 gives 0 as in `gmres`,
+    and b is checked as in `gmres`.
     """
-    b = np.asarray(b, dtype=np.float64)
-    bn = float(np.linalg.norm(b))
+    b, bn = _rhs(A, b)
     if bn == 0.0:
         return 0.0
     AQ = A.csr @ np.asarray(Q, dtype=np.float64)

@@ -2,12 +2,15 @@
 
 Two sketch families are provided: rescaled Rademacher matrices (i.i.d.
 +-1/sqrt(k) entries in blocks of columns, each the raw bits of one Philox
-stream, read once per apply of a vector or a block, and kept from the
-second apply on if they fit, so a sketch applied once holds one block at a
-time) and the partial subsampled randomized Hadamard transform (P-SRHT:
-sign flip, fast Walsh-Hadamard transform on the padded power-of-two
-dimension, uniform row sampling without replacement, 1/sqrt(k) scaling).
-`apply` of a vector is `apply_block` of it as one column, with its bits.
+stream, read once per apply of a vector or a block, and kept as their int8
+draw, k*n bytes, from the second apply on if they fit, so a sketch applied
+once holds one block at a time; an apply widens them to binary64 as it
+reads them, a vector in row panels of 32 rows (1 MiB of a full block), one
+gemv each, a multi-column block a whole block at a time, one gemm each) and
+the partial subsampled randomized Hadamard transform (P-SRHT: sign flip,
+fast Walsh-Hadamard transform on the padded power-of-two dimension, uniform
+row sampling without replacement, 1/sqrt(k) scaling). `apply` of a vector
+is `apply_block` of it as one column, with its bits.
 
 All randomness is a pure function of (kind, k, n, seed); equal parameters
 produce bit-identical operators. Sketch-dimension bounds use natural
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from enum import Enum
 
@@ -33,11 +37,17 @@ __all__ = ["SketchKind", "SketchOperator", "required_sketch_dim",
 # first, a set bit +1. The width and that bit order are part of each
 # operator's definition: changing either changes every Rademacher matrix.
 _COLUMN_BLOCK = 4096
-# From the second apply on, keep the +-1 blocks when k*n entries fit in
-# ~128 MB; regenerate them on every apply otherwise. The first apply keeps
+# From the second apply on, keep the int8 +-1 blocks when k*n entries fit
+# in 16 MiB; regenerate them on every apply otherwise. The first apply keeps
 # none, so a sketch applied once (a certification sketch) never holds more
 # than one block. Every way gives the same bits.
 _MATERIALIZE_LIMIT = 1 << 24
+# Sign rows that a vector apply widens to binary64 at a time: 1 MiB of a
+# 4096-wide block. Each output of a gemv is its own dot over the block's
+# columns, and the BLAS computes the rows in groups that panels starting at
+# multiples of 32 keep, so every panel has the whole block's bits. A block
+# with more columns keeps one gemm per whole block: row panels move a gemm's.
+_PANEL_ROWS = (1 << 20) // (8 * _COLUMN_BLOCK)
 
 _PSRHT_SIGN_STREAM = 0x5149
 _PSRHT_SAMPLE_STREAM = 0xFA7E
@@ -131,21 +141,37 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream)))
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float, even an integral one, raises TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seed(seed) -> int:
+    """seed as an int in [0, 2**64), the high word of a Philox key."""
+    seed = _integer("sketch seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"sketch seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 class SketchOperator:
     """A seeded k x n embedding applied without storing the dense matrix."""
 
     def __init__(self, kind: SketchKind, k: int, n: int, seed: int):
+        k, n = _integer("k", k), _integer("n", n)
         if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
-        if not 0 <= int(seed) < 1 << 64:  # the high word of a Philox key
-            raise ValueError(f"sketch seed must lie in [0, 2**64), got {seed}")
+        seed = _seed(seed)
         if k > n:
             warnings.warn(f"sketch dimension k={k} exceeds ambient dimension n={n}",
                           stacklevel=2)
         self.kind = kind
-        self.k = int(k)
-        self.n = int(n)
-        self.seed = int(seed)
+        self.k = k
+        self.n = n
+        self.seed = seed
         self._blocks = []  # kept Rademacher column blocks, in order
         self._applied = False  # blocks are kept only once they are reused
         if kind is SketchKind.PSRHT:
@@ -171,8 +197,9 @@ class SketchOperator:
     # -- Rademacher column blocks ---------------------------------------------
 
     def _sign_block(self, b: int) -> np.ndarray:
-        """Column block b of the unscaled +-1 matrix, drawn from Philox stream
-        b; kept when drawn by a second apply and k*n <= _MATERIALIZE_LIMIT."""
+        """Column block b of the unscaled +-1 matrix as int8, drawn from
+        Philox stream b; kept when drawn by a second apply and
+        k*n <= _MATERIALIZE_LIMIT."""
         if b < len(self._blocks):
             return self._blocks[b]
         width = min(_COLUMN_BLOCK, self.n - b * _COLUMN_BLOCK)
@@ -180,10 +207,9 @@ class SketchOperator:
         words = _philox(self.seed, b).bit_generator.random_raw(-(-count // 64))
         signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
                               count=count, bitorder="little").view(np.int8)
-        del words  # freed before the binary64 block is allocated
-        signs *= 2  # 0/1 -> -1/+1 in place, then one cast
+        signs *= 2  # 0/1 -> -1/+1 in place
         signs -= 1
-        block = signs.reshape(self.k, width).astype(np.float64)
+        block = signs.reshape(self.k, width)
         if self._applied and self.k * self.n <= _MATERIALIZE_LIMIT:
             self._blocks.append(block)
         return block
@@ -217,10 +243,18 @@ class SketchOperator:
             raise TypeError(f"complex input ({X.dtype}): a sketch is real")
         acc = np.zeros((self.k, X.shape[1]))
         if self.kind is SketchKind.RADEMACHER:
-            # one gemm per sign block, each read or drawn once per call
+            # each sign block read or drawn once per call, and widened to
+            # binary64 a row panel (a vector) or the whole block at a time
             for b, j0 in enumerate(range(0, self.n, _COLUMN_BLOCK)):
                 Xb = X[j0:j0 + _COLUMN_BLOCK].astype(np.float64, copy=False)
-                acc += self._sign_block(b) @ Xb
+                signs = self._sign_block(b)
+                # a one-row tail joins the panel before it: numpy would take
+                # a dot for it, not the gemv of the whole block
+                starts = range(0, max(1, self.k - 1),
+                               _PANEL_ROWS if X.shape[1] == 1 else self.k)
+                for r0, r1 in zip(starts, [*starts[1:], self.k]):
+                    acc[r0:r1] += signs[r0:r1].astype(np.float64) @ Xb
+                del signs  # a drawn block is freed before the next draw
             self._applied = True
         else:
             # one column at a time, as fwht takes one: no s x N padded block
@@ -246,10 +280,10 @@ def rounding_sketch_trial(theta: SketchOperator, gamma, trials: int, seed: int,
     | ||phi||^2 - ||Theta phi||^2 | > eps * ||gamma||^2.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
-    if np.any(gamma < 0):
-        raise ValueError("gamma entries must be nonnegative")
+    if not (np.isfinite(gamma) & (gamma >= 0)).all():
+        raise ValueError("gamma entries must be finite and nonnegative")
     bound = eps * float(gamma @ gamma)
-    rng = _philox(seed, 0x7B1A)
+    rng = _philox(_seed(seed), 0x7B1A)
     failed = 0
     for _ in range(trials):
         phi = rng.uniform(-gamma, gamma)

@@ -5,8 +5,8 @@ import pytest
 
 from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       UNIFIED32, UNIFIED64, certificates, classical_factorize,
-                      epsilon_of, omega_bar, rgs_factorize, synthetic_matrix,
-                      vector_certificate_dim)
+                      epsilon_of, loss_of_orthogonality, omega_bar,
+                      rgs_factorize, synthetic_matrix, vector_certificate_dim)
 from sketchgs.certification import traces
 
 
@@ -138,6 +138,36 @@ def test_certify_rejects_invalid_inputs(rng):
         certificates(f, phi_q)
     with pytest.raises(ValueError, match=r"eps_star must lie in \[0, 1\)"):
         certificates(f, phi_q, eps_star=1.0)
+
+
+def test_certification_refuses_complex_and_non_finite_sketches(rng):
+    # numpy would certify a complex sketch's real part, and scipy would
+    # refuse a NaN with "array must not contain infs or NaNs", naming nothing
+    W = rng.standard_normal((256, 5))
+    theta = SketchOperator(SketchKind.PSRHT, 64, 256, seed=0)
+    f, _ = rgs_factorize(W, theta, UNIFIED64)
+    phi_q = SketchOperator(SketchKind.RADEMACHER, 32, 256,
+                           seed=1).apply_block(f.Q)
+    V_theta = theta.apply_block(f.Q)
+    nan = phi_q.copy()
+    nan[3, 2] = np.nan
+    inf = V_theta.copy()
+    inf[0, 4] = -np.inf
+    calls = {"phi_q": lambda X: certificates(f, X, eps_star=0.25),
+             "V_theta": lambda X: omega_bar(X, phi_q, 0.25),
+             "V_phi": lambda X: omega_bar(V_theta, X, 0.25),
+             "X": loss_of_orthogonality}
+    for name, call in calls.items():
+        good = V_theta if name == "V_theta" else phi_q
+        with pytest.raises(TypeError, match=f"^complex input .* for {name}:"):
+            call(good * (1 + 0j))
+        for bad in (nan, inf):
+            with pytest.raises(ValueError,
+                               match=f"^{name} has a NaN or infinite entry$"):
+                call(bad)
+    # valid sketches keep their bits
+    assert omega_bar(V_theta, phi_q, 0.25) == omega_bar(
+        list(V_theta), list(phi_q), 0.25)
 
 
 _PHI_FIELDS = ("eps_star", "omega_bar_q", "margin_q", "margin_ok_q", "sigma_q")

@@ -190,6 +190,13 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"configuration error: sketch seed must lie in [0, 2**64), "
             f"got {seed}\n")
+    # so is the seed of a random matrix, which is drawn before the sketch
+    rc = main(["gmres-bench", "--matrix", "randsparse:50", "--seed", "-1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: matrix seed must be an integer in [0, 2**64), "
+        "got -1\n")
     rc = main(["gmres-bench", "--matrix", "laplacian:4", "--m", "-1",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG

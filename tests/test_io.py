@@ -225,6 +225,19 @@ def test_random_sparse_diagonally_dominant():
         generate_random_sparse(6, 6, seed=4)
 
 
+def test_random_sparse_checks_its_seed():
+    # the seed is the high word of a Philox key; numpy's own refusal, "key
+    # must be positive and less than 2**128.", names no seed, and int(1.5)
+    # would draw the matrix of seed 1
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match=rf"^matrix seed must be an "
+                           rf"integer in \[0, 2\*\*64\), got {seed}$"):
+            generate_random_sparse(6, 2, seed=seed)
+    assert np.array_equal(generate_random_sparse(6, 2, seed=np.int64(3)).csr.toarray(),
+                          generate_random_sparse(6, 2, seed=3).csr.toarray())
+    assert generate_random_sparse(6, 2, seed=2**64 - 1).n == 6
+
+
 def test_report_roundtrip(tmp_path):
     rep = ExperimentReport(metadata={"variant": "rgs", "n": 100})
     rep.add_row(1, cond_Q=1.0, omega=0.25)

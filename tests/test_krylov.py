@@ -502,6 +502,29 @@ def test_complex_right_hand_side_raises_type_error(solver):
         solver(A, np.ones(A.n) * (1 + 1j), 3, theta=theta)
 
 
+def test_ilu_solve_and_best_attainable_residual_refuse_a_complex_vector():
+    # numpy would keep the real part: the solve returned a binary64 vector,
+    # and the residual of b = 1j * 1 read 0.0, that of a zero real part
+    A = generate_laplacian_2d(4)
+    z = 1j * np.ones(A.n)
+    with pytest.raises(TypeError, match="^complex right-hand side"):
+        ilu0(A).solve(z)
+    with pytest.raises(TypeError, match="^complex right-hand side"):
+        best_attainable_residual(A, np.eye(A.n, 3), z)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_best_attainable_residual_rejects_a_non_finite_right_hand_side(value):
+    # as gmres does; it read nan before
+    A = generate_laplacian_2d(4)
+    b = np.ones(A.n)
+    b[5] = value
+    with pytest.raises(NonFiniteError, match="^non-finite right-hand side"):
+        best_attainable_residual(A, np.eye(A.n, 3), b)
+    with pytest.raises(ValueError, match="length mismatch"):
+        best_attainable_residual(A, np.eye(A.n, 3), np.ones(A.n + 1))
+
+
 def test_gmres_rejects_a_right_hand_side_whose_norm_overflows():
     # every entry of b = A·1 is finite, but ||b|| overflows binary64; b / inf
     # would be a zero column, reported as a breakdown with r_ii = 0

@@ -304,6 +304,57 @@ def test_rademacher_applied_once_holds_one_block(rng):
     assert peak <= bound + 16384  # slack for the Philox generator objects
 
 
+@pytest.mark.parametrize("k", [1, 15, 16, 17, 37, 1000])
+def test_rademacher_vector_apply_has_the_bits_of_binary64_block_gemvs(
+        k, rng, monkeypatch):
+    # a vector is sketched in row panels of the int8 signs widened to
+    # binary64, with the bits of one gemv per whole binary64 sign block:
+    # acc = sum_b signs_b @ x_b, then scaled. n = 4096 + 100 ends in a
+    # partial block; the first apply draws the blocks, the third reads kept
+    # ones, and with no materialization limit every apply draws them again.
+    n = sk._COLUMN_BLOCK + 100
+    x = rng.standard_normal(n)
+    signs = _rademacher_signs(k, n, seed=6)
+    ref = np.zeros((k, 1))
+    for j0 in range(0, n, sk._COLUMN_BLOCK):
+        block = np.ascontiguousarray(signs[:, j0:j0 + sk._COLUMN_BLOCK])
+        ref += block @ x[j0:j0 + sk._COLUMN_BLOCK, None]
+    ref = ref[:, 0] * (1.0 / math.sqrt(k))
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed=6)
+    first = theta.apply(x)
+    kept = _kept(theta, x)
+    monkeypatch.setattr(sk, "_MATERIALIZE_LIMIT", 0)
+    regenerated = SketchOperator(SketchKind.RADEMACHER, k, n, seed=6)
+    for got in (first, kept, regenerated.apply(x), regenerated.apply(x)):
+        assert np.array_equal(got, ref)
+    assert regenerated._blocks == []
+
+
+def test_rademacher_keeps_its_blocks_as_int8(rng):
+    # one byte per kept sign, k*n in all, not a binary64 block per block
+    k, n = 24, 2 * sk._COLUMN_BLOCK + 808
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed=3)
+    _kept(theta, rng.standard_normal(n))
+    assert all(b.dtype == np.int8 for b in theta._blocks)
+    assert sum(b.nbytes for b in theta._blocks) == k * n
+
+
+def test_rademacher_vector_applied_once_widens_no_whole_block(rng):
+    # a one-shot vector apply holds one int8 block and one binary64 row
+    # panel of it at a time, never a k x 4096 binary64 block
+    k, n = 256, 3 * sk._COLUMN_BLOCK
+    x = rng.standard_normal(n)
+    theta = SketchOperator(SketchKind.RADEMACHER, k, n, seed=2)
+    tracemalloc.start()
+    try:
+        theta.apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta._blocks == []
+    assert peak < k * sk._COLUMN_BLOCK * 8
+
+
 @pytest.mark.parametrize("kind, applies", [(SketchKind.RADEMACHER, 1),
                                            (SketchKind.RADEMACHER, 3),
                                            (SketchKind.PSRHT, 1)],
@@ -430,6 +481,19 @@ def test_sketch_seed_outside_64_bits_is_rejected_when_built(kind):
 
 
 @pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
+def test_sketch_rejects_non_integral_arguments(kind):
+    # int(1.5) would build seed 1, and k = 4.7 a 4-row sketch or a slice error
+    for k, n, seed, name in ((4.7, 100, 1, "k"), (4.0, 100, 1, "k"),
+                             (4, 100.0, 1, "n"), (4, 100, 1.5, "sketch seed"),
+                             (4, 100, "1", "sketch seed")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            SketchOperator(kind, k, n, seed)
+    theta = SketchOperator(kind, np.int64(4), np.int32(100), np.uint64(2**64 - 1))
+    assert (theta.k, theta.n, theta.seed) == (4, 100, 2**64 - 1)
+    assert all(type(v) is int for v in (theta.k, theta.n, theta.seed))
+
+
+@pytest.mark.parametrize("kind", list(SketchKind), ids=lambda k: k.value)
 def test_complex_input_raises_type_error(kind, rng):
     # numpy would sketch the real part, with a ComplexWarning only
     theta = SketchOperator(kind, 8, 100, seed=1)
@@ -481,3 +545,23 @@ def test_rounding_sketch_trial_rates():
     for bad in (-gamma, one_negative):
         with pytest.raises(ValueError, match="nonnegative"):
             rounding_sketch_trial(th, bad, trials=1, seed=0)
+
+
+def test_rounding_sketch_trial_checks_its_seed_and_gamma():
+    # the seed is checked as SketchOperator checks it, not by numpy's Philox
+    # key error, and a non-finite gamma by name, not by numpy's "Range
+    # exceeds valid bounds" OverflowError
+    th = SketchOperator(SketchKind.RADEMACHER, 8, 64, seed=4)
+    gamma = np.full(64, 1e-3)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError,
+                           match=rf"^sketch seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            rounding_sketch_trial(th, gamma, trials=1, seed=seed)
+    with pytest.raises(TypeError, match="^sketch seed must be an integer"):
+        rounding_sketch_trial(th, gamma, trials=1, seed=1.5)
+    for value in (np.inf, np.nan):
+        bad = gamma.copy()
+        bad[3] = value
+        with pytest.raises(ValueError, match="^gamma entries must be finite"):
+            rounding_sketch_trial(th, bad, trials=1, seed=0)
+    assert rounding_sketch_trial(th, gamma, trials=2, seed=2**64 - 1) in (0.0, 0.5, 1.0)
