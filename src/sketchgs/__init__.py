@@ -5,7 +5,7 @@ certification, and a sketched GMRES built on top."""
 from .precision import (MIXED32_64, UNIFIED32, UNIFIED64, PrecisionPolicy,
                         policy_from_name)
 from .sketch import (SketchKind, SketchOperator, fwht, required_sketch_dim,
-                     rounding_sketch_trial, vector_certificate_dim)
+                     vector_certificate_dim)
 from .gram_schmidt import (BreakdownError, ClassicalGsState, GsVariant,
                            NonFiniteError, QrFactors, RgsState,
                            classical_factorize, rgs_factorize)

@@ -88,6 +88,9 @@ def load_matrix_source(spec: str, seed: int = 0) -> SparseMatrix:
         return generate_laplacian_2d(int(spec.split(":", 1)[1]))
     if spec.startswith("randsparse:"):
         parts = spec.split(":")[1:]
+        if len(parts) > 2:
+            raise ValueError(f"matrix source {spec!r} has more fields than "
+                             "randsparse:N[:NNZ]")
         n = int(parts[0])
         nnz = int(parts[1]) if len(parts) > 1 else 8
         return generate_random_sparse(n, nnz, seed)

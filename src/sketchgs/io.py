@@ -116,14 +116,13 @@ def generate_laplacian_2d(grid: int) -> SparseMatrix:
                         + scipy.sparse.kron(T, I, format="csr"))
 
 
-def generate_random_sparse(n: int, nnz_per_row: int, seed: int,
-                           diag_shift: float = 1.0) -> SparseMatrix:
+def generate_random_sparse(n: int, nnz_per_row: int, seed: int) -> SparseMatrix:
     """Seeded random sparse nonsymmetric matrix, made diagonally dominant.
 
     Each row gets `nnz_per_row` off-diagonal entries uniform in [-1, 1] at
     uniformly drawn columns, then the diagonal is set to (row absolute sum
-    + diag_shift) so the matrix is strictly diagonally dominant and ILU(0)
-    cannot hit a zero pivot.
+    + 1) so the matrix is strictly diagonally dominant, by a margin of 1 in
+    every row, and ILU(0) cannot hit a zero pivot.
     """
     if n < 1 or nnz_per_row < 0 or nnz_per_row > n - 1:
         raise ValueError("invalid size or fill")
@@ -143,7 +142,7 @@ def generate_random_sparse(n: int, nnz_per_row: int, seed: int,
         vals.extend(v.tolist())
         offdiag_abs[i] = np.abs(v).sum()
     for i in range(n):
-        rows.append(i); cols.append(i); vals.append(offdiag_abs[i] + diag_shift)
+        rows.append(i); cols.append(i); vals.append(offdiag_abs[i] + 1.0)
     return SparseMatrix(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
@@ -216,8 +215,11 @@ def read_report(path) -> ExperimentReport:
         if len(cells) != len(header):
             raise ValueError(f"report line {no}: {len(cells)} cells under a "
                              f"header of {len(header)}")
-        values = {name: int(cell) if name == "iteration" else float(cell)
-                  for name, cell in zip(header, cells) if cell != ""}
+        try:
+            values = {name: int(cell) if name == "iteration" else float(cell)
+                      for name, cell in zip(header, cells) if cell != ""}
+        except ValueError as exc:  # a cell that does not parse
+            raise ValueError(f"report line {no}: {exc}") from None
         if "iteration" not in values:
             raise ValueError(f"report line {no}: no iteration")
         report.add_row(values.pop("iteration"), **values)

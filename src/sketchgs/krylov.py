@@ -285,7 +285,10 @@ def gmres(A: SparseMatrix, b, m: int, variant: GsVariant = GsVariant.RGS,
     residual of the original system observable. No restarting. The sketched
     residual estimate can read below `tol` while the true residual is still
     above it, so the iteration stops only once the true residual is <= tol.
+    A NaN tol, which no residual is <= to, raises ValueError.
     """
+    if tol is not None and np.isnan(tol):
+        raise ValueError("tol is NaN: no residual can meet it")
     b, b_norm = _rhs(A, b)
     state = _make_gs_state(A.n, variant, policy, theta, m)
     if b_norm == 0.0:
@@ -361,11 +364,19 @@ def best_attainable_residual(A: SparseMatrix, Q, b) -> float:
 
     The yardstick for judging whether an iteration extracted all the accuracy
     its basis supports. An n x 0 basis gives 1, b = 0 gives 0 as in `gmres`,
-    and b is checked as in `gmres`.
+    and b is checked as in `gmres`. So is Q: a complex Q raises TypeError, a
+    NaN or infinity NonFiniteError at its first such column, and a Q whose
+    rows are not A's, ValueError.
     """
     b, bn = _rhs(A, b)
+    if np.iscomplexobj(Q := np.asarray(Q)):
+        raise TypeError(f"complex basis ({Q.dtype}): A x = b is real")
+    if Q.ndim != 2 or Q.shape[0] != A.n:
+        raise ValueError(f"expected a basis of {A.n} rows, got shape {Q.shape}")
+    if (bad := np.flatnonzero(~np.isfinite(Q).all(axis=0))).size:
+        raise NonFiniteError(int(bad[0]) + 1, "basis")
     if bn == 0.0:
         return 0.0
-    AQ = A.csr @ np.asarray(Q, dtype=np.float64)
+    AQ = A.csr @ Q.astype(np.float64, copy=False)
     y, *_ = np.linalg.lstsq(AQ, b, rcond=None)
     return float(np.linalg.norm(b - AQ @ y) / bn)

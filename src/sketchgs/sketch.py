@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 __all__ = ["SketchKind", "SketchOperator", "required_sketch_dim",
-           "vector_certificate_dim", "fwht", "rounding_sketch_trial"]
+           "vector_certificate_dim", "fwht"]
 
 # Width of the Rademacher column blocks. Block b holds columns
 # [b*_COLUMN_BLOCK, (b+1)*_COLUMN_BLOCK): its k*width signs, row by row, are
@@ -66,18 +66,20 @@ def _check_unit_interval(**values: float) -> None:
 
 def required_sketch_dim(kind: SketchKind, epsilon: float, delta: float, d: int,
                         n: int | None = None) -> int:
-    """Sketch rows needed for an (epsilon, delta, d) oblivious embedding."""
+    """Sketch rows needed for an (epsilon, delta, d) oblivious embedding.
+
+    d and a given n are integers, at least 1; only P-SRHT's bound reads n."""
     _check_unit_interval(epsilon=epsilon, delta=delta)
-    if d < 1:
+    if _integer("d", d) < 1:
         raise ValueError("d must be a positive integer")
+    if n is not None and _integer("n", n) < 1:
+        raise ValueError(f"the ambient dimension needs n >= 1, got n={n}")
     if kind is SketchKind.RADEMACHER:
         return math.ceil(7.87 * epsilon**-2
                          * (6.9 * d + math.log(1.0 / delta)))
     if kind is SketchKind.PSRHT:
         if n is None:
             raise ValueError("P-SRHT bound depends on the ambient dimension n")
-        if n < 1:
-            raise ValueError(f"P-SRHT bound needs n >= 1, got n={n}")
         val = (2.0 / (epsilon**2 - epsilon**3 / 3.0)
                * (math.sqrt(d) + math.sqrt(8.0 * math.log(6.0 * n / delta)))**2
                * math.log(3.0 * d / delta))
@@ -269,25 +271,3 @@ class SketchOperator:
 # Not public: perfbench/workloads.py calls `sketch.make_sketch`; it goes with
 # the benchmark change that deletes `SparseMatrix`.
 make_sketch = SketchOperator
-
-
-def rounding_sketch_trial(theta: SketchOperator, gamma, trials: int, seed: int,
-                          eps: float = 0.5) -> float:
-    """Empirical failure rate of the sketched rounding-error concentration.
-
-    Draws vectors phi with independent zero-mean entries uniform in
-    [-gamma_i, +gamma_i] and counts trials where
-    | ||phi||^2 - ||Theta phi||^2 | > eps * ||gamma||^2.
-    """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if not (np.isfinite(gamma) & (gamma >= 0)).all():
-        raise ValueError("gamma entries must be finite and nonnegative")
-    bound = eps * float(gamma @ gamma)
-    rng = _philox(_seed(seed), 0x7B1A)
-    failed = 0
-    for _ in range(trials):
-        phi = rng.uniform(-gamma, gamma)
-        diff = abs(phi @ phi - float(np.sum(theta.apply(phi)**2)))
-        if diff > bound:
-            failed += 1
-    return failed / trials

@@ -45,3 +45,23 @@ def dense_sketch():
         return np.hstack([theta.apply_block(np.eye(n, min(512, n - j), -j))
                           for j in range(0, n, 512)])
     return dense
+
+
+@pytest.fixture(scope="session")
+def rounding_sketch_trial():
+    """Empirical failure rate of the sketched rounding-error concentration
+    that the paper's stability analysis assumes. Draws `trials` vectors phi
+    with independent entries uniform in [-gamma_i, +gamma_i], from Philox
+    stream 0x7B1A of `seed`, and returns the share of them with
+    | ||phi||^2 - ||Theta phi||^2 | > eps * ||gamma||^2."""
+    def trial(theta, gamma, trials, seed, eps=0.5):
+        gamma = np.asarray(gamma, dtype=np.float64)
+        bound = eps * float(gamma @ gamma)
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0x7B1A))
+        failed = 0
+        for _ in range(trials):
+            phi = rng.uniform(-gamma, gamma)
+            if abs(phi @ phi - float(np.sum(theta.apply(phi)**2))) > bound:
+                failed += 1
+        return failed / trials
+    return trial

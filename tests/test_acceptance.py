@@ -23,8 +23,7 @@ from sketchgs import (GsVariant, MIXED32_64, SketchKind, SketchOperator,
                       classical_factorize, epsilon_of, generate_laplacian_2d,
                       generate_random_sparse, gmres, ilu0,
                       required_sketch_dim, rgs_factorize,
-                      rounding_sketch_trial, synthetic_matrix,
-                      vector_certificate_dim)
+                      synthetic_matrix, vector_certificate_dim)
 from sketchgs.bench import RunConfig, run_qr_bench
 from sketchgs.certification import traces
 from sketchgs.io import write_report
@@ -256,7 +255,7 @@ def test_criterion_7_gmres_stagnation():
     assert 1e-8 <= finals["rgs"] <= 1e-5
 
 
-def test_criterion_8_oblivious_embedding_statistics():
+def test_criterion_8_oblivious_embedding_statistics(rounding_sketch_trial):
     k = required_sketch_dim(SketchKind.RADEMACHER, epsilon=0.5, delta=0.01,
                             d=10)
     assert k == 2318

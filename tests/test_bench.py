@@ -31,6 +31,9 @@ def test_load_matrix_source(tmp_path):
     for spec in ("nonsense:5", "bogus"):
         with pytest.raises(ValueError, match="unrecognized matrix source"):
             load_matrix_source(spec)
+    # a field beyond the form's was dropped: this read randsparse:10:3
+    with pytest.raises(ValueError, match="'randsparse:10:3:7' has more fields"):
+        load_matrix_source("randsparse:10:3:7")
 
 
 def test_run_qr_bench_traces_match_oracles():

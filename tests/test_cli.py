@@ -202,9 +202,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "got m=-1" in capsys.readouterr().err
     for n in ("0", "-5"):  # the P-SRHT bound's log(6 n / delta)
-        rc = main(["sketch-info", "--n", n])
-        assert rc == EXIT_CONFIG
-        assert f"got n={n}" in capsys.readouterr().err
+        for kind in ("psrht", "rademacher"):  # a given n is checked under both
+            rc = main(["sketch-info", "--n", n, "--sketch", kind])
+            assert rc == EXIT_CONFIG
+            assert f"got n={n}" in capsys.readouterr().err
+    # no residual is <= NaN: gmres-bench ran every iteration and exited 0
+    rc = main(["gmres-bench", "--matrix", "laplacian:4", "--m", "3",
+               "--variants", "cgs", "--tol", "nan",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == EXIT_CONFIG
+    assert "tol is NaN" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
     for option, value, message in (
             ("--d", "0", "d must be a positive integer"),
             ("--eps", "1.0", "epsilon must lie in (0, 1)"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,7 +215,7 @@ def test_random_sparse_diagonally_dominant():
     D = A.to_scipy().toarray()
     for i in range(80):
         off = np.sum(np.abs(D[i])) - abs(D[i, i])
-        assert abs(D[i, i]) >= off + 0.999  # diag_shift margin
+        assert abs(D[i, i]) >= off + 0.999  # a margin of 1
     B = generate_random_sparse(80, 5, seed=4)
     assert np.array_equal(D, B.to_scipy().toarray())  # seeded
     C = generate_random_sparse(80, 5, seed=5)
@@ -289,11 +290,17 @@ def test_read_report_without_header_raises_value_error(tmp_path):
     # a header without an iteration column, and a row with an empty one
     ("cond_Q,cond_S\n2.0,3.0\n", "line 2: header has no iteration column"),
     ("iteration,cond_Q\n,2.0\n", "line 3: no iteration"),
-], ids=["short-row", "long-row", "no-iteration-column", "empty-iteration"])
+    # a cell that does not parse, named with its line
+    ("iteration,cond_Q\n1,2.0\n2,abc\n",
+     "line 4: could not convert string to float: 'abc'"),
+    ("iteration,cond_Q\n1.5,2.0\n",
+     "line 3: invalid literal for int() with base 10: '1.5'"),
+], ids=["short-row", "long-row", "no-iteration-column", "empty-iteration",
+        "bad-number", "bad-iteration"])
 def test_read_report_rejects_malformed_rows(tmp_path, body, message):
     # write_report never writes any of these; zip would pair the cells
     # silently, dropping or losing values, or end in a KeyError
     p = tmp_path / "bad.csv"
     p.write_text("# variant = rgs\n" + body)
-    with pytest.raises(ValueError, match=f"^report {message}$"):
+    with pytest.raises(ValueError, match=f"^report {re.escape(message)}$"):
         read_report(p)

@@ -20,6 +20,15 @@ def _coo(n, rows, cols, vals):
     return SparseMatrix(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
+def _random_sparse(n, nnz_per_row, seed, shift):
+    """`generate_random_sparse` with each diagonal entry lowered by 1 - shift,
+    to the row's off-diagonal absolute sum + shift: diagonally dominant by a
+    margin of only `shift`."""
+    csr = generate_random_sparse(n, nnz_per_row, seed).to_scipy().copy()
+    csr.setdiag(csr.diagonal() - (1.0 - shift))
+    return SparseMatrix(csr)
+
+
 def test_coo_duplicates_summed():
     A = _coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
     assert A.csr.nnz == 2  # the duplicate (0, 1) is one stored entry
@@ -172,8 +181,7 @@ def _ilu_matrices(draw):
     n = draw(st.integers(1, 150))
     nnz_per_row = draw(st.integers(0, min(n - 1, 9)))
     shift = draw(st.sampled_from([1e-3, 1.0]))
-    return generate_random_sparse(n, nnz_per_row, draw(st.integers(0, 2**32)),
-                                  diag_shift=shift)
+    return _random_sparse(n, nnz_per_row, draw(st.integers(0, 2**32)), shift)
 
 
 @given(A=_ilu_matrices(), seed=st.integers(0, 2**32))
@@ -260,7 +268,7 @@ def test_gmres_residual_history_decreases(rng):
 
 
 def test_gmres_preconditioned_converges_faster(rng):
-    A = generate_random_sparse(300, 8, seed=2, diag_shift=0.1)
+    A = _random_sparse(300, 8, seed=2, shift=0.1)
     b = rng.standard_normal(300)
     theta = SketchOperator(SketchKind.PSRHT, 200, 300, seed=0)
     plain = gmres(A, b, m=40, theta=theta, policy=UNIFIED64)
@@ -523,6 +531,41 @@ def test_best_attainable_residual_rejects_a_non_finite_right_hand_side(value):
         best_attainable_residual(A, np.eye(A.n, 3), b)
     with pytest.raises(ValueError, match="length mismatch"):
         best_attainable_residual(A, np.eye(A.n, 3), np.ones(A.n + 1))
+
+
+def test_gmres_rejects_a_nan_tolerance():
+    # no residual is <= NaN: it ran all m iterations and read converged=False
+    A = generate_laplacian_2d(4)
+    with pytest.raises(ValueError, match="^tol is NaN"):
+        gmres(A, np.ones(A.n), 3, variant=GsVariant.CGS, policy=UNIFIED64,
+              tol=np.nan)
+    # a negative tol still runs, and no nonzero residual meets it
+    res = gmres(A, np.ones(A.n), 3, variant=GsVariant.CGS, policy=UNIFIED64,
+                tol=-1.0)
+    assert res.iterations == 3 and res.converged is False
+
+
+def test_best_attainable_residual_checks_its_basis():
+    # numpy kept the real part of a complex Q, with a ComplexWarning only, and
+    # a NaN reached LAPACK, which printed an illegal-value message to stderr
+    A = generate_laplacian_2d(4)
+    b = np.ones(A.n)
+    Q = np.eye(A.n, 3)
+    with pytest.raises(TypeError, match="^complex basis"):
+        best_attainable_residual(A, Q + 1j * Q, b)
+    for value in (np.nan, np.inf):
+        bad = Q.copy()
+        bad[5, 2] = 1.0
+        bad[7, 1] = value
+        with pytest.raises(NonFiniteError,
+                           match="^non-finite basis at column 2$"):
+            best_attainable_residual(A, bad, b)
+    for bad in (Q[1:], np.eye(A.n + 1, 3), np.ones(A.n)):
+        with pytest.raises(ValueError, match=f"^expected a basis of {A.n} rows"):
+            best_attainable_residual(A, bad, b)
+    # a binary32 basis is read as it is, widened
+    tau = best_attainable_residual(A, Q, b)
+    assert best_attainable_residual(A, Q.astype(np.float32), b) == tau
 
 
 def test_gmres_rejects_a_right_hand_side_whose_norm_overflows():

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import sketchgs.sketch as sk
 from sketchgs import (SketchKind, SketchOperator, epsilon_of, fwht,
-                      required_sketch_dim, rounding_sketch_trial,
-                      vector_certificate_dim)
+                      required_sketch_dim, vector_certificate_dim)
 
 
 def test_required_sketch_dim_rademacher():
@@ -60,6 +59,23 @@ def test_required_sketch_dim_validation():
             required_sketch_dim(kind, epsilon=0.5, delta=1.5, d=10, n=1000)
         with pytest.raises(ValueError, match="^d must be a positive integer$"):
             required_sketch_dim(kind, epsilon=0.5, delta=0.01, d=0, n=1000)
+
+
+def test_required_sketch_dim_takes_integer_d_and_n():
+    # d = 2.5 read as a bound of 616 rows, and a NaN or infinite d failed in
+    # float-to-int conversion; an n below 1 passed under Rademacher
+    for kind in SketchKind:
+        for d in (2.5, np.nan, np.inf, 10.0):
+            with pytest.raises(TypeError, match="^d must be an integer"):
+                required_sketch_dim(kind, 0.5, 0.01, d, n=1000)
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            required_sketch_dim(kind, 0.5, 0.01, 10, n=1000.0)
+        for n in (0, -5):
+            with pytest.raises(ValueError, match=f"got n={n}$"):
+                required_sketch_dim(kind, 0.5, 0.01, 10, n=n)
+        k = required_sketch_dim(kind, 0.5, 0.01, 10, n=1000)
+        assert required_sketch_dim(kind, 0.5, 0.01, np.int64(10),
+                                   n=np.int64(1000)) == k
 
 
 def _fwht_radix2(v):
@@ -532,7 +548,7 @@ def test_epsilon_of_detects_distortion(rng):
             epsilon_of(th, bad)
 
 
-def test_rounding_sketch_trial_rates():
+def test_rounding_sketch_trial_rates(rounding_sketch_trial):
     th = SketchOperator(SketchKind.RADEMACHER, 256, 512, seed=4)
     gamma = np.full(512, 1e-3)
     rate = rounding_sketch_trial(th, gamma, trials=50, seed=0, eps=0.5)
@@ -540,28 +556,3 @@ def test_rounding_sketch_trial_rates():
     tiny = SketchOperator(SketchKind.RADEMACHER, 1, 512, seed=4)
     loose = rounding_sketch_trial(tiny, gamma, trials=50, seed=0, eps=0.05)
     assert loose > 0.2  # k=1 at tight eps fails often
-    one_negative = gamma.copy()
-    one_negative[7] = -1e-3
-    for bad in (-gamma, one_negative):
-        with pytest.raises(ValueError, match="nonnegative"):
-            rounding_sketch_trial(th, bad, trials=1, seed=0)
-
-
-def test_rounding_sketch_trial_checks_its_seed_and_gamma():
-    # the seed is checked as SketchOperator checks it, not by numpy's Philox
-    # key error, and a non-finite gamma by name, not by numpy's "Range
-    # exceeds valid bounds" OverflowError
-    th = SketchOperator(SketchKind.RADEMACHER, 8, 64, seed=4)
-    gamma = np.full(64, 1e-3)
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError,
-                           match=rf"^sketch seed must lie in \[0, 2\*\*64\), got {seed}$"):
-            rounding_sketch_trial(th, gamma, trials=1, seed=seed)
-    with pytest.raises(TypeError, match="^sketch seed must be an integer"):
-        rounding_sketch_trial(th, gamma, trials=1, seed=1.5)
-    for value in (np.inf, np.nan):
-        bad = gamma.copy()
-        bad[3] = value
-        with pytest.raises(ValueError, match="^gamma entries must be finite"):
-            rounding_sketch_trial(th, bad, trials=1, seed=0)
-    assert rounding_sketch_trial(th, gamma, trials=2, seed=2**64 - 1) in (0.0, 0.5, 1.0)
